@@ -7,7 +7,7 @@
 //! paper's own methodology) so the suite builds without registry access.
 //!
 //! ```sh
-//! cargo bench -p lsra-bench --bench criterion_scaling
+//! cargo bench -p lsra-bench --bench scaling
 //! ```
 
 use lsra_bench::time_allocation;

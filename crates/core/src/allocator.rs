@@ -152,49 +152,6 @@ impl BinpackAllocator {
         }
         stats
     }
-
-    /// Allocates every function of a module serially, reusing `scratch`'s
-    /// working memory across functions *and* across calls.
-    ///
-    /// This is the long-lived-process hook: a server worker that allocates
-    /// many modules in a row keeps one arena for its whole lifetime instead
-    /// of re-growing the per-temp/per-register vectors on every request.
-    /// Output and (wall-clock-free) statistics are identical to
-    /// [`RegisterAllocator::allocate_module`] at any worker count.
-    pub fn allocate_module_reusing(
-        &self,
-        m: &mut Module,
-        spec: &MachineSpec,
-        scratch: &mut AllocScratch,
-    ) -> AllocStats {
-        let mut total = AllocStats::default();
-        for f in &mut m.funcs {
-            total.merge(&self.allocate_function_reusing(f, spec, scratch));
-        }
-        total
-    }
-
-    /// Allocates every function of a module with tracing, serially and in
-    /// module order so the event stream is deterministic.
-    ///
-    /// Parallel allocation is output-invariant (see
-    /// [`RegisterAllocator::allocate_module`]), so the traced result equals
-    /// the untraced result at any worker count; only the trace itself needs
-    /// the serial order.
-    pub fn allocate_module_traced(
-        &self,
-        m: &mut Module,
-        spec: &MachineSpec,
-        sink: &mut dyn TraceSink,
-    ) -> AllocStats {
-        let mut scratch = AllocScratch::default();
-        let mut total = AllocStats::default();
-        for f in &mut m.funcs {
-            let stats = self.allocate_function_traced(f, spec, &mut scratch, sink);
-            total.merge(&stats);
-        }
-        total
-    }
 }
 
 impl RegisterAllocator for BinpackAllocator {
@@ -278,5 +235,48 @@ impl RegisterAllocator for BinpackAllocator {
             total.merge(st);
         }
         total
+    }
+
+    /// Allocates every function of a module serially, reusing `scratch`'s
+    /// working memory across functions *and* across calls.
+    ///
+    /// This is the long-lived-process hook: a server worker that allocates
+    /// many modules in a row keeps one arena for its whole lifetime instead
+    /// of re-growing the per-temp/per-register vectors on every request.
+    /// Output and (wall-clock-free) statistics are identical to
+    /// [`RegisterAllocator::allocate_module`] at any worker count.
+    fn allocate_module_reusing(
+        &self,
+        m: &mut Module,
+        spec: &MachineSpec,
+        scratch: &mut AllocScratch,
+    ) -> AllocStats {
+        let mut total = AllocStats::default();
+        for f in &mut m.funcs {
+            total.merge(&self.allocate_function_reusing(f, spec, scratch));
+        }
+        total
+    }
+
+    /// Allocates every function of a module with tracing, serially and in
+    /// module order so the event stream is deterministic.
+    ///
+    /// Parallel allocation is output-invariant (see
+    /// [`RegisterAllocator::allocate_module`]), so the traced result equals
+    /// the untraced result at any worker count; only the trace itself needs
+    /// the serial order.
+    fn allocate_module_traced(
+        &self,
+        m: &mut Module,
+        spec: &MachineSpec,
+        sink: &mut dyn TraceSink,
+    ) -> Option<AllocStats> {
+        let mut scratch = AllocScratch::default();
+        let mut total = AllocStats::default();
+        for f in &mut m.funcs {
+            let stats = self.allocate_function_traced(f, spec, &mut scratch, sink);
+            total.merge(&stats);
+        }
+        Some(total)
     }
 }

@@ -5,6 +5,8 @@ use std::time::Instant;
 use lsra_ir::{Function, MachineSpec, Module, SpillTag};
 use lsra_trace::{TraceEvent, TraceSink};
 
+use crate::scratch::AllocScratch;
+
 /// Allocator phases whose wall-clock time is tracked when
 /// [`BinpackConfig::time_phases`](crate::BinpackConfig) is on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -242,6 +244,36 @@ pub trait RegisterAllocator {
             total.merge(&stats);
         }
         total
+    }
+
+    /// Allocates every function of a module serially, emitting every
+    /// allocation decision to `sink`, so the event stream is deterministic.
+    ///
+    /// `None` (with `m` untouched) for allocators without an instrumented
+    /// path; the default. The sink never feeds back into allocation, so a
+    /// `Some` result equals [`RegisterAllocator::allocate_module`]'s output.
+    fn allocate_module_traced(
+        &self,
+        m: &mut Module,
+        spec: &MachineSpec,
+        sink: &mut dyn TraceSink,
+    ) -> Option<AllocStats> {
+        let _ = (m, spec, sink);
+        None
+    }
+
+    /// Allocates every function of a module, reusing `scratch`'s working
+    /// memory where the allocator has any (the default ignores it). Output
+    /// and wall-clock-free statistics equal
+    /// [`RegisterAllocator::allocate_module`]'s.
+    fn allocate_module_reusing(
+        &self,
+        m: &mut Module,
+        spec: &MachineSpec,
+        scratch: &mut AllocScratch,
+    ) -> AllocStats {
+        let _ = scratch;
+        self.allocate_module(m, spec)
     }
 }
 

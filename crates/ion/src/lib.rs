@@ -288,22 +288,6 @@ impl IonAllocator {
         }
         stats
     }
-
-    /// Allocates every function of a module with tracing, serially and in
-    /// module order so the event stream is deterministic.
-    pub fn allocate_module_traced(
-        &self,
-        m: &mut Module,
-        spec: &MachineSpec,
-        sink: &mut dyn TraceSink,
-    ) -> AllocStats {
-        let mut total = AllocStats::default();
-        for id in m.func_ids().collect::<Vec<_>>() {
-            let stats = self.allocate_function_traced(m.func_mut(id), spec, sink);
-            total.merge(&stats);
-        }
-        total
-    }
 }
 
 impl RegisterAllocator for IonAllocator {
@@ -313,6 +297,19 @@ impl RegisterAllocator for IonAllocator {
 
     fn allocate_function(&self, f: &mut Function, spec: &MachineSpec) -> AllocStats {
         self.allocate_function_traced(f, spec, &mut NoopSink)
+    }
+
+    fn allocate_module_traced(
+        &self,
+        m: &mut Module,
+        spec: &MachineSpec,
+        sink: &mut dyn TraceSink,
+    ) -> Option<AllocStats> {
+        let mut total = AllocStats::default();
+        for f in &mut m.funcs {
+            total.merge(&self.allocate_function_traced(f, spec, sink));
+        }
+        Some(total)
     }
 }
 

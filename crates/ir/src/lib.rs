@@ -45,6 +45,7 @@ mod block;
 mod builder;
 mod display;
 mod function;
+mod hash;
 mod inst;
 mod machine;
 mod module;
@@ -54,6 +55,7 @@ mod reg;
 pub use block::{Block, BlockId};
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use function::{Function, SlotId, TempInfo, ValidateError};
+pub use hash::{fnv64, fnv64_extend, FNV64_OFFSET};
 pub use inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag};
 pub use machine::MachineSpec;
 pub use module::Module;

@@ -266,7 +266,7 @@ impl MappedModule<'_> {
                 },
                 output: io.output,
                 counts,
-                memory_checksum: fnv1a(&memory),
+                memory_checksum: lsra_vm::memory_checksum(&memory),
             }),
             err::DIV_BY_ZERO => {
                 Err(JitRunError::Vm(VmError::DivByZero { func: FuncId(env.err_func as u32) }))
@@ -333,19 +333,6 @@ pub fn run_module_native(
     input: &[u8],
 ) -> Result<RunResult, JitRunError> {
     compile_module(module, spec)?.run(input, &VmOptions::default())
-}
-
-/// FNV-1a over the final data memory, identical to the interpreter's
-/// checksum so the two backends can be compared verbatim.
-fn fnv1a(words: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
 }
 
 #[cfg(test)]

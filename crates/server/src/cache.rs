@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use lsra_core::AllocStats;
+use lsra_ir::fnv64;
 use lsra_vm::DynCounts;
 
 /// The cached, deterministic result of one allocation request: everything
@@ -27,16 +28,6 @@ pub struct Outcome {
     pub dyn_counts: Option<DynCounts>,
     /// The allocated module's display form.
     pub module_text: String,
-}
-
-/// FNV-1a, 64-bit: the cache's content address.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Fixed per-entry overhead charged on top of the key and module text, so a

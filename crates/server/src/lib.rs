@@ -5,9 +5,10 @@
 //! speaking a line-delimited JSON protocol (one request line in, one
 //! response line out — see [`protocol`]):
 //!
-//! - [`protocol`] — request parsing (a small dependency-free JSON reader,
-//!   [`json_in`]) and byte-deterministic response rendering through the
-//!   shared `lsra_trace::json::JsonWriter`.
+//! - [`protocol`] — request parsing and byte-deterministic response
+//!   rendering, both through the shared `lsra_trace::json` module
+//!   (re-exported here as [`json_in`]), and the allocator registry
+//!   ([`protocol::allocator_by_name`]) every front end selects from.
 //! - [`cache`] — a content-addressed result cache keyed by the canonical
 //!   program text plus allocator/machine/options, FNV-addressed,
 //!   LRU-evicted under a byte budget, collision-safe by full-key compare.
@@ -32,15 +33,16 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod json_in;
 pub mod loadgen;
 pub mod net;
 pub mod protocol;
 pub mod service;
 pub mod telemetry;
 
-pub use cache::{fnv64, Cache, Outcome};
+pub use cache::{Cache, Outcome};
 pub use loadgen::{run_loadgen, LatencySummary, LoadgenConfig, LoadgenReport};
+/// The request-side JSON reader: the workspace's one JSON module.
+pub use lsra_trace::json as json_in;
 pub use net::{serve_lines, serve_stdio, serve_tcp};
 pub use protocol::{
     expected_response_line, parse_request, render_lint, run_lint, ParsedLine, Request, STATS_FIELDS,

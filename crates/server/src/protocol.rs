@@ -106,13 +106,61 @@
 use lsra_core::{AllocScratch, AllocTimings, BinpackAllocator, BinpackConfig, RegisterAllocator};
 use lsra_ir::{MachineSpec, Module};
 use lsra_trace::json::JsonWriter;
+use lsra_trace::NoopSink;
 use lsra_vm::{Vm, VmOptions};
 
 use crate::cache::Outcome;
 use crate::json_in::{self, JsonValue};
 
-/// Allocator names the service accepts, in CLI order.
+/// Allocator names, in CLI order: the one list that the CLI, the fuzz
+/// driver, the service and the tests select from through
+/// [`allocator_by_name`].
 pub const ALLOCATOR_NAMES: [&str; 5] = ["binpack", "two-pass", "coloring", "poletto", "ion"];
+
+/// Constructs the allocator called `name` in [`ALLOCATOR_NAMES`]; `None`
+/// for any other name.
+///
+/// `workers` and `time_phases` set the [`BinpackConfig`] fields of the
+/// binpack family (the service runs one worker with timing on; the CLI
+/// passes `--workers` and `--time-phases`). The other allocators ignore
+/// them.
+pub fn allocator_by_name(
+    name: &str,
+    workers: usize,
+    time_phases: bool,
+) -> Option<Box<dyn RegisterAllocator>> {
+    let binpack = |base: BinpackConfig| -> Box<dyn RegisterAllocator> {
+        Box::new(BinpackAllocator::new(BinpackConfig { workers, time_phases, ..base }))
+    };
+    Some(match name {
+        "binpack" => binpack(BinpackConfig::default()),
+        "two-pass" => binpack(BinpackConfig::two_pass()),
+        "coloring" => Box::new(lsra_coloring::ColoringAllocator),
+        "poletto" => Box::new(lsra_poletto::PolettoAllocator),
+        "ion" => Box::new(lsra_ion::IonAllocator),
+        _ => return None,
+    })
+}
+
+/// The error for a name that is not in [`ALLOCATOR_NAMES`].
+pub fn unknown_allocator(name: &str) -> String {
+    format!("unknown allocator `{name}` (expected {})", ALLOCATOR_NAMES.join(" | "))
+}
+
+/// The error for an allocator without an instrumented path, naming the
+/// allocators whose [`RegisterAllocator::allocate_module_traced`] answers
+/// (probed on an empty module, so the list follows the trait impls).
+pub fn untraced_allocator(name: &str) -> String {
+    let (mut empty, spec) = (Module::new("", 0), MachineSpec::alpha_like());
+    let traced: Vec<&str> = ALLOCATOR_NAMES
+        .into_iter()
+        .filter(|n| {
+            let alloc = allocator_by_name(n, 1, false).expect("registered name");
+            alloc.allocate_module_traced(&mut empty, &spec, &mut NoopSink).is_some()
+        })
+        .collect();
+    format!("`{name}` has no instrumented path (expected {})", traced.join(" | "))
+}
 
 /// Every field of a `stats` response, in render order. Documented
 /// field-by-field in the module docs ("The `stats` response"); the exact
@@ -307,10 +355,7 @@ pub fn parse_request(line: &str) -> Result<ParsedLine, (String, String)> {
         }
     };
     if !ALLOCATOR_NAMES.contains(&allocator.as_str()) {
-        return Err(fail(format!(
-            "unknown allocator `{allocator}` ({})",
-            ALLOCATOR_NAMES.join(" | ")
-        )));
+        return Err(fail(unknown_allocator(&allocator)));
     }
     let machine = MachineSpec::parse(&machine).map_err(|e| fail(format!("machine: {e}")))?;
     let req = Box::new(Request {
@@ -385,24 +430,9 @@ pub fn run_allocation(
     scratch: &mut AllocScratch,
 ) -> Result<(Outcome, Option<AllocTimings>), String> {
     let spec = &req.machine;
-    let stats = match req.allocator.as_str() {
-        "binpack" => BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            time_phases: true,
-            ..Default::default()
-        })
-        .allocate_module_reusing(&mut m, spec, scratch),
-        "two-pass" => BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            time_phases: true,
-            ..BinpackConfig::two_pass()
-        })
-        .allocate_module_reusing(&mut m, spec, scratch),
-        "coloring" => lsra_coloring::ColoringAllocator.allocate_module(&mut m, spec),
-        "poletto" => lsra_poletto::PolettoAllocator.allocate_module(&mut m, spec),
-        "ion" => lsra_ion::IonAllocator.allocate_module(&mut m, spec),
-        other => return Err(format!("unknown allocator `{other}`")),
-    };
+    let alloc = allocator_by_name(&req.allocator, 1, true)
+        .ok_or_else(|| unknown_allocator(&req.allocator))?;
+    let stats = alloc.allocate_module_reusing(&mut m, spec, scratch);
     if req.cleanup {
         for id in m.func_ids().collect::<Vec<_>>() {
             lsra_analysis::remove_identity_moves(m.func_mut(id));
@@ -489,26 +519,9 @@ pub fn run_lint(req: &Request) -> Result<String, String> {
     if report.count_severity(lsra_lint::Severity::Error) == 0 && m.validate().is_ok() {
         let mut allocated = m;
         let spec = &req.machine;
-        match req.allocator.as_str() {
-            "binpack" => {
-                BinpackAllocator::new(BinpackConfig { workers: 1, ..Default::default() })
-                    .allocate_module(&mut allocated, spec);
-            }
-            "two-pass" => {
-                BinpackAllocator::new(BinpackConfig { workers: 1, ..BinpackConfig::two_pass() })
-                    .allocate_module(&mut allocated, spec);
-            }
-            "coloring" => {
-                lsra_coloring::ColoringAllocator.allocate_module(&mut allocated, spec);
-            }
-            "poletto" => {
-                lsra_poletto::PolettoAllocator.allocate_module(&mut allocated, spec);
-            }
-            "ion" => {
-                lsra_ion::IonAllocator.allocate_module(&mut allocated, spec);
-            }
-            other => return Err(format!("unknown allocator `{other}`")),
-        }
+        allocator_by_name(&req.allocator, 1, false)
+            .ok_or_else(|| unknown_allocator(&req.allocator))?
+            .allocate_module(&mut allocated, spec);
         report.merge(lsra_lint::lint_quality(&allocated, spec));
     }
     Ok(render_lint(&req.id, &report))

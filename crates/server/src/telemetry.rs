@@ -255,25 +255,11 @@ pub fn slow_trace(req: &Request) -> String {
     };
     let spec = &req.machine;
     let mut sink = RecordSink::default();
-    match req.allocator.as_str() {
-        "binpack" => {
-            lsra_core::BinpackAllocator::new(lsra_core::BinpackConfig {
-                workers: 1,
-                ..Default::default()
-            })
-            .allocate_module_traced(&mut m, spec, &mut sink);
-        }
-        "two-pass" => {
-            lsra_core::BinpackAllocator::new(lsra_core::BinpackConfig {
-                workers: 1,
-                ..lsra_core::BinpackConfig::two_pass()
-            })
-            .allocate_module_traced(&mut m, spec, &mut sink);
-        }
-        "ion" => {
-            lsra_ion::IonAllocator.allocate_module_traced(&mut m, spec, &mut sink);
-        }
-        other => return format!("trace unavailable: `{other}` has no instrumented path"),
+    // The request parsed, so the name is registered.
+    let traced = protocol::allocator_by_name(&req.allocator, 1, false)
+        .and_then(|a| a.allocate_module_traced(&mut m, spec, &mut sink));
+    if traced.is_none() {
+        return format!("trace unavailable: {}", protocol::untraced_allocator(&req.allocator));
     }
     annotate(&m, &sink.events)
 }

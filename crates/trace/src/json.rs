@@ -1,15 +1,19 @@
-//! A small escaping-safe JSON writer (and syntax checker), shared by every
-//! machine-readable output in the workspace: the JSONL and Chrome-trace
-//! sinks, the metrics report, and the benchmark harness's
-//! `BENCH_alloc_time.json`.
+//! The workspace's one JSON module: a small escaping-safe writer, shared
+//! by every machine-readable output (the JSONL and Chrome-trace sinks, the
+//! metrics report, the service's responses, the benchmark files), and its
+//! read-side counterpart, a strict recursive-descent parser.
 //!
 //! The workspace deliberately has no serde dependency; before this module,
 //! each JSON producer hand-rolled its formatting and none escaped strings —
 //! a workload or function name containing `"` or `\` produced invalid
-//! output. [`JsonWriter`] centralises comma placement and escaping;
-//! [`validate`] is a strict syntax checker used by tests and the fuzz/CI
-//! smoke paths to prove emitted documents parse.
+//! output. [`JsonWriter`] centralises comma placement and escaping.
+//! [`parse`] reads one document (the service's request lines, the metrics
+//! a client polls); [`validate`] is the same grammar as a syntax check,
+//! used by tests and the fuzz/CI smoke paths to prove emitted documents
+//! parse. Nesting is bounded by [`MAX_DEPTH`], so no input can overflow
+//! the stack.
 
+use std::fmt;
 use std::fmt::Write as _;
 
 /// Escapes `s` as JSON string *contents* (no surrounding quotes) into
@@ -37,37 +41,6 @@ pub fn quote(s: &str) -> String {
     escape_into(&mut out, s);
     out.push('"');
     out
-}
-
-/// Reverses [`escape_into`] on string *contents*; `None` on a malformed
-/// escape. (Only the escapes the writer produces plus `\/`, `\b`, `\f`, and
-/// `\uXXXX` are understood — enough to round-trip any writer output.)
-pub fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'b' => out.push('\u{8}'),
-            'f' => out.push('\u{c}'),
-            'u' => {
-                let hex: String = (0..4).map(|_| it.next()).collect::<Option<_>>()?;
-                let v = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(v)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 /// What the writer is inside of, for comma placement.
@@ -240,166 +213,329 @@ impl JsonWriter {
 }
 
 /// Strictly checks that `s` is one complete JSON value (objects, arrays,
-/// strings, numbers, `true`/`false`/`null`; trailing whitespace allowed).
+/// strings, numbers, `true`/`false`/`null`; trailing whitespace allowed):
+/// exactly what [`parse`] accepts.
 ///
 /// # Errors
 ///
 /// Returns a byte offset and message for the first syntax error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
+    parse(s).map(|_| ()).map_err(|e| e.to_string())
 }
 
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
+/// One parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (the protocol only uses non-negative integers, but
+    /// the parser accepts the full grammar).
+    Num(f64),
+    /// A string, with escapes already decoded.
+    Str(String),
+    /// An array.
+    Array(Vec<JsonValue>),
+    /// An object, in source order (the protocol rejects duplicate keys at a
+    /// higher level, not here).
+    Object(Vec<(String, JsonValue)>),
 }
 
-fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    match b.get(*i) {
-        Some(b'{') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
+impl JsonValue {
+    /// The object's field `key`, if this is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The number as a non-negative integer, if this is a number that is
+    /// one (finite, integral, in `u64` range).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+                Some(*n as u64)
             }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                expect(b, i, b':')?;
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
+            _ => None,
+        }
+    }
+
+    /// The number payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// A short name for the value's type, for error messages.
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            JsonValue::Null => "null",
+            JsonValue::Bool(_) => "boolean",
+            JsonValue::Num(_) => "number",
+            JsonValue::Str(_) => "string",
+            JsonValue::Array(_) => "array",
+            JsonValue::Object(_) => "object",
+        }
+    }
+}
+
+/// A parse error: byte offset plus message.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseError {
+    /// Byte offset of the error in the input.
+    pub at: usize,
+    /// What went wrong.
+    pub msg: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.msg, self.at)
+    }
+}
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so the bound keeps a hostile document
+/// from overflowing the stack; every document the workspace writes nests
+/// fewer than 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses `s` as exactly one JSON value (trailing whitespace allowed).
+///
+/// # Errors
+///
+/// Returns the first syntax error with its byte offset, including arrays
+/// and objects nested deeper than [`MAX_DEPTH`].
+pub fn parse(s: &str) -> Result<JsonValue, ParseError> {
+    let mut p = Parser { s, b: s.as_bytes(), i: 0, depth: 0 };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.i != p.b.len() {
+        return Err(p.err("trailing data"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    s: &'a str,
+    b: &'a [u8],
+    i: usize,
+    /// Arrays and objects open at the current position.
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> ParseError {
+        ParseError { at: self.i, msg: msg.to_string() }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
+        if self.b.get(self.i) == Some(&c) {
+            self.i += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", c as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonValue, ParseError> {
+        match self.b.get(self.i) {
+            Some(&c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
                 }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
+            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, ParseError> {
+        if self.b[self.i..].starts_with(word.as_bytes()) {
+            self.i += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("bad literal"))
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, ParseError> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.b.get(self.i) == Some(&b'}') {
+            self.i += 1;
+            return Ok(JsonValue::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.b.get(self.i) {
+                Some(b',') => self.i += 1,
+                Some(b'}') => {
+                    self.i += 1;
+                    return Ok(JsonValue::Object(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
             }
         }
-        Some(b'[') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
+    }
+
+    fn array(&mut self) -> Result<JsonValue, ParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.b.get(self.i) == Some(&b']') {
+            self.i += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.b.get(self.i) {
+                Some(b',') => self.i += 1,
+                Some(b']') => {
+                    self.i += 1;
+                    return Ok(JsonValue::Array(items));
                 }
+                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
-        Some(b'"') => string(b, i),
-        Some(b't') => literal(b, i, "true"),
-        Some(b'f') => literal(b, i, "false"),
-        Some(b'n') => literal(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-        _ => Err(format!("expected a value at byte {i}")),
     }
-}
 
-fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
-    if b.get(*i) == Some(&c) {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {i}", c as char))
-    }
-}
-
-fn literal(b: &[u8], i: &mut usize, word: &str) -> Result<(), String> {
-    if b[*i..].starts_with(word.as_bytes()) {
-        *i += word.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    expect(b, i, b'"')?;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy each run of plain characters in one piece: a run ends
+            // only at an ASCII byte, so it is always whole UTF-8.
+            let run = self.i;
+            while self.b.get(self.i).is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20) {
+                self.i += 1;
             }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        *i += 1;
-                        for _ in 0..4 {
-                            if !b.get(*i).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {i}"));
-                            }
-                            *i += 1;
+            out.push_str(&self.s[run..self.i]);
+            match self.b.get(self.i) {
+                Some(b'"') => {
+                    self.i += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.i += 1;
+                    match self.b.get(self.i) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let v = self
+                                .b
+                                .get(self.i + 1..self.i + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            // Surrogates are rejected rather than paired;
+                            // the writer never emits them.
+                            out.push(char::from_u32(v).ok_or_else(|| self.err("bad \\u scalar"))?);
+                            self.i += 4;
                         }
+                        _ => return Err(self.err("bad escape")),
                     }
-                    _ => return Err(format!("bad escape at byte {i}")),
+                    self.i += 1;
                 }
+                Some(_) => return Err(self.err("raw control character")),
+                None => return Err(self.err("unterminated string")),
             }
-            0x00..=0x1f => return Err(format!("raw control character at byte {i}")),
-            _ => *i += 1,
         }
     }
-    Err("unterminated string".to_string())
-}
 
-fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| {
-        let s = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
+    fn number(&mut self) -> Result<JsonValue, ParseError> {
+        let start = self.i;
+        if self.b.get(self.i) == Some(&b'-') {
+            self.i += 1;
         }
-        *i > s
-    };
-    if !digits(b, i) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if !digits(b, i) {
-            return Err(format!("bad fraction at byte {start}"));
+        let digits = |p: &mut Self| {
+            let s = p.i;
+            while p.b.get(p.i).is_some_and(u8::is_ascii_digit) {
+                p.i += 1;
+            }
+            p.i > s
+        };
+        if !digits(self) {
+            return Err(self.err("bad number"));
         }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
+        if self.b.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            if !digits(self) {
+                return Err(self.err("bad fraction"));
+            }
         }
-        if !digits(b, i) {
-            return Err(format!("bad exponent at byte {start}"));
+        if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            if !digits(self) {
+                return Err(self.err("bad exponent"));
+            }
         }
+        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
+        text.parse::<f64>().map(JsonValue::Num).map_err(|_| self.err("unrepresentable number"))
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -408,14 +544,51 @@ mod tests {
 
     #[test]
     fn quotes_and_backslashes_round_trip() {
-        // The satellite regression: workload and function names containing
-        // `"` and `\` must escape to valid JSON and unescape back exactly.
-        for name in [r#"fn "quoted""#, r"path\to\fn", "tab\there", "\"\\\"", "mixed \\\" end"] {
+        // Workload and function names containing `"` and `\` (or any other
+        // escaped character) must quote to valid JSON and parse back exactly.
+        for name in [
+            r#"fn "quoted""#,
+            r"path\to\fn",
+            "tab\there",
+            "line\nbreak",
+            "\"\\\"",
+            "mixed \\\" end",
+            "é—☃",
+        ] {
             let q = quote(name);
-            validate(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            let inner = &q[1..q.len() - 1];
-            assert_eq!(unescape(inner).as_deref(), Some(name), "round-trip of {name:?}");
+            assert_eq!(parse(&q), Ok(JsonValue::Str(name.to_string())), "round-trip of {q}");
         }
+    }
+
+    #[test]
+    fn parses_the_request_shape() {
+        let v =
+            parse(r#"{"id": "r1", "workload": "wc", "options": {"run": true}, "n": 3}"#).unwrap();
+        assert_eq!(v.get("id").and_then(JsonValue::as_str), Some("r1"));
+        assert_eq!(v.get("options").unwrap().get("run").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(3));
+        assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn numbers_parse_to_f64() {
+        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        parse(&nest(MAX_DEPTH)).expect("MAX_DEPTH levels parse");
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level more is refused");
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.msg.contains("nesting deeper than 128"), "{err}");
+        // Far past the bound, an unclosed document fails the same way
+        // instead of recursing.
+        let err = parse(&"[{\"a\": ".repeat(50_000)).unwrap_err();
+        assert!(err.msg.starts_with("nesting deeper"), "{err}");
     }
 
     #[test]
@@ -467,6 +640,9 @@ mod tests {
             "nul",
             "\"unterminated",
             "[1 2]",
+            "\"\\ud800\"",
+            "\"\\u+0e9\"",
+            "\"\\u00e\"",
         ] {
             assert!(validate(bad).is_err(), "accepted {bad:?}");
         }

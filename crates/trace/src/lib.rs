@@ -18,9 +18,10 @@
 //! - [`MetricsSink`]: counters and fixed-bucket histograms per function
 //!   (register pressure, hole-fit rate, spill reasons, resolution op mix).
 //!
-//! The crate also owns the repo's one JSON writer ([`json::JsonWriter`]):
-//! escaping-safe, no dependencies, shared by the sinks, `lsra bench`, and
-//! the benchmark harness.
+//! The crate also owns the repo's one JSON module ([`json`]): the
+//! escaping-safe [`json::JsonWriter`] shared by the sinks, `lsra bench`,
+//! the service and the benchmark harness, and the depth-bounded
+//! [`json::parse`] that reads requests and backs [`json::validate`].
 
 #![warn(missing_docs)]
 

@@ -291,7 +291,7 @@ impl<'m> Vm<'m> {
     pub fn run(mut self) -> Result<RunResult, VmError> {
         self.push_frame(self.module.entry)?;
         let ret = self.exec()?;
-        let memory_checksum = fnv1a(&self.memory);
+        let memory_checksum = memory_checksum(&self.memory);
         Ok(RunResult { ret, output: self.output, counts: self.counts, memory_checksum })
     }
 
@@ -569,15 +569,10 @@ impl<'m> Vm<'m> {
     }
 }
 
-fn fnv1a(words: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+/// FNV-1a over the little-endian bytes of final data memory: the
+/// [`RunResult::memory_checksum`] both execution backends report.
+pub fn memory_checksum(words: &[i64]) -> u64 {
+    words.iter().fold(lsra_ir::FNV64_OFFSET, |h, w| lsra_ir::fnv64_extend(h, &w.to_le_bytes()))
 }
 
 /// Runs `module` on `spec` with `input`, using default limits.

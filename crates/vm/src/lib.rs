@@ -46,6 +46,6 @@ mod verify;
 
 pub use counters::DynCounts;
 pub use error::VmError;
-pub use interp::{run_module, OutputEvent, RunResult, Vm, VmOptions};
+pub use interp::{memory_checksum, run_module, OutputEvent, RunResult, Vm, VmOptions};
 pub use static_check::{check_function, check_module, StaticCheckError};
 pub use verify::{compare_runs, verify_allocation, Mismatch};

@@ -7,6 +7,7 @@
 
 use second_chance_regalloc::allocate_and_cleanup;
 use second_chance_regalloc::prelude::*;
+use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
 
 fn main() {
     let spec = MachineSpec::alpha_like();
@@ -18,13 +19,10 @@ fn main() {
             .map(|n| lsra_workloads::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
             .collect()
     };
-    let allocators: Vec<Box<dyn RegisterAllocator>> = vec![
-        Box::new(BinpackAllocator::default()),
-        Box::new(BinpackAllocator::two_pass()),
-        Box::new(ColoringAllocator),
-        Box::new(PolettoAllocator),
-        Box::new(IonAllocator),
-    ];
+    let allocators: Vec<Box<dyn RegisterAllocator>> = ALLOCATOR_NAMES
+        .iter()
+        .map(|name| allocator_by_name(name, 0, false).expect("registered name"))
+        .collect();
 
     println!(
         "{:<10} {:<26} {:>12} {:>9} {:>8}  {:>24} {:>24}",

@@ -129,6 +129,9 @@ use second_chance_regalloc::allocate_and_cleanup;
 use second_chance_regalloc::binpack::optimize_spill_code;
 use second_chance_regalloc::lint::LintCode;
 use second_chance_regalloc::prelude::*;
+use second_chance_regalloc::server::protocol::{
+    allocator_by_name, unknown_allocator, untraced_allocator, ALLOCATOR_NAMES,
+};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -149,8 +152,9 @@ fn usage() -> ExitCode {
          lsra loadgen <workload>... [--requests N] [--concurrency C] [--dup-percent P]\n             \
          [--allocator NAME] [--machine SPEC] [--seed N] [--addr HOST:PORT]\n  \
          lsra top --addr HOST:PORT [--interval-ms T] [--frames N]\n\n\
-         SPEC: alpha | small:I,F     NAME: binpack | two-pass | coloring | poletto | ion\n\
-         <file.lsra> may also be a built-in workload name (see `lsra workloads`)"
+         SPEC: alpha | small:I,F     NAME: {}\n\
+         <file.lsra> may also be a built-in workload name (see `lsra workloads`)",
+        ALLOCATOR_NAMES.join(" | ")
     );
     ExitCode::from(2)
 }
@@ -160,25 +164,13 @@ fn parse_machine(s: &str) -> Result<MachineSpec, String> {
     MachineSpec::parse(s)
 }
 
-fn make_allocator(o: &Opts) -> Result<Box<dyn RegisterAllocator>, String> {
-    let binpack = |base: BinpackConfig| BinpackConfig {
-        time_phases: o.time_phases,
-        workers: o.workers,
-        ..base
-    };
-    Ok(match o.allocator() {
-        "binpack" => Box::new(BinpackAllocator::new(binpack(BinpackConfig::default()))),
-        "two-pass" => Box::new(BinpackAllocator::new(binpack(BinpackConfig::two_pass()))),
-        "coloring" => Box::new(ColoringAllocator),
-        "poletto" => Box::new(PolettoAllocator),
-        "ion" => Box::new(IonAllocator),
-        name => {
-            return Err(format!(
-                "unknown allocator `{name}` (expected binpack, two-pass, coloring, poletto, or \
-                 ion)"
-            ))
-        }
-    })
+/// Builds the allocator selected by `--allocator` with `--workers` and
+/// `--time-phases`; `force_phases` turns on per-phase timing regardless
+/// (the Chrome trace sink needs the marks).
+fn make_allocator(o: &Opts, force_phases: bool) -> Result<Box<dyn RegisterAllocator>, String> {
+    let name = o.allocator();
+    allocator_by_name(name, o.workers, o.time_phases || force_phases)
+        .ok_or_else(|| unknown_allocator(name))
 }
 
 /// Prints the per-phase breakdown when `--time-phases` collected one.
@@ -508,61 +500,6 @@ fn cmd_run(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// An allocator with an instrumented (`TraceSink`) module entry point: the
-/// binpack family and ion. The other baselines have no traced hot path.
-enum TracedAlloc {
-    Binpack(BinpackAllocator),
-    Ion(IonAllocator),
-}
-
-impl TracedAlloc {
-    fn allocate_module_traced(
-        &self,
-        m: &mut Module,
-        spec: &MachineSpec,
-        sink: &mut dyn second_chance_regalloc::trace::TraceSink,
-    ) -> AllocStats {
-        match self {
-            TracedAlloc::Binpack(a) => a.allocate_module_traced(m, spec, sink),
-            TracedAlloc::Ion(a) => a.allocate_module_traced(m, spec, sink),
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            TracedAlloc::Binpack(a) => a.name(),
-            TracedAlloc::Ion(a) => a.name(),
-        }
-    }
-}
-
-/// Builds the traced allocator selected by `--allocator`, or an error
-/// naming the ones that support tracing. `force_phases` turns on per-phase
-/// timing regardless of `--time-phases` (the Chrome sink needs the marks).
-fn traced_allocator(o: &Opts, force_phases: bool) -> Result<TracedAlloc, String> {
-    Ok(match o.allocator() {
-        "binpack" | "two-pass" => {
-            let base = if o.allocator() == "binpack" {
-                BinpackConfig::default()
-            } else {
-                BinpackConfig::two_pass()
-            };
-            let cfg = BinpackConfig {
-                time_phases: o.time_phases || force_phases,
-                workers: o.workers,
-                ..base
-            };
-            TracedAlloc::Binpack(BinpackAllocator::new(cfg))
-        }
-        "ion" => TracedAlloc::Ion(IonAllocator),
-        name => {
-            return Err(format!(
-                "`{name}` has no instrumented path (expected binpack, two-pass, or ion)"
-            ))
-        }
-    })
-}
-
 /// Allocates `m` through the selected allocator's traced path and writes
 /// the decision trace to `--trace FILE` in `--trace-format`. Returns the
 /// merged stats and the allocator's report name.
@@ -571,28 +508,35 @@ fn allocate_traced(
     m: &mut Module,
     spec: &MachineSpec,
 ) -> Result<(AllocStats, String), String> {
-    use second_chance_regalloc::trace::{annotate, ChromeSink, JsonlSink, LogSink, RecordSink};
+    use second_chance_regalloc::trace::{
+        annotate, ChromeSink, JsonlSink, LogSink, RecordSink, TraceSink,
+    };
     // Chrome spans come from the per-phase wall-clock marks; the format is
     // empty without them.
     let alloc =
-        traced_allocator(o, o.trace_format == "chrome").map_err(|e| format!("--trace: {e}"))?;
+        make_allocator(o, o.trace_format == "chrome").map_err(|e| format!("--trace: {e}"))?;
+    let traced = |m: &mut Module, sink: &mut dyn TraceSink| {
+        alloc
+            .allocate_module_traced(m, spec, sink)
+            .ok_or_else(|| format!("--trace: {}", untraced_allocator(o.allocator())))
+    };
     let path = o.trace.as_deref().expect("only called with --trace");
     let (stats, text) = match o.trace_format.as_str() {
         "log" => {
             let mut s = LogSink::new();
-            (alloc.allocate_module_traced(m, spec, &mut s), s.finish())
+            (traced(m, &mut s)?, s.finish())
         }
         "jsonl" => {
             let mut s = JsonlSink::new();
-            (alloc.allocate_module_traced(m, spec, &mut s), s.finish())
+            (traced(m, &mut s)?, s.finish())
         }
         "chrome" => {
             let mut s = ChromeSink::new();
-            (alloc.allocate_module_traced(m, spec, &mut s), s.finish())
+            (traced(m, &mut s)?, s.finish())
         }
         "annotate" => {
             let mut s = RecordSink::default();
-            let stats = alloc.allocate_module_traced(m, spec, &mut s);
+            let stats = traced(m, &mut s)?;
             // Render before identity-move removal: the annotator pairs
             // untagged instructions 1:1 with the original program order.
             (stats, annotate(m, &s.events))
@@ -611,7 +555,7 @@ fn cmd_alloc(o: &Opts) -> Result<(), String> {
     let (stats, alloc_name) = if o.trace.is_some() {
         allocate_traced(o, &mut m, &spec)?
     } else {
-        let alloc = make_allocator(o)?;
+        let alloc = make_allocator(o, false)?;
         (alloc.allocate_module(&mut m, &spec), alloc.name().to_string())
     };
     // The symbolic checker pairs allocated instructions 1:1 with the
@@ -756,9 +700,11 @@ fn cmd_report(o: &Opts) -> Result<(), String> {
     use second_chance_regalloc::trace::MetricsSink;
     let mut m = load_module(o.positional.first().ok_or("missing file")?)?;
     let spec = o.machine();
-    let alloc = traced_allocator(o, false).map_err(|e| format!("report: {e}"))?;
+    let alloc = make_allocator(o, false).map_err(|e| format!("report: {e}"))?;
     let mut sink = MetricsSink::new();
-    let stats = alloc.allocate_module_traced(&mut m, &spec, &mut sink);
+    let stats = alloc
+        .allocate_module_traced(&mut m, &spec, &mut sink)
+        .ok_or_else(|| format!("report: {}", untraced_allocator(o.allocator())))?;
     let mut metrics = sink.finish();
     // `m` is still pre-postopt here, exactly the stage the quality lints
     // are defined over.
@@ -803,7 +749,7 @@ fn cmd_lint(o: &Opts) -> Result<(), String> {
         // The input is sound; allocate a copy and lint the physical code
         // (before identity-move removal — the postopt pass would erase the
         // very residues Q103/Q104 exist to count).
-        let alloc = make_allocator(o)?;
+        let alloc = make_allocator(o, false)?;
         let mut allocated = m.clone();
         alloc.allocate_module(&mut allocated, &spec);
         report.merge(lint_quality(&allocated, &spec));
@@ -839,8 +785,8 @@ fn cmd_fuzz(o: &Opts) -> Result<(), String> {
         ..defaults
     };
     for name in &cfg.allocators {
-        if second_chance_regalloc::fuzz::allocator_by_name(name).is_none() {
-            return Err(format!("unknown allocator `{name}`"));
+        if !ALLOCATOR_NAMES.contains(&name.as_str()) {
+            return Err(unknown_allocator(name));
         }
     }
     // The oracle intentionally drives allocators into panics; keep their
@@ -1118,7 +1064,7 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
     }
     let name = o.positional.first().ok_or("missing workload name")?;
     let w = lsra_workloads::by_name(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
-    let alloc = make_allocator(o)?;
+    let alloc = make_allocator(o, false)?;
     let original = (w.build)();
     let input = (w.input)();
     let mut m = original.clone();
@@ -1141,10 +1087,8 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
     );
     // A separate metrics-instrumented allocation on a fresh clone, so the
     // sink's cost never lands in the `alloc time` figure above.
-    if let Ok(traced) = traced_allocator(o, false) {
-        let mut sink = second_chance_regalloc::trace::MetricsSink::new();
-        let mut m2 = original.clone();
-        traced.allocate_module_traced(&mut m2, &spec, &mut sink);
+    let mut sink = second_chance_regalloc::trace::MetricsSink::new();
+    if alloc.allocate_module_traced(&mut original.clone(), &spec, &mut sink).is_some() {
         let path = "BENCH_alloc_metrics.json";
         std::fs::write(path, sink.finish().to_json())
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -1152,9 +1096,6 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
     }
     Ok(())
 }
-
-/// The five allocators the execute-time table covers, in report order.
-const BENCH_ALLOCATORS: [&str; 5] = ["binpack", "two-pass", "coloring", "poletto", "ion"];
 
 /// `lsra bench --backend native`: the paper's §4 measurement closed on real
 /// hardware. For every allocator, the workload is allocated, JIT-compiled,
@@ -1186,20 +1127,8 @@ fn cmd_bench_native(o: &Opts) -> Result<(), String> {
         checked_vs_vm: bool,
     }
     let mut rows = Vec::new();
-    for alloc_name in BENCH_ALLOCATORS {
-        let alloc: Box<dyn RegisterAllocator> = match alloc_name {
-            "binpack" => Box::new(BinpackAllocator::new(BinpackConfig {
-                workers: o.workers,
-                ..BinpackConfig::default()
-            })),
-            "two-pass" => Box::new(BinpackAllocator::new(BinpackConfig {
-                workers: o.workers,
-                ..BinpackConfig::two_pass()
-            })),
-            "coloring" => Box::new(ColoringAllocator),
-            "poletto" => Box::new(PolettoAllocator),
-            _ => Box::new(IonAllocator),
-        };
+    for alloc_name in ALLOCATOR_NAMES {
+        let alloc = allocator_by_name(alloc_name, o.workers, false).expect("registered name");
         let mut m = original.clone();
         allocate_and_cleanup(&mut m, alloc.as_ref(), &spec);
         let vm_t0 = std::time::Instant::now();

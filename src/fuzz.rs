@@ -50,28 +50,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lsra_core::RegisterAllocator;
 use lsra_ir::{MachineSpec, Module, RegClass};
 use lsra_vm::{compare_runs, Vm, VmOptions};
 use lsra_workloads::random::{RandomConfig, RandomProgram};
 use lsra_workloads::Lcg;
 
-/// Allocator names understood by [`allocator_by_name`], in the order the
-/// fuzz driver exercises them.
-pub const ALLOCATOR_NAMES: [&str; 5] = ["binpack", "two-pass", "coloring", "poletto", "ion"];
-
-/// Constructs an allocator by CLI name (`binpack`, `two-pass`, `coloring`,
-/// `poletto`, or `ion`); `None` for unknown names.
-pub fn allocator_by_name(name: &str) -> Option<Box<dyn RegisterAllocator>> {
-    Some(match name {
-        "binpack" => Box::new(lsra_core::BinpackAllocator::default()),
-        "two-pass" => Box::new(lsra_core::BinpackAllocator::two_pass()),
-        "coloring" => Box::new(lsra_coloring::ColoringAllocator),
-        "poletto" => Box::new(lsra_poletto::PolettoAllocator),
-        "ion" => Box::new(lsra_ion::IonAllocator),
-        _ => return None,
-    })
-}
+use lsra_server::protocol::unknown_allocator;
+pub use lsra_server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
 
 /// Configuration for [`run_fuzz`].
 #[derive(Clone, Debug)]
@@ -228,7 +213,7 @@ fn check_case_impl(
     verify: bool,
 ) -> Result<(), String> {
     let alloc =
-        allocator_by_name(allocator).ok_or_else(|| format!("unknown allocator `{allocator}`"))?;
+        allocator_by_name(allocator, 0, false).ok_or_else(|| unknown_allocator(allocator))?;
     let mut m = original.clone();
     catch_unwind(AssertUnwindSafe(|| {
         alloc.allocate_module(&mut m, spec);
@@ -309,24 +294,13 @@ fn check_native_case(
 fn trace_failure(original: &Module, allocator: &str, spec: &MachineSpec) -> Option<String> {
     let mut m = original.clone();
     let mut sink = lsra_trace::RecordSink::default();
-    let completed = match allocator {
-        "binpack" | "two-pass" => {
-            let cfg = if allocator == "binpack" {
-                lsra_core::BinpackConfig::default()
-            } else {
-                lsra_core::BinpackConfig::two_pass()
-            };
-            let alloc = lsra_core::BinpackAllocator::new(cfg);
-            catch_unwind(AssertUnwindSafe(|| {
-                alloc.allocate_module_traced(&mut m, spec, &mut sink);
-            }))
-            .is_ok()
-        }
-        "ion" => catch_unwind(AssertUnwindSafe(|| {
-            lsra_ion::IonAllocator.allocate_module_traced(&mut m, spec, &mut sink);
-        }))
-        .is_ok(),
-        _ => return None,
+    let alloc = allocator_by_name(allocator, 0, false)?;
+    let completed = match catch_unwind(AssertUnwindSafe(|| {
+        alloc.allocate_module_traced(&mut m, spec, &mut sink)
+    })) {
+        Ok(None) => return None,
+        Ok(Some(_)) => true,
+        Err(_) => false,
     };
     if completed && m.validate().is_ok() {
         Some(lsra_trace::annotate(&m, &sink.events))

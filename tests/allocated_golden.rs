@@ -12,31 +12,7 @@
 //! ```
 
 use second_chance_regalloc::prelude::*;
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-}
-
-fn allocator_by_name(name: &str) -> Box<dyn RegisterAllocator> {
-    match name {
-        "binpack" => Box::new(BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            ..BinpackConfig::default()
-        })),
-        "two-pass" => Box::new(BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            ..BinpackConfig::two_pass()
-        })),
-        "coloring" => Box::new(ColoringAllocator),
-        "poletto" => Box::new(PolettoAllocator),
-        "ion" => Box::new(IonAllocator),
-        other => panic!("unknown allocator {other}"),
-    }
-}
+use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
 
 fn machine_by_name(name: &str) -> MachineSpec {
     match name {
@@ -51,10 +27,11 @@ fn allocated_hash(workload: &str, allocator: &str, machine: &str) -> u64 {
     let w = lsra_workloads::by_name(workload).unwrap();
     let mut m = (w.build)();
     let spec = machine_by_name(machine);
-    allocator_by_name(allocator).allocate_module(&mut m, &spec);
-    let mut h = 0xcbf29ce484222325u64;
-    fnv1a(&mut h, m.to_string().as_bytes());
-    h
+    // Serial (`workers: 1`), so the pins never depend on the host's cores.
+    allocator_by_name(allocator, 1, false)
+        .unwrap_or_else(|| panic!("unknown allocator {allocator}"))
+        .allocate_module(&mut m, &spec);
+    lsra_ir::fnv64(m.to_string().as_bytes())
 }
 
 /// Every (workload, allocator, machine, pin). Regenerate with UPDATE_PINS=1.
@@ -174,7 +151,7 @@ const PINS: &[(&str, &str, &str, u64)] = &[
 #[test]
 fn allocated_output_is_pinned() {
     let workloads: Vec<&str> = lsra_workloads::all().iter().map(|w| w.name).collect();
-    let allocators = ["binpack", "two-pass", "coloring", "poletto", "ion"];
+    let allocators = ALLOCATOR_NAMES;
     let machines = ["alpha", "small"];
     if std::env::var("UPDATE_PINS").is_ok() {
         for w in &workloads {

@@ -135,3 +135,80 @@ fn low_pressure_benchmarks_barely_spill_with_binpack_or_coloring() {
     let (result, _) = verify_workload("wc", &ColoringAllocator);
     assert!(result.counts.spill_fraction() < 0.001);
 }
+
+/// The allocator registry: every front end (CLI, fuzz driver, service,
+/// tests) selects allocators through `protocol::allocator_by_name`.
+mod registry {
+    use second_chance_regalloc::prelude::*;
+    use second_chance_regalloc::server::protocol::{
+        allocator_by_name, unknown_allocator, ALLOCATOR_NAMES,
+    };
+    use second_chance_regalloc::server::{json_in, ServeConfig, Service};
+    use second_chance_regalloc::trace::NoopSink;
+
+    #[test]
+    fn every_name_constructs_and_traces_exactly_for_binpack_two_pass_and_ion() {
+        assert!(allocator_by_name("llvm", 1, false).is_none());
+        let w = lsra_workloads::by_name("wc").unwrap();
+        let spec = MachineSpec::small(4, 2);
+        for name in ALLOCATOR_NAMES {
+            assert!(allocator_by_name(name, 0, true).is_some(), "{name}");
+            let alloc = allocator_by_name(name, 1, false).unwrap();
+            let (mut traced, mut plain) = ((w.build)(), (w.build)());
+            let stats = alloc.allocate_module_traced(&mut traced, &spec, &mut NoopSink);
+            assert_eq!(stats.is_some(), ["binpack", "two-pass", "ion"].contains(&name), "{name}");
+            let plain_stats = alloc.allocate_module(&mut plain, &spec);
+            match stats {
+                Some(stats) => {
+                    assert_eq!(traced.to_string(), plain.to_string(), "{name}: output differs");
+                    assert_eq!(stats.without_wall_clock(), plain_stats.without_wall_clock());
+                }
+                None => assert_eq!(traced.to_string(), (w.build)().to_string(), "{name}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reusing_scratch_matches_allocate_module_for_every_allocator() {
+        for name in ALLOCATOR_NAMES {
+            let alloc = allocator_by_name(name, 1, false).unwrap();
+            // One arena across every workload and machine, as a server
+            // worker keeps it.
+            let mut scratch = lsra_core::AllocScratch::default();
+            for w in lsra_workloads::all() {
+                for spec in [MachineSpec::alpha_like(), MachineSpec::small(6, 4)] {
+                    let (mut plain, mut reused) = ((w.build)(), (w.build)());
+                    let plain_stats = alloc.allocate_module(&mut plain, &spec);
+                    let stats = alloc.allocate_module_reusing(&mut reused, &spec, &mut scratch);
+                    let case = format!("{} / {name} / {}", w.name, spec.name());
+                    assert_eq!(reused.to_string(), plain.to_string(), "{case}");
+                    assert_eq!(
+                        stats.without_wall_clock(),
+                        plain_stats.without_wall_clock(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_name_gives_one_message_from_cli_fuzz_and_serve() {
+        let want = unknown_allocator("llvm");
+        assert!(want.contains(&ALLOCATOR_NAMES.join(" | ")), "{want}");
+        let cli: [&[&str]; 2] =
+            [&["alloc", "wc", "--allocator", "llvm"], &["fuzz", "--allocator", "llvm"]];
+        for args in cli {
+            let out =
+                std::process::Command::new(env!("CARGO_BIN_EXE_lsra")).args(args).output().unwrap();
+            assert!(!out.status.success(), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(stderr.trim_end(), format!("error: {want}"), "{args:?}");
+        }
+        let s = Service::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+        let resp = s.call(r#"{"id": "u", "workload": "wc", "allocator": "llvm"}"#);
+        let v = json_in::parse(&resp).unwrap();
+        assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("error"), "{resp}");
+        assert_eq!(v.get("error").and_then(|s| s.as_str()), Some(want.as_str()), "{resp}");
+    }
+}

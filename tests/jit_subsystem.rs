@@ -23,26 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use second_chance_regalloc::allocate_and_cleanup;
 use second_chance_regalloc::jit;
 use second_chance_regalloc::prelude::*;
+use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
 use second_chance_regalloc::verify;
-
-fn allocator_by_name(name: &str) -> Box<dyn RegisterAllocator> {
-    match name {
-        "binpack" => Box::new(BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            ..BinpackConfig::default()
-        })),
-        "two-pass" => Box::new(BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            ..BinpackConfig::two_pass()
-        })),
-        "coloring" => Box::new(ColoringAllocator),
-        "poletto" => Box::new(PolettoAllocator),
-        "ion" => Box::new(IonAllocator),
-        other => panic!("unknown allocator {other}"),
-    }
-}
-
-const ALLOCATORS: [&str; 5] = ["binpack", "two-pass", "coloring", "poletto", "ion"];
 
 /// The same two machines the golden-digest pins cover.
 fn machines() -> [(&'static str, MachineSpec); 2] {
@@ -87,9 +69,9 @@ fn native_matches_vm_across_workloads_allocators_machines() {
         let original = (w.build)();
         let input = (w.input)();
         for (mname, spec) in machines() {
-            for aname in ALLOCATORS {
+            for aname in ALLOCATOR_NAMES {
                 let case = format!("{} / {aname} / {mname}", w.name);
-                let alloc = allocator_by_name(aname);
+                let alloc = allocator_by_name(aname, 1, false).unwrap();
                 let mut m = original.clone();
                 allocate_and_cleanup(&mut m, alloc.as_ref(), &spec);
                 if !execute {

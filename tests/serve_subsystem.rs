@@ -8,8 +8,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
+use second_chance_regalloc::ir::fnv64;
 use second_chance_regalloc::server::json_in::{self, JsonValue};
-use second_chance_regalloc::server::{fnv64, serve_tcp, ServeConfig, Service, STATS_FIELDS};
+use second_chance_regalloc::server::{serve_tcp, ServeConfig, Service, STATS_FIELDS};
 use second_chance_regalloc::trace::json::validate;
 
 fn service(cfg: ServeConfig) -> Service {
@@ -49,6 +50,25 @@ fn malformed_json_gets_an_error_and_serving_continues() {
     let snap = s.counters();
     assert_eq!(snap.errors, 7, "one structured error per bad line");
     assert_eq!(snap.ok, 1);
+}
+
+#[test]
+fn deeply_nested_json_is_a_parse_error_not_a_stack_overflow() {
+    let s = service(small_cfg());
+    // ~100 KB, well under the default `max_request_bytes`: the request
+    // parser must refuse it by its nesting bound instead of recursing
+    // 50,000 levels deep (a stack overflow aborts the process, which no
+    // `catch_unwind` can confine).
+    let deep = "[".repeat(50_000);
+    let resp = call(&s, &deep);
+    let v = json_in::parse(&resp).unwrap();
+    assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("error"), "{resp}");
+    let msg = v.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(msg.starts_with("parse: nesting deeper than 128"), "{msg}");
+    let ok = call(&s, r#"{"id": "after", "workload": "wc"}"#);
+    assert!(ok.contains("\"status\": \"ok\""), "{ok}");
+    let snap = s.counters();
+    assert_eq!((snap.errors, snap.ok), (1, 1));
 }
 
 #[test]

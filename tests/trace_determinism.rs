@@ -23,7 +23,8 @@ fn assert_tracing_invisible(module: &lsra_ir::Module, spec: &MachineSpec, what: 
         let mut traced = module.clone();
         let mut sink = RecordSink::default();
         let traced_stats = BinpackAllocator::new(BinpackConfig { workers: 1, ..base })
-            .allocate_module_traced(&mut traced, spec, &mut sink);
+            .allocate_module_traced(&mut traced, spec, &mut sink)
+            .expect("binpack has a traced path");
         assert!(!sink.events.is_empty(), "{what}: enabled sink saw no events");
         for workers in [1, 2, 4] {
             let mut plain = module.clone();
@@ -133,7 +134,9 @@ fn metrics_are_deterministic_and_consistent_with_stats() {
     let run = || {
         let mut m = (w.build)();
         let mut sink = MetricsSink::new();
-        let stats = BinpackAllocator::default().allocate_module_traced(&mut m, &spec, &mut sink);
+        let stats = BinpackAllocator::default()
+            .allocate_module_traced(&mut m, &spec, &mut sink)
+            .expect("binpack has a traced path");
         (sink.finish(), stats)
     };
     let ((met_a, stats), (met_b, _)) = (run(), run());

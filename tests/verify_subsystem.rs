@@ -16,29 +16,11 @@
 
 use second_chance_regalloc::allocate_and_cleanup;
 use second_chance_regalloc::prelude::*;
+use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
 use second_chance_regalloc::verify;
 
 use lsra_verify::decoder::{decode_one, MInst};
 use lsra_workloads::Lcg;
-
-fn allocator_by_name(name: &str) -> Box<dyn RegisterAllocator> {
-    match name {
-        "binpack" => Box::new(BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            ..BinpackConfig::default()
-        })),
-        "two-pass" => Box::new(BinpackAllocator::new(BinpackConfig {
-            workers: 1,
-            ..BinpackConfig::two_pass()
-        })),
-        "coloring" => Box::new(ColoringAllocator),
-        "poletto" => Box::new(PolettoAllocator),
-        "ion" => Box::new(IonAllocator),
-        other => panic!("unknown allocator {other}"),
-    }
-}
-
-const ALLOCATORS: [&str; 5] = ["binpack", "two-pass", "coloring", "poletto", "ion"];
 
 fn machines() -> [(&'static str, MachineSpec); 2] {
     [("alpha", MachineSpec::alpha_like()), ("small", MachineSpec::small(6, 4))]
@@ -51,9 +33,9 @@ fn verifier_accepts_all_golden_sweep_images() {
     for w in lsra_workloads::all() {
         let original = (w.build)();
         for (mname, spec) in machines() {
-            for aname in ALLOCATORS {
+            for aname in ALLOCATOR_NAMES {
                 let case = format!("{} / {aname} / {mname}", w.name);
-                let alloc = allocator_by_name(aname);
+                let alloc = allocator_by_name(aname, 1, false).unwrap();
                 let mut m = original.clone();
                 allocate_and_cleanup(&mut m, alloc.as_ref(), &spec);
                 let code = second_chance_regalloc::jit::compile_module(&m, &spec)
