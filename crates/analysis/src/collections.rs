@@ -11,7 +11,8 @@
 //! * [`SmallVec`] — a fixed inline buffer that spills to the heap, for the
 //!   tiny per-instruction scratch lists;
 //! * [`IntervalMap`] — a sorted-vector interval map keyed by segment start,
-//!   drop-in for the `BTreeMap<u32, (u32, Option<Temp>)>` it replaces;
+//!   drop-in for the `BTreeMap<u32, (u32, Option<Temp>)>` it replaces, with
+//!   an [`IntervalCursor`] for sweeps whose queries only move forward;
 //! * [`EpochSet`] — a stamped membership set whose per-block reset is O(1)
 //!   instead of O(universe).
 
@@ -264,9 +265,10 @@ impl<'a, T: Copy, const N: usize> IntoIterator for &'a SmallVec<T, N> {
 /// A sorted-vector drop-in for the `BTreeMap<u32, (u32, Option<Temp>)>` the
 /// interval allocators used: inserting an interval with an existing start
 /// replaces it, [`IntervalMap::overlapping_owner`] finds an overlap through
-/// one binary search, and iteration is in ascending start order. Interval
-/// counts per register are small (one per lifetime segment assigned to the
-/// register), so the O(n) insert shift beats the tree's pointer chasing.
+/// one binary search, and [`IntervalMap::overlapping_entries`] lists
+/// overlaps in ascending start order. Interval counts per register are
+/// small (one per lifetime segment assigned to the register), so the O(n)
+/// insert shift beats the tree's pointer chasing.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalMap {
     /// `(start, end, owner)`, sorted by `start` (unique). `None` owners are
@@ -287,11 +289,25 @@ impl IntervalMap {
 
     /// Inserts `[start, end]` for `owner`, replacing any interval with the
     /// same start (BTreeMap insert semantics).
+    ///
+    /// The stored intervals must stay mutually disjoint: the overlap
+    /// queries and [`IntervalCursor`] rely on it (debug-asserted).
     pub fn insert(&mut self, start: u32, end: u32, owner: Option<Temp>) {
-        match self.entries.binary_search_by_key(&start, |e| e.0) {
-            Ok(i) => self.entries[i] = (start, end, owner),
-            Err(i) => self.entries.insert(i, (start, end, owner)),
-        }
+        let i = match self.entries.binary_search_by_key(&start, |e| e.0) {
+            Ok(i) => {
+                self.entries[i] = (start, end, owner);
+                i
+            }
+            Err(i) => {
+                self.entries.insert(i, (start, end, owner));
+                i
+            }
+        };
+        debug_assert!(
+            (i == 0 || self.entries[i - 1].1 < start)
+                && self.entries.get(i + 1).is_none_or(|n| end < n.0),
+            "interval [{start}, {end}] overlaps a neighbour"
+        );
     }
 
     /// The owner of some interval overlapping `[start, end]`, if any
@@ -311,14 +327,70 @@ impl IntervalMap {
         self.overlapping_owner(start, end).is_some()
     }
 
-    /// Removes every interval owned by `t` (order-preserving).
-    pub fn remove_owner(&mut self, t: Temp) {
-        self.entries.retain(|(_, _, o)| *o != Some(t));
+    /// Moves `cur` forward to `key`: afterwards `cur.hi` counts exactly the
+    /// intervals starting at or before `key`.
+    #[inline]
+    fn advance(&self, cur: &mut IntervalCursor, key: u32) {
+        debug_assert!(key >= cur.key, "cursor queries must not move backwards");
+        while self.entries.get(cur.hi).is_some_and(|e| e.0 <= key) {
+            cur.hi += 1;
+        }
+        cur.key = key;
     }
 
-    /// All intervals as `(start, end, owner)`, ascending by start.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, u32, Option<Temp>)> + '_ {
-        self.entries.iter().copied()
+    /// [`IntervalMap::overlapping_owner`] for a sweep whose query ends never
+    /// decrease: `cur` remembers where the previous query stopped, so a
+    /// whole sweep costs one pass over the map instead of a binary search
+    /// per query. The answer is exactly `overlapping_owner(start, end)`.
+    #[inline]
+    pub fn overlapping_owner_from(
+        &self,
+        cur: &mut IntervalCursor,
+        start: u32,
+        end: u32,
+    ) -> Option<Option<Temp>> {
+        self.advance(cur, end);
+        self.entries[..cur.hi].last().filter(|(_, e, _)| *e >= start).map(|(_, _, o)| *o)
+    }
+
+    /// [`IntervalMap::overlaps`] for a sweep whose query *starts* never
+    /// decrease (the ends may move freely), e.g. a first fit over lifetimes
+    /// in start order. Exactly `overlaps(start, end)`: with disjoint
+    /// intervals only the last one starting at or before `start` and the
+    /// first one after it can overlap.
+    #[inline]
+    pub fn overlaps_from(&self, cur: &mut IntervalCursor, start: u32, end: u32) -> bool {
+        self.advance(cur, start);
+        self.entries[..cur.hi].last().is_some_and(|e| e.1 >= start)
+            || self.entries.get(cur.hi).is_some_and(|e| e.0 <= end)
+    }
+
+    /// Every interval overlapping `[start, end]` for a sweep whose query ends
+    /// never decrease, ascending by start; exactly
+    /// `overlapping_entries(start, end)`.
+    pub fn overlapping_entries_from(
+        &self,
+        cur: &mut IntervalCursor,
+        start: u32,
+        end: u32,
+    ) -> impl Iterator<Item = (u32, u32, Option<Temp>)> + '_ {
+        self.advance(cur, end);
+        let hi = cur.hi;
+        let lo = hi - self.entries[..hi].iter().rev().take_while(|e| e.1 >= start).count();
+        self.entries[lo..hi].iter().copied()
+    }
+
+    /// Re-anchors `cur` after intervals were removed behind it. Insertions
+    /// never need this: a cursor that undercounts catches up on its next
+    /// query, but one that overcounts would skip intervals.
+    pub fn reset_cursor(&self, cur: &mut IntervalCursor) {
+        cur.hi = self.entries.partition_point(|e| e.0 <= cur.key);
+    }
+
+    /// Removes every interval owned by `t` (order-preserving). Cursors into
+    /// this map must be re-anchored with [`IntervalMap::reset_cursor`].
+    pub fn remove_owner(&mut self, t: Temp) {
+        self.entries.retain(|(_, _, o)| *o != Some(t));
     }
 
     /// Every interval overlapping `[start, end]`, ascending by start.
@@ -336,6 +408,39 @@ impl IntervalMap {
         let lo = self.entries[..hi].partition_point(|e| e.1 < start);
         self.entries[lo..hi].iter().copied()
     }
+}
+
+/// A forward-only read position in one [`IntervalMap`], for sweeps whose
+/// query keys never decrease (instructions in program order, lifetimes in
+/// start order).
+///
+/// It caches `hi`, the number of intervals starting at or before the last
+/// query key, so each query only steps over the intervals passed since the
+/// previous one. A cursor follows one map and one query method; after
+/// [`IntervalMap::remove_owner`] the caller re-anchors it with
+/// [`IntervalMap::reset_cursor`].
+///
+/// # Examples
+///
+/// ```
+/// use lsra_analysis::collections::{IntervalCursor, IntervalMap};
+/// use lsra_ir::Temp;
+///
+/// let mut m = IntervalMap::new();
+/// m.insert(10, 20, Some(Temp(0)));
+/// m.insert(30, 40, None);
+/// let mut cur = IntervalCursor::default();
+/// assert_eq!(m.overlapping_owner_from(&mut cur, 0, 5), None);
+/// assert_eq!(m.overlapping_owner_from(&mut cur, 12, 14), Some(Some(Temp(0))));
+/// assert_eq!(m.overlapping_owner_from(&mut cur, 35, 36), Some(None));
+/// m.remove_owner(Temp(0));
+/// m.reset_cursor(&mut cur);
+/// assert_eq!(m.overlapping_owner_from(&mut cur, 38, 50), Some(None));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IntervalCursor {
+    hi: usize,
+    key: u32,
 }
 
 /// A set over `0..universe` whose `clear` is O(1): membership is "stamp
@@ -503,9 +608,85 @@ mod tests {
         }
         map.remove_owner(Temp(1));
         reference.retain(|_, (_, o)| *o != Some(Temp(1)));
-        let got: Vec<_> = map.entries().collect();
+        let got: Vec<_> = map.overlapping_entries(0, u32::MAX).collect();
         let want: Vec<_> = reference.iter().map(|(&s, &(e, o))| (s, e, o)).collect();
         assert_eq!(got, want);
+    }
+
+    /// A random map of disjoint intervals over `0..span` with random owners
+    /// (`None` for a precolored block), inserted in random order.
+    fn random_disjoint_map(rng: &mut lsra_workloads::Lcg, span: u32) -> IntervalMap {
+        let mut cuts: Vec<(u32, u32)> = Vec::new();
+        let mut at = rng.below(4) as u32;
+        while at < span {
+            let end = at + rng.below(6) as u32;
+            cuts.push((at, end));
+            at = end + 1 + rng.below(8) as u32;
+        }
+        for i in (1..cuts.len()).rev() {
+            cuts.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut map = IntervalMap::new();
+        for (s, e) in cuts {
+            let owner = rng.below(5).checked_sub(1).map(|t| Temp(t as u32));
+            map.insert(s, e, owner);
+        }
+        map
+    }
+
+    #[test]
+    fn cursor_queries_match_binary_search() {
+        let mut rng = lsra_workloads::Lcg::new(1998);
+        for case in 0..300 {
+            let span = 20 + rng.below(200) as u32;
+            let mut map = random_disjoint_map(&mut rng, span);
+            // End-keyed sweep: point-span style queries with non-decreasing
+            // ends, removing an owner mid-sweep now and then.
+            let mut cur = IntervalCursor::default();
+            let mut end = 0u32;
+            while end < span + 10 {
+                end += rng.below(4) as u32;
+                let start = end.saturating_sub(rng.below(5) as u32);
+                let want = map.overlapping_owner(start, end);
+                assert_eq!(map.overlapping_owner_from(&mut cur, start, end), want, "case {case}");
+                let want: Vec<_> = map.overlapping_entries(start, end).collect();
+                let mut again = cur;
+                let got: Vec<_> = map.overlapping_entries_from(&mut again, start, end).collect();
+                assert_eq!(got, want, "case {case} entries [{start}, {end}]");
+                if rng.below(10) == 0 {
+                    map.remove_owner(Temp(rng.below(4) as u32));
+                    map.reset_cursor(&mut cur);
+                }
+            }
+            // Start-keyed sweep: first-fit style queries with non-decreasing
+            // starts and free ends, inserting behind nothing (new intervals
+            // start at or after the query start, as a first fit's do).
+            let mut map = random_disjoint_map(&mut rng, span);
+            let mut cur = IntervalCursor::default();
+            let mut start = 0u32;
+            while start < span + 10 {
+                start += rng.below(4) as u32;
+                let end = start + rng.below(12) as u32;
+                let want = map.overlaps(start, end);
+                assert_eq!(map.overlaps_from(&mut cur, start, end), want, "case {case}");
+                if !want && rng.below(3) == 0 {
+                    map.insert(start, end, Some(Temp(9)));
+                }
+                if rng.below(10) == 0 {
+                    map.remove_owner(Temp(rng.below(4) as u32));
+                    map.reset_cursor(&mut cur);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overlaps a neighbour")]
+    fn interval_map_insert_rejects_overlap() {
+        let mut map = IntervalMap::new();
+        map.insert(10, 20, None);
+        map.insert(15, 30, Some(Temp(1)));
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod order;
 mod peephole;
 
 pub use bitset::BitSet;
-pub use collections::{Csr, EpochSet, IntervalMap, SmallVec};
+pub use collections::{Csr, EpochSet, IntervalCursor, IntervalMap, SmallVec};
 pub use dataflow::{solve_backward, solve_forward_must, BackwardSolution, ForwardMustSolution};
 pub use dce::eliminate_dead_code;
 pub use dominators::Dominators;

@@ -7,6 +7,7 @@
 
 use lsra_ir::{BlockId, Function};
 
+use crate::collections::EpochSet;
 use crate::dominators::Dominators;
 use crate::order::Order;
 
@@ -20,37 +21,39 @@ pub struct LoopInfo {
 impl LoopInfo {
     /// Finds natural loops (back edges `t -> h` where `h` dominates `t`) and
     /// accumulates nesting depth per block.
+    ///
+    /// A dominator precedes every block it dominates in reverse postorder,
+    /// so only retreating edges (`rpo_pos[h] <= rpo_pos[t]`) can be back
+    /// edges, and only they pay for the dominance walk. Each natural loop
+    /// costs its own size: the body is marked in one [`EpochSet`].
     pub fn compute(f: &Function, order: &Order, doms: &Dominators) -> Self {
         let n = f.num_blocks();
         let preds = f.compute_preds();
         let mut depth = vec![0u32; n];
+        let mut in_loop = EpochSet::new(n);
+        let mut stack = Vec::new();
         for b in f.block_ids() {
             if !order.is_reachable(b) {
                 continue;
             }
             for h in f.succs(b) {
-                if doms.dominates(h, b) {
-                    // Natural loop of back edge b -> h: h plus all blocks
-                    // that reach b without passing through h.
-                    let mut in_loop = vec![false; n];
-                    in_loop[h.index()] = true;
-                    let mut stack = vec![b];
-                    while let Some(x) = stack.pop() {
-                        if in_loop[x.index()] {
-                            continue;
-                        }
-                        in_loop[x.index()] = true;
-                        for &p in &preds[x.index()] {
-                            if !in_loop[p.index()] {
-                                stack.push(p);
-                            }
-                        }
+                if order.rpo_pos[h.index()] > order.rpo_pos[b.index()] || !doms.dominates(h, b) {
+                    continue;
+                }
+                // Natural loop of back edge b -> h: h plus all blocks that
+                // reach b without passing through h.
+                in_loop.advance();
+                in_loop.insert(h.index());
+                stack.push(b);
+                while let Some(x) = stack.pop() {
+                    if in_loop.insert(x.index()) {
+                        stack.extend(
+                            preds[x.index()].iter().filter(|p| !in_loop.contains(p.index())),
+                        );
                     }
-                    for (i, &inl) in in_loop.iter().enumerate() {
-                        if inl {
-                            depth[i] += 1;
-                        }
-                    }
+                }
+                for &i in in_loop.touched() {
+                    depth[i as usize] += 1;
                 }
             }
         }

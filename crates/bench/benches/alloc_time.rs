@@ -23,7 +23,7 @@
 
 use lsra_bench::time_allocation;
 use lsra_coloring::ColoringAllocator;
-use lsra_core::{AllocStats, BinpackAllocator, BinpackConfig, PHASE_NAMES};
+use lsra_core::{AllocStats, BinpackAllocator, BinpackConfig, RegisterAllocator, PHASE_NAMES};
 use lsra_ir::{MachineSpec, Module};
 use lsra_trace::JsonWriter;
 use lsra_workloads::scaling;
@@ -351,12 +351,14 @@ fn main() {
         let insts = module.num_insts();
         let name = format!("scale-{shape}-{target}");
         let scale_runs = if target >= 1_000_000 { 2 } else { 3 };
-        // Coloring's interference-graph build is superlinear in simultaneous
-        // liveness, and the simple allocators re-walk whole lifetimes; they
-        // are measured only where they finish in reasonable time. The
-        // binpack family runs at every size.
-        for (alloc_name, alloc) in [("binpack", binpack(1)), ("two-pass", two_pass(1))] {
-            let (best, stats) = time_allocation(&module, &alloc, &spec, scale_runs);
+        // The linear scans run at every size. Coloring's interference-graph
+        // build is superlinear in simultaneous liveness, so it is measured
+        // only where it finishes in reasonable time.
+        let (bp, tp) = (binpack(1), two_pass(1));
+        let linear: [(&str, &dyn RegisterAllocator); 3] =
+            [("binpack", &bp), ("two-pass", &tp), ("poletto", &lsra_poletto::PolettoAllocator)];
+        for (alloc_name, alloc) in linear {
+            let (best, stats) = time_allocation(&module, alloc, &spec, scale_runs);
             println!(
                 "{:<18} {:>9} {:<10} {:>12.2} {:>14.0}",
                 name,
@@ -394,28 +396,6 @@ fn main() {
             });
         } else {
             println!("(coloring skipped on {name}: graph build too slow at this size)");
-        }
-        if target <= 100_000 {
-            let (best, stats) =
-                time_allocation(&module, &lsra_poletto::PolettoAllocator, &spec, scale_runs);
-            println!(
-                "{:<18} {:>9} {:<10} {:>12.2} {:>14.0}",
-                name,
-                insts,
-                "poletto",
-                best * 1e3,
-                insts as f64 / best
-            );
-            scaling_entries.push(ScalingEntry {
-                workload: name.clone(),
-                shape,
-                insts,
-                allocator: "poletto",
-                best_seconds: best,
-                stats,
-            });
-        } else {
-            println!("(poletto skipped on {name}: measured only up to 10^5)");
         }
     }
 

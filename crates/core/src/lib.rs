@@ -47,6 +47,7 @@
 mod allocator;
 mod config;
 mod parallel_move;
+pub mod point;
 pub mod postopt;
 mod resolve;
 mod scan;
@@ -56,6 +57,9 @@ mod two_pass;
 
 pub use allocator::BinpackAllocator;
 pub use config::{BinpackConfig, ConsistencyMode};
+/// The sink that records nothing, for callers of the [`point`] passes that
+/// do not trace.
+pub use lsra_trace::NoopSink;
 pub use parallel_move::{sequentialize, sequentialize_into, EdgeOp};
 pub use postopt::{optimize_spill_code, PostOptStats};
 pub use scratch::AllocScratch;

@@ -10,7 +10,7 @@
 //! # Reuse invariants
 //!
 //! Everything in here is *dead state between functions*: each consumer
-//! (`scan`, `two_pass`, `resolve`) takes the buffers it needs at entry,
+//! (`scan`, `two_pass`, `point`, `resolve`) takes the buffers it needs at entry,
 //! `clear()`s and `resize()`s them to the current function's dimensions, and
 //! hands them back when it returns. No value computed for one function may
 //! influence the allocation of the next — the determinism test
@@ -18,10 +18,11 @@
 //! byte-identical to a fresh one. When adding a buffer, reset it where it is
 //! taken, not where it is returned.
 
-use lsra_analysis::{AnalysisScratch, BitSet, Csr, EpochSet, IntervalMap};
+use lsra_analysis::{AnalysisScratch, BitSet, Csr, EpochSet};
 use lsra_ir::{Ins, PhysReg, Temp};
 
 use crate::parallel_move::EdgeOp;
+use crate::point::PointScratch;
 use crate::scan::Loc;
 
 /// Reusable working memory for allocating one function at a time.
@@ -75,13 +76,8 @@ pub struct AllocScratch {
     pub(crate) edge_ops: Vec<EdgeOp>,
     pub(crate) edge_insns: Vec<(lsra_ir::Inst, lsra_ir::SpillTag)>,
     pub(crate) edge_spilled: Vec<Temp>,
-    // ---- two-pass: per-register interval maps, per-instruction buffers ----
-    pub(crate) tp_regs: Vec<IntervalMap>,
-    pub(crate) tp_src_temps: Vec<Temp>,
-    pub(crate) tp_scratch_of: Vec<(Temp, PhysReg)>,
-    pub(crate) tp_pre: Vec<Ins>,
-    pub(crate) tp_post: Vec<Ins>,
-    pub(crate) tp_free: [Vec<usize>; 2],
+    // ---- two-pass: per-register occupancy, per-instruction buffers ----
+    pub(crate) point: PointScratch,
 }
 
 impl AllocScratch {

@@ -10,194 +10,45 @@
 //! definition — with no store avoidance and no second chances, which is
 //! precisely the behaviour the paper contrasts against (wc's 38% slowdown).
 
-use lsra_analysis::{IntervalMap, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec};
-use lsra_ir::{Function, Ins, Inst, MachineSpec, PhysReg, Reg, RegClass, SpillTag, Temp};
+use lsra_analysis::{Lifetimes, Liveness, LoopInfo, Point};
+use lsra_ir::{Function, MachineSpec, Temp};
 use lsra_trace::{TraceEvent, TraceSink};
 
 use crate::config::BinpackConfig;
+use crate::point::Occupancy;
 use crate::scratch::AllocScratch;
 use crate::stats::{AllocStats, Phase, PhaseTimer};
 
-/// [`IntervalMap::overlaps`] adapted to [`Segment`] endpoints: an interval
-/// `[s, e]` overlaps `[a, b]` iff `s <= b && e >= a`.
-fn seg_overlaps(map: &IntervalMap, seg: Segment) -> bool {
-    map.overlaps(seg.start.0, seg.end.0)
-}
-
-struct TwoPass<'a> {
-    f: &'a Function,
-    lt: &'a Lifetimes,
-    ni: usize,
-    /// Free/occupied intervals per register; precolored blocks are owned by
-    /// `None`.
-    regs: Vec<IntervalMap>,
-    assigned: Vec<Option<PhysReg>>,
-    spilled: Vec<bool>,
-    lifetime_len: Vec<u32>,
-}
-
-impl<'a> TwoPass<'a> {
-    fn dense(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
-    fn phys(&self, d: usize) -> PhysReg {
-        if d < self.ni {
-            PhysReg::int(d as u8)
-        } else {
-            PhysReg::float((d - self.ni) as u8)
-        }
-    }
-
-    fn class_range(&self, class: RegClass) -> std::ops::Range<usize> {
-        match class {
-            RegClass::Int => 0..self.ni,
-            RegClass::Float => self.ni..self.regs.len(),
-        }
-    }
-
-    fn fits(&self, d: usize, t: Temp) -> bool {
-        self.lt.segments(t).iter().all(|&s| !seg_overlaps(&self.regs[d], s))
-    }
-
-    fn assign(&mut self, t: Temp, d: usize) {
-        for &s in self.lt.segments(t) {
-            self.regs[d].insert(s.start.0, s.end.0, Some(t));
-        }
-        self.assigned[t.index()] = Some(self.phys(d));
-    }
-
-    fn unassign(&mut self, t: Temp) {
-        if let Some(p) = self.assigned[t.index()].take() {
-            let d = self.dense(p);
-            self.regs[d].remove_owner(t);
-        }
-        self.spilled[t.index()] = true;
-    }
-
-    /// Pass 1: bin-pack whole lifetimes in start order; first fit.
-    fn pack(&mut self, sink: &mut dyn TraceSink) {
-        let mut order: Vec<Temp> = (0..self.f.num_temps() as u32)
-            .map(Temp)
-            .filter(|&t| self.lt.lifetime(t).is_some() && !self.spilled[t.index()])
-            .collect();
-        order.sort_by_key(|&t| self.lt.lifetime(t).unwrap().start);
-        for t in order {
-            if self.assigned[t.index()].is_some() {
-                continue;
-            }
-            let class = self.f.temp_class(t);
-            let choice = self.class_range(class).find(|&d| self.fits(d, t));
-            match choice {
-                Some(d) => {
-                    if sink.enabled() {
-                        sink.event(&TraceEvent::PackAssign { temp: t, reg: self.phys(d) });
-                    }
-                    self.assign(t, d);
+/// Pass 1: bin-pack whole lifetimes in start order; first fit.
+fn pack(occ: &mut Occupancy, f: &Function, lt: &Lifetimes, sink: &mut dyn TraceSink) {
+    // Start order, ties by temp number.
+    let mut order: Vec<(Point, Temp)> = (0..f.num_temps() as u32)
+        .map(Temp)
+        .filter_map(|t| lt.lifetime(t).map(|s| (s.start, t)))
+        .collect();
+    order.sort_unstable();
+    for (_, t) in order {
+        let segs = lt.segments(t);
+        // The first segment settles most registers through the start-order
+        // cursor; only a register free there checks the remaining segments.
+        let (first, rest) = (segs[0], &segs[1..]);
+        let choice = occ.first_fit(f.temp_class(t), first.start.0, first.end.0, |map| {
+            rest.iter().all(|s| !map.overlaps(s.start.0, s.end.0))
+        });
+        match choice {
+            Some(d) => {
+                if sink.enabled() {
+                    sink.event(&TraceEvent::PackAssign { temp: t, reg: occ.phys(d) });
                 }
-                None => {
-                    if sink.enabled() {
-                        sink.event(&TraceEvent::PackSpill { temp: t });
-                    }
-                    self.spilled[t.index()] = true;
+                occ.assign(t, d, segs);
+            }
+            None => {
+                if sink.enabled() {
+                    sink.event(&TraceEvent::PackSpill { temp: t });
                 }
+                occ.unassign(t);
             }
         }
-    }
-
-    /// The span a point lifetime at instruction `gi` must have free.
-    fn point_span(gi: u32) -> Segment {
-        Segment::new(Point::before(gi), Point::before(gi + 1))
-    }
-
-    /// Number of registers of `class` free over the span.
-    fn num_free_at(&self, class: RegClass, span: Segment) -> usize {
-        self.class_range(class).filter(|&d| !seg_overlaps(&self.regs[d], span)).count()
-    }
-
-    /// Pass 1.5: make sure every instruction referencing spilled temporaries
-    /// has enough free registers for its point lifetimes, unassigning
-    /// victims until it does. Iterates to a fixed point (unassigning a temp
-    /// adds point-lifetime demand at its own references).
-    fn ensure_point_feasibility(&mut self, sink: &mut dyn TraceSink) {
-        // Per-instruction spilled-source list, hoisted out of the loops;
-        // inline storage covers every realistic operand count.
-        let mut src_spilled: SmallVec<Temp, 8> = SmallVec::new();
-        loop {
-            let mut changed = false;
-            for b in self.f.block_ids() {
-                let first = self.lt.first_inst(b);
-                for (k, ins) in self.f.block(b).insts.iter().enumerate() {
-                    let gi = first + k as u32;
-                    let span = Self::point_span(gi);
-                    for class in RegClass::ALL {
-                        let mut need = 0usize;
-                        src_spilled.clear();
-                        ins.inst.for_each_use(|r| {
-                            if let Reg::Temp(t) = r {
-                                if self.spilled[t.index()]
-                                    && self.f.temp_class(t) == class
-                                    && !src_spilled.contains(&t)
-                                {
-                                    src_spilled.push(t);
-                                }
-                            }
-                        });
-                        need += src_spilled.len();
-                        let mut dst_extra = false;
-                        ins.inst.for_each_def(|r| {
-                            if let Reg::Temp(t) = r {
-                                if self.spilled[t.index()] && self.f.temp_class(t) == class {
-                                    // The destination can reuse a source
-                                    // scratch of the same class.
-                                    dst_extra = src_spilled.is_empty();
-                                }
-                            }
-                        });
-                        if dst_extra {
-                            need += 1;
-                        }
-                        if need == 0 {
-                            continue;
-                        }
-                        while self.num_free_at(class, span) < need {
-                            let victim = self.victim_at(class, span).unwrap_or_else(|| {
-                                panic!(
-                                    "two-pass binpacking cannot satisfy point lifetimes at \
-                                     instruction {gi} (class {class})"
-                                )
-                            });
-                            if sink.enabled() {
-                                sink.event(&TraceEvent::PackUnassign { temp: victim, gi });
-                            }
-                            self.unassign(victim);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                return;
-            }
-        }
-    }
-
-    /// Picks the assigned temporary overlapping `span` with the longest
-    /// lifetime (the classic "furthest end" heuristic).
-    fn victim_at(&self, class: RegClass, span: Segment) -> Option<Temp> {
-        let mut best: Option<(u32, Temp)> = None;
-        for d in self.class_range(class) {
-            if let Some(Some(t)) = self.regs[d].overlapping_owner(span.start.0, span.end.0) {
-                let len = self.lifetime_len[t.index()];
-                if best.is_none_or(|(l, _)| len > l) {
-                    best = Some((len, t));
-                }
-            }
-        }
-        best.map(|(_, t)| t)
     }
 }
 
@@ -219,171 +70,17 @@ pub(crate) fn allocate(
     timer.mark_traced(stats, Phase::Lifetimes, sink);
     stats.candidates = f.num_temps();
 
-    let ni = spec.num_regs(RegClass::Int) as usize;
-    let nregs = spec.total_regs();
-    // Per-register interval maps come from the scratch arena.
-    let mut reg_maps = std::mem::take(&mut scratch.tp_regs);
-    reg_maps.truncate(nregs);
-    for m in &mut reg_maps {
-        m.clear();
-    }
-    reg_maps.resize(nregs, IntervalMap::new());
-    let mut tp = TwoPass {
-        f,
-        lt: &lt,
-        ni,
-        regs: reg_maps,
-        assigned: vec![None; f.num_temps()],
-        spilled: vec![false; f.num_temps()],
-        lifetime_len: (0..f.num_temps() as u32)
-            .map(|t| lt.lifetime(Temp(t)).map_or(0, |s| s.end.0 - s.start.0))
-            .collect(),
-    };
-    for d in 0..nregs {
-        let p = tp.phys(d);
-        for &s in lt.blocked(p) {
-            tp.regs[d].insert(s.start.0, s.end.0, None);
-        }
-    }
-    tp.pack(sink);
-    tp.ensure_point_feasibility(sink);
-    let assigned = tp.assigned;
-    let spilled = tp.spilled;
-    let regs = tp.regs;
-    stats.spilled_temps = spilled.iter().filter(|&&s| s).count();
+    let mut occ = Occupancy::new(f, &lt, spec, &mut scratch.point);
+    pack(&mut occ, f, &lt, sink);
+    // Pass 1.5: free enough registers at every instruction for the point
+    // lifetimes of its spilled references.
+    occ.ensure_point_feasibility(f, &lt, sink);
+    stats.spilled_temps = occ.spilled_count();
     timer.mark_traced(stats, Phase::Scan, sink);
 
     // Pass 2: rewrite. Spilled references go through scratch registers free
     // at the instruction's span.
-    let ni_copy = ni;
-    let phys = |d: usize| -> PhysReg {
-        if d < ni_copy {
-            PhysReg::int(d as u8)
-        } else {
-            PhysReg::float((d - ni_copy) as u8)
-        }
-    };
-    // Per-instruction buffers come from the scratch arena.
-    let mut free = std::mem::take(&mut scratch.tp_free);
-    let mut scratch_of = std::mem::take(&mut scratch.tp_scratch_of);
-    let mut pre = std::mem::take(&mut scratch.tp_pre);
-    let mut post = std::mem::take(&mut scratch.tp_post);
-    let mut src_temps = std::mem::take(&mut scratch.tp_src_temps);
-    pre.clear();
-    post.clear();
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let first = lt.first_inst(b);
-        if sink.enabled() {
-            sink.event(&TraceEvent::BlockTop { block: b, first_gi: first });
-        }
-        let insts = std::mem::take(&mut f.block_mut(b).insts);
-        let mut out: Vec<Ins> = Vec::with_capacity(insts.len());
-        for (k, mut ins) in insts.into_iter().enumerate() {
-            let gi = first + k as u32;
-            let span = TwoPass::point_span(gi);
-            for class in RegClass::ALL {
-                let range = match class {
-                    RegClass::Int => 0..ni_copy,
-                    RegClass::Float => ni_copy..nregs,
-                };
-                free[class.index()].clear();
-                free[class.index()].extend(range.filter(|&d| !seg_overlaps(&regs[d], span)));
-            }
-            scratch_of.clear();
-            // Loads for spilled sources.
-            src_temps.clear();
-            ins.inst.for_each_use(|r| {
-                if let Reg::Temp(t) = r {
-                    if !src_temps.contains(&t) {
-                        src_temps.push(t);
-                    }
-                }
-            });
-            for &t in src_temps.iter() {
-                if spilled[t.index()] {
-                    let class = f.temp_class(t);
-                    let d = free[class.index()].pop().unwrap_or_else(|| {
-                        panic!("no scratch register at instruction {gi} for {t}")
-                    });
-                    let r = phys(d);
-                    f.slot_for(t);
-                    pre.push(Ins::tagged(
-                        Inst::SpillLoad { dst: Reg::Phys(r), temp: t },
-                        SpillTag::EvictLoad,
-                    ));
-                    stats.record_insert(SpillTag::EvictLoad);
-                    scratch_of.push((t, r));
-                }
-            }
-            // Rewrite operands.
-            ins.inst.for_each_use_mut(|r| {
-                if let Reg::Temp(t) = *r {
-                    *r = if spilled[t.index()] {
-                        let (_, p) =
-                            scratch_of.iter().find(|(u, _)| *u == t).expect("scratch mapped");
-                        Reg::Phys(*p)
-                    } else {
-                        Reg::Phys(assigned[t.index()].expect("assigned register"))
-                    };
-                }
-            });
-            let mut def_temp = None;
-            ins.inst.for_each_def(|r| {
-                if let Reg::Temp(t) = r {
-                    def_temp = Some(t);
-                }
-            });
-            if let Some(t) = def_temp {
-                let r = if spilled[t.index()] {
-                    let class = f.temp_class(t);
-                    // Reuse a source scratch of the same class if possible.
-                    let r = scratch_of
-                        .iter()
-                        .find(|(_, p)| p.class == class)
-                        .map(|(_, p)| *p)
-                        .unwrap_or_else(|| {
-                            let d = free[class.index()].pop().unwrap_or_else(|| {
-                                panic!("no scratch register at instruction {gi} for def {t}")
-                            });
-                            phys(d)
-                        });
-                    f.slot_for(t);
-                    // Two-pass binpacking "does not avoid unnecessary
-                    // stores": every definition writes memory immediately.
-                    post.push(Ins::tagged(
-                        Inst::SpillStore { src: Reg::Phys(r), temp: t },
-                        SpillTag::EvictStore,
-                    ));
-                    stats.record_insert(SpillTag::EvictStore);
-                    r
-                } else {
-                    assigned[t.index()].expect("assigned register")
-                };
-                ins.inst.for_each_def_mut(|d| {
-                    if matches!(*d, Reg::Temp(_)) {
-                        *d = Reg::Phys(r);
-                    }
-                });
-            }
-            let is_terminator = ins.inst.is_terminator();
-            out.append(&mut pre);
-            if is_terminator {
-                // A terminator cannot define a temp; post is always empty.
-                debug_assert!(post.is_empty());
-                out.push(ins);
-            } else {
-                out.push(ins);
-                out.append(&mut post);
-            }
-        }
-        f.block_mut(b).insts = out;
-    }
-    scratch.tp_free = free;
-    scratch.tp_scratch_of = scratch_of;
-    scratch.tp_pre = pre;
-    scratch.tp_post = post;
-    scratch.tp_src_temps = src_temps;
-    scratch.tp_regs = regs;
+    occ.rewrite(f, &lt, stats, &mut scratch.point, sink);
     lt.recycle(&mut scratch.analysis);
     timer.mark_traced(stats, Phase::Resolve, sink);
 }
@@ -393,22 +90,6 @@ mod tests {
     use super::*;
     use crate::stats::AllocStats;
     use lsra_ir::{Cond, ExtFn, FunctionBuilder, MachineSpec, RegClass};
-
-    #[test]
-    fn reg_intervals_overlap_queries() {
-        let mut r = IntervalMap::new();
-        r.insert(10, 20, Some(Temp(0)));
-        r.insert(30, 40, None);
-        assert!(seg_overlaps(&r, Segment::new(Point(15), Point(18))));
-        assert!(seg_overlaps(&r, Segment::new(Point(5), Point(10))));
-        assert!(seg_overlaps(&r, Segment::new(Point(20), Point(25))));
-        assert!(!seg_overlaps(&r, Segment::new(Point(21), Point(29))));
-        assert_eq!(r.overlapping_owner(35, 35), Some(None));
-        assert_eq!(r.overlapping_owner(12, 12), Some(Some(Temp(0))));
-        r.remove_owner(Temp(0));
-        assert!(!seg_overlaps(&r, Segment::new(Point(15), Point(18))));
-        assert!(seg_overlaps(&r, Segment::new(Point(35), Point(35))), "precolored block remains");
-    }
 
     #[test]
     fn whole_lifetimes_go_to_register_or_memory() {

@@ -58,7 +58,8 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use lsra_analysis::{
-    split_edge, BitSet, IntervalMap, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec,
+    split_edge, BitSet, IntervalCursor, IntervalMap, Lifetimes, Liveness, LoopInfo, Point, Segment,
+    SmallVec,
 };
 use lsra_core::{sequentialize_into, AllocStats, EdgeOp, RegisterAllocator};
 use lsra_ir::{
@@ -689,10 +690,14 @@ fn allocate(
     // Phase 4: point feasibility, mirroring the two-pass comparator —
     // every instruction touching memory-resident values needs enough free
     // registers for its scratch loads/stores; demote victims until it does.
+    // Instructions come in increasing order, so every register answers
+    // through a forward-only cursor, rewound each round.
+    let mut cursors = vec![IntervalCursor::default(); st.regs.len()];
     let mut rounds = 0u32;
     loop {
         rounds += 1;
         let mut changed = false;
+        cursors.fill(IntervalCursor::default());
         for b in f.block_ids() {
             let first = lt.first_inst(b);
             for (k, ins) in f.block(b).insts.iter().enumerate() {
@@ -730,7 +735,15 @@ fn allocate(
                     loop {
                         let free = st
                             .class_range(class)
-                            .filter(|&d| !st.regs[d].overlaps(span.start.0, span.end.0))
+                            .filter(|&d| {
+                                st.regs[d]
+                                    .overlapping_owner_from(
+                                        &mut cursors[d],
+                                        span.start.0,
+                                        span.end.0,
+                                    )
+                                    .is_none()
+                            })
                             .count();
                         if free >= need {
                             break;
@@ -740,9 +753,11 @@ fn allocate(
                         // point to park in memory), lowest id on ties.
                         let mut victim: Option<(u64, u32, usize)> = None;
                         for d in st.class_range(class) {
-                            for (_, _, owner) in
-                                st.regs[d].overlapping_entries(span.start.0, span.end.0)
-                            {
+                            for (_, _, owner) in st.regs[d].overlapping_entries_from(
+                                &mut cursors[d],
+                                span.start.0,
+                                span.end.0,
+                            ) {
                                 if let Some(t) = owner {
                                     let prio = st.bundles[t.0 as usize].prio;
                                     if victim
@@ -763,6 +778,7 @@ fn allocate(
                             sink.event(&TraceEvent::PackUnassign { temp: st.repr(v), gi });
                         }
                         st.regs[d].remove_owner(Temp(v));
+                        st.regs[d].reset_cursor(&mut cursors[d]);
                         st.bundles[v as usize].assignment = None;
                         st.bundles[v as usize].spilled = true;
                         changed = true;
@@ -827,6 +843,7 @@ fn allocate(
     let mut scratch_of: SmallVec<(Temp, PhysReg), 8> = SmallVec::new();
     let mut src_temps: SmallVec<Temp, 8> = SmallVec::new();
     let mut conn_i = 0usize;
+    cursors.fill(IntervalCursor::default());
     for b in f.block_ids().collect::<Vec<_>>() {
         let first = lt.first_inst(b);
         if sink.enabled() {
@@ -869,10 +886,11 @@ fn allocate(
             }
             for class in RegClass::ALL {
                 free[class.index()].clear();
-                free[class.index()].extend(
-                    st.class_range(class)
-                        .filter(|&d| !st.regs[d].overlaps(span.start.0, span.end.0)),
-                );
+                free[class.index()].extend(st.class_range(class).filter(|&d| {
+                    st.regs[d]
+                        .overlapping_owner_from(&mut cursors[d], span.start.0, span.end.0)
+                        .is_none()
+                }));
             }
             scratch_of.clear();
             src_temps.clear();

@@ -38,20 +38,10 @@
 
 use std::time::Instant;
 
-use lsra_analysis::{IntervalMap, Lifetimes, Point, Segment};
-use lsra_core::{AllocStats, RegisterAllocator};
-use lsra_ir::{Function, Ins, Inst, MachineSpec, PhysReg, Reg, RegClass, SpillTag, Temp};
-
-/// Non-overlapping occupied intervals of one register, on the shared
-/// sorted-vec map (the whole-interval model never splits, so entry counts
-/// stay small and the flat layout beats a tree).
-fn overlapping_owner(map: &IntervalMap, seg: Segment) -> Option<Option<Temp>> {
-    map.overlapping_owner(seg.start.0, seg.end.0)
-}
-
-fn overlaps(map: &IntervalMap, seg: Segment) -> bool {
-    map.overlaps(seg.start.0, seg.end.0)
-}
+use lsra_analysis::{Lifetimes, Point, Segment};
+use lsra_core::point::{Occupancy, PointScratch};
+use lsra_core::{AllocStats, NoopSink, RegisterAllocator};
+use lsra_ir::{Function, MachineSpec, Temp};
 
 /// The `tcc`-style linear-scan allocator.
 #[derive(Clone, Debug, Default)]
@@ -64,180 +54,48 @@ impl PolettoAllocator {
     }
 }
 
-struct State<'a> {
-    f: &'a Function,
-    lt: &'a Lifetimes,
-    ni: usize,
-    regs: Vec<IntervalMap>,
-    assigned: Vec<Option<PhysReg>>,
-    spilled: Vec<bool>,
-}
-
-impl<'a> State<'a> {
-    fn phys(&self, d: usize) -> PhysReg {
-        if d < self.ni {
-            PhysReg::int(d as u8)
-        } else {
-            PhysReg::float((d - self.ni) as u8)
+/// The linear scan over whole lifetime intervals sorted by start.
+fn scan(occ: &mut Occupancy, f: &Function, lt: &Lifetimes) {
+    let mut order: Vec<(Segment, Temp)> = (0..f.num_temps() as u32)
+        .map(Temp)
+        .filter_map(|t| lt.lifetime(t).map(|s| (s, t)))
+        .collect();
+    order.sort_unstable_by_key(|(s, t)| (s.start, t.0));
+    for (iv, t) in order {
+        let class = f.temp_class(t);
+        // First fit among registers with no conflicting occupancy over the
+        // whole interval.
+        if let Some(d) = occ.first_fit(class, iv.start.0, iv.end.0, |_| true) {
+            occ.assign(t, d, &[iv]);
+            continue;
         }
-    }
-
-    fn dense(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
-    fn class_range(&self, class: RegClass) -> std::ops::Range<usize> {
-        match class {
-            RegClass::Int => 0..self.ni,
-            RegClass::Float => self.ni..self.regs.len(),
-        }
-    }
-
-    /// Whole lifetime of `t` as one interval (no holes).
-    fn interval(&self, t: Temp) -> Option<Segment> {
-        self.lt.lifetime(t)
-    }
-
-    fn unassign(&mut self, t: Temp) {
-        if let Some(p) = self.assigned[t.index()].take() {
-            let d = self.dense(p);
-            self.regs[d].remove_owner(t);
-        }
-        self.spilled[t.index()] = true;
-    }
-
-    fn insert(&mut self, d: usize, seg: Segment, owner: Option<Temp>) {
-        self.regs[d].insert(seg.start.0, seg.end.0, owner);
-    }
-
-    /// The linear scan over sorted intervals.
-    fn scan(&mut self) {
-        let mut order: Vec<(Segment, Temp)> = (0..self.f.num_temps() as u32)
-            .map(Temp)
-            .filter_map(|t| self.interval(t).map(|s| (s, t)))
-            .collect();
-        order.sort_by_key(|(s, t)| (s.start, t.0));
-        for (iv, t) in order {
-            let class = self.f.temp_class(t);
-            // First fit among registers with no conflicting occupancy over
-            // the whole interval.
-            if let Some(d) = self.class_range(class).find(|&d| !overlaps(&self.regs[d], iv)) {
-                self.insert(d, iv, Some(t));
-                self.assigned[t.index()] = Some(self.phys(d));
+        // Spill the active interval with the furthest end whose register
+        // would become usable for the current interval; if none ends later
+        // than the current interval, spill the current one.
+        let mut victim: Option<(Point, Temp, usize)> = None;
+        for d in occ.class_range(class) {
+            let Some(Some(a)) = occ.owner_at(d, iv.start) else {
+                continue;
+            };
+            let a_iv = lt.lifetime(a).expect("active interval exists");
+            // After removing `a`, the register must be free over `iv`
+            // (precolored blocks may still conflict).
+            let conflicts =
+                occ.reg(d).overlapping_entries(iv.start.0, iv.end.0).any(|(_, _, o)| o != Some(a));
+            if conflicts {
                 continue;
             }
-            // Spill the active interval with the furthest end whose register
-            // would become usable for the current interval; if none ends
-            // later than the current interval, spill the current one.
-            let mut victim: Option<(Point, Temp, usize)> = None;
-            for d in self.class_range(class) {
-                let Some(Some(a)) =
-                    overlapping_owner(&self.regs[d], Segment::new(iv.start, iv.start))
-                else {
-                    continue;
-                };
-                let a_iv = self.interval(a).expect("active interval exists");
-                // After removing `a`, the register must be free over `iv`
-                // (precolored blocks may still conflict).
-                let conflicts = self.regs[d]
-                    .entries()
-                    .any(|(s, e, o)| o != Some(a) && s <= iv.end.0 && e >= iv.start.0);
-                if conflicts {
-                    continue;
-                }
-                if victim.is_none() || a_iv.end > victim.unwrap().0 {
-                    victim = Some((a_iv.end, a, d));
-                }
-            }
-            match victim {
-                Some((end, a, d)) if end > iv.end => {
-                    self.unassign(a);
-                    self.insert(d, iv, Some(t));
-                    self.assigned[t.index()] = Some(self.phys(d));
-                }
-                _ => self.spilled[t.index()] = true,
+            if victim.is_none_or(|(end, _, _)| a_iv.end > end) {
+                victim = Some((a_iv.end, a, d));
             }
         }
-    }
-
-    fn point_span(gi: u32) -> Segment {
-        Segment::new(Point::before(gi), Point::before(gi + 1))
-    }
-
-    fn num_free_at(&self, class: RegClass, span: Segment) -> usize {
-        self.class_range(class).filter(|&d| !overlaps(&self.regs[d], span)).count()
-    }
-
-    /// Make sure spilled references can always find scratch registers,
-    /// spilling further victims if not (same approach as the two-pass
-    /// binpacking comparator).
-    fn ensure_point_feasibility(&mut self) {
-        let mut srcs: lsra_analysis::SmallVec<Temp, 8> = lsra_analysis::SmallVec::new();
-        loop {
-            let mut changed = false;
-            for b in self.f.block_ids() {
-                let first = self.lt.first_inst(b);
-                for (k, ins) in self.f.block(b).insts.iter().enumerate() {
-                    let gi = first + k as u32;
-                    let span = Self::point_span(gi);
-                    for class in RegClass::ALL {
-                        srcs.clear();
-                        ins.inst.for_each_use(|r| {
-                            if let Reg::Temp(t) = r {
-                                if self.spilled[t.index()]
-                                    && self.f.temp_class(t) == class
-                                    && !srcs.contains(&t)
-                                {
-                                    srcs.push(t);
-                                }
-                            }
-                        });
-                        let mut need = srcs.len();
-                        let mut dst_extra = false;
-                        ins.inst.for_each_def(|r| {
-                            if let Reg::Temp(t) = r {
-                                if self.spilled[t.index()] && self.f.temp_class(t) == class {
-                                    dst_extra = srcs.is_empty();
-                                }
-                            }
-                        });
-                        if dst_extra {
-                            need += 1;
-                        }
-                        if need == 0 {
-                            continue;
-                        }
-                        while self.num_free_at(class, span) < need {
-                            let victim = self
-                                .victim_at(class, span)
-                                .unwrap_or_else(|| panic!("no scratch register at {gi}"));
-                            self.unassign(victim);
-                            changed = true;
-                        }
-                    }
-                }
+        match victim {
+            Some((end, a, d)) if end > iv.end => {
+                occ.unassign(a);
+                occ.assign(t, d, &[iv]);
             }
-            if !changed {
-                return;
-            }
+            _ => occ.unassign(t),
         }
-    }
-
-    fn victim_at(&self, class: RegClass, span: Segment) -> Option<Temp> {
-        let mut best: Option<(u32, Temp)> = None;
-        for d in self.class_range(class) {
-            if let Some(Some(t)) = overlapping_owner(&self.regs[d], span) {
-                let iv = self.interval(t).unwrap();
-                let len = iv.end.0 - iv.start.0;
-                if best.is_none_or(|(l, _)| len > l) {
-                    best = Some((len, t));
-                }
-            }
-        }
-        best.map(|(_, t)| t)
     }
 }
 
@@ -250,135 +108,14 @@ impl RegisterAllocator for PolettoAllocator {
         let start = Instant::now();
         let mut stats = AllocStats { candidates: f.num_temps(), ..Default::default() };
         let lt = Lifetimes::of(f, spec);
-        let ni = spec.num_regs(RegClass::Int) as usize;
-        let nregs = spec.total_regs();
-        let mut st = State {
-            f,
-            lt: &lt,
-            ni,
-            regs: (0..nregs).map(|_| IntervalMap::new()).collect(),
-            assigned: vec![None; f.num_temps()],
-            spilled: vec![false; f.num_temps()],
-        };
-        // Precolored blocked segments occupy their registers.
-        for d in 0..nregs {
-            let p = st.phys(d);
-            for &s in lt.blocked(p) {
-                st.insert(d, s, None);
-            }
-        }
-        st.scan();
-        st.ensure_point_feasibility();
-        let assigned = st.assigned;
-        let spilled = st.spilled;
-        let regs = st.regs;
-        stats.spilled_temps = spilled.iter().filter(|&&s| s).count();
-
-        // Rewrite pass. The working buffers live outside the instruction
-        // loop: one warm allocation each instead of five fresh ones per
-        // instruction.
-        let mut free: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        let mut pre: Vec<Ins> = Vec::new();
-        let mut post: Vec<Ins> = Vec::new();
-        let mut scratch_of: Vec<(Temp, PhysReg)> = Vec::new();
-        let mut src_temps: Vec<Temp> = Vec::new();
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let first = lt.first_inst(b);
-            let insts = std::mem::take(&mut f.block_mut(b).insts);
-            let mut out: Vec<Ins> = Vec::with_capacity(insts.len());
-            for (k, mut ins) in insts.into_iter().enumerate() {
-                let gi = first + k as u32;
-                let span = State::point_span(gi);
-                for class in RegClass::ALL {
-                    let range = match class {
-                        RegClass::Int => 0..ni,
-                        RegClass::Float => ni..nregs,
-                    };
-                    free[class.index()].clear();
-                    free[class.index()].extend(range.filter(|&d| !overlaps(&regs[d], span)));
-                }
-                let phys = |d: usize| -> PhysReg {
-                    if d < ni {
-                        PhysReg::int(d as u8)
-                    } else {
-                        PhysReg::float((d - ni) as u8)
-                    }
-                };
-                scratch_of.clear();
-                src_temps.clear();
-                ins.inst.for_each_use(|r| {
-                    if let Reg::Temp(t) = r {
-                        if !src_temps.contains(&t) {
-                            src_temps.push(t);
-                        }
-                    }
-                });
-                for &t in &src_temps {
-                    if spilled[t.index()] {
-                        let class = f.temp_class(t);
-                        let d = free[class.index()]
-                            .pop()
-                            .unwrap_or_else(|| panic!("no scratch at {gi} for {t}"));
-                        let r = phys(d);
-                        f.slot_for(t);
-                        pre.push(Ins::tagged(
-                            Inst::SpillLoad { dst: Reg::Phys(r), temp: t },
-                            SpillTag::EvictLoad,
-                        ));
-                        stats.record_insert(SpillTag::EvictLoad);
-                        scratch_of.push((t, r));
-                    }
-                }
-                ins.inst.for_each_use_mut(|r| {
-                    if let Reg::Temp(t) = *r {
-                        *r = if spilled[t.index()] {
-                            Reg::Phys(scratch_of.iter().find(|(u, _)| *u == t).unwrap().1)
-                        } else {
-                            Reg::Phys(assigned[t.index()].expect("assigned"))
-                        };
-                    }
-                });
-                let mut def_temp = None;
-                ins.inst.for_each_def(|r| {
-                    if let Reg::Temp(t) = r {
-                        def_temp = Some(t);
-                    }
-                });
-                if let Some(t) = def_temp {
-                    let r = if spilled[t.index()] {
-                        let class = f.temp_class(t);
-                        let r = scratch_of
-                            .iter()
-                            .find(|(_, p)| p.class == class)
-                            .map(|(_, p)| *p)
-                            .unwrap_or_else(|| {
-                                let d = free[class.index()]
-                                    .pop()
-                                    .unwrap_or_else(|| panic!("no def scratch at {gi}"));
-                                phys(d)
-                            });
-                        f.slot_for(t);
-                        post.push(Ins::tagged(
-                            Inst::SpillStore { src: Reg::Phys(r), temp: t },
-                            SpillTag::EvictStore,
-                        ));
-                        stats.record_insert(SpillTag::EvictStore);
-                        r
-                    } else {
-                        assigned[t.index()].expect("assigned")
-                    };
-                    ins.inst.for_each_def_mut(|d| {
-                        if matches!(*d, Reg::Temp(_)) {
-                            *d = Reg::Phys(r);
-                        }
-                    });
-                }
-                out.append(&mut pre);
-                out.push(ins);
-                out.append(&mut post);
-            }
-            f.block_mut(b).insts = out;
-        }
+        let mut scratch = PointScratch::default();
+        let mut occ = Occupancy::new(f, &lt, spec, &mut scratch);
+        scan(&mut occ, f, &lt);
+        // Spilled references must always find scratch registers; the shared
+        // fixpoint spills further victims if not.
+        occ.ensure_point_feasibility(f, &lt, &mut NoopSink);
+        stats.spilled_temps = occ.spilled_count();
+        occ.rewrite(f, &lt, &mut stats, &mut scratch, &mut NoopSink);
         f.allocated = true;
         stats.alloc_seconds = start.elapsed().as_secs_f64();
         stats
@@ -388,7 +125,7 @@ impl RegisterAllocator for PolettoAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsra_ir::{Cond, ExtFn, FunctionBuilder, Module, ModuleBuilder};
+    use lsra_ir::{Cond, ExtFn, FunctionBuilder, Module, ModuleBuilder, RegClass};
     use lsra_vm::{run_module, verify_allocation, VmOptions};
 
     fn verify(module: &Module, spec: &MachineSpec, input: &[u8]) -> AllocStats {

@@ -13,6 +13,7 @@
 
 use second_chance_regalloc::prelude::*;
 use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
+use second_chance_regalloc::trace::{TraceEvent, TraceSink};
 
 fn machine_by_name(name: &str) -> MachineSpec {
     match name {
@@ -147,6 +148,83 @@ const PINS: &[(&str, &str, &str, u64)] = &[
     ("wc", "ion", "alpha", 0x7d289d0e160ad6bf),
     ("wc", "ion", "small", 0xb5674a8d42832123),
 ];
+
+/// Allocates the scaling module `shape` at `insts` instructions on `alpha`
+/// and hashes the full textual form of the result.
+fn scaled_hash(shape: &str, insts: usize, allocator: &str) -> u64 {
+    let mut m = lsra_workloads::scaling::scale_module(shape, insts).unwrap();
+    allocator_by_name(allocator, 1, false)
+        .unwrap_or_else(|| panic!("unknown allocator {allocator}"))
+        .allocate_module(&mut m, &MachineSpec::alpha_like());
+    lsra_ir::fnv64(m.to_string().as_bytes())
+}
+
+/// Every (scaling shape, allocator, pin) at 2×10^4 instructions on `alpha`:
+/// the long single-function sweeps of the whole-lifetime allocators.
+/// Regenerate with UPDATE_PINS=1.
+const SCALE_PINS: &[(&str, &str, u64)] = &[
+    ("huge", "binpack", 0x90d831d6b8c9a546),
+    ("huge", "two-pass", 0x6e75d4218aa3f9ee),
+    ("huge", "coloring", 0x1704bab2f34ef2ff),
+    ("huge", "poletto", 0xfad8c699282281d8),
+    ("huge", "ion", 0xd6c0fbfb7a9a0d54),
+    ("medium", "binpack", 0x173372c75300ad5c),
+    ("medium", "two-pass", 0xd7f595000e586c87),
+    ("medium", "coloring", 0x90642f4f766cbe98),
+    ("medium", "poletto", 0x0912e518571f15f3),
+    ("medium", "ion", 0x016bf8051089e581),
+];
+
+#[test]
+fn scaling_output_is_pinned() {
+    if std::env::var("UPDATE_PINS").is_ok() {
+        for shape in ["huge", "medium"] {
+            for a in ALLOCATOR_NAMES {
+                let h = scaled_hash(shape, 20_000, a);
+                println!("    (\"{shape}\", \"{a}\", 0x{h:016x}),");
+            }
+        }
+        panic!("pins printed; paste into SCALE_PINS and drop UPDATE_PINS");
+    }
+    assert_eq!(SCALE_PINS.len(), 2 * ALLOCATOR_NAMES.len(), "scaling pin table out of date");
+    let mut bad = Vec::new();
+    for &(shape, a, want) in SCALE_PINS {
+        let got = scaled_hash(shape, 20_000, a);
+        if got != want {
+            bad.push(format!("scale:{shape}:20000/{a}: pinned 0x{want:016x}, got 0x{got:016x}"));
+        }
+    }
+    assert!(bad.is_empty(), "allocated output changed:\n{}", bad.join("\n"));
+}
+
+/// Counts the point-feasibility victims an allocation unassigns.
+#[derive(Default)]
+struct UnassignCounter(usize);
+
+impl TraceSink for UnassignCounter {
+    fn event(&mut self, ev: &TraceEvent) {
+        if matches!(ev, TraceEvent::PackUnassign { .. }) {
+            self.0 += 1;
+        }
+    }
+}
+
+/// The scaling pins must cover the point-feasibility unassign path, where
+/// register occupancy shrinks mid-sweep: a pinned shape whose traced
+/// two-pass allocation unassigns at least one victim.
+#[test]
+fn scaling_pins_cover_the_feasibility_unassign_path() {
+    let spec = MachineSpec::alpha_like();
+    let mut sink = UnassignCounter::default();
+    for shape in ["huge", "medium"] {
+        let mut m = lsra_workloads::scaling::scale_module(shape, 20_000).unwrap();
+        allocator_by_name("two-pass", 1, false)
+            .unwrap()
+            .allocate_module_traced(&mut m, &spec, &mut sink)
+            .expect("two-pass has a traced path");
+    }
+    assert!(sink.0 > 0, "no pinned scaling shape unassigns a feasibility victim");
+}
 
 #[test]
 fn allocated_output_is_pinned() {

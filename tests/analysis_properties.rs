@@ -1,12 +1,13 @@
-//! Property tests over the analysis layer: lifetime/hole invariants and
-//! parallel-move sequencing on random inputs.
+//! Property tests over the analysis layer: lifetime/hole invariants, loop
+//! depths and parallel-move sequencing on random inputs.
 //!
 //! Cases are driven by the repo's own seeded [`Lcg`] generator (no external
 //! property-testing dependency); failures report the seed that reproduces
 //! them.
 
-use second_chance_regalloc::analysis::{Lifetimes, Liveness, Point};
+use second_chance_regalloc::analysis::{Dominators, Lifetimes, Liveness, LoopInfo, Order, Point};
 use second_chance_regalloc::binpack::{sequentialize, EdgeOp};
+use second_chance_regalloc::ir::BlockId;
 use second_chance_regalloc::prelude::*;
 use second_chance_regalloc::workloads::random::{RandomConfig, RandomProgram};
 use second_chance_regalloc::workloads::Lcg;
@@ -179,5 +180,99 @@ fn point_scale_is_coherent() {
         assert!(Point::read(i) < Point::write(i));
         assert!(Point::write(i) < Point::before(i + 1));
         assert!(Point::before(i) < Point::read(i));
+    }
+}
+
+/// The quadratic algorithm `compute` replaced: a dominance walk on every
+/// CFG edge and an O(blocks) marking vector per back edge.
+fn reference_depths(f: &Function) -> Vec<u32> {
+    let order = Order::compute(f);
+    let doms = Dominators::compute(f, &order);
+    let n = f.num_blocks();
+    let preds = f.compute_preds();
+    let mut depth = vec![0u32; n];
+    for b in f.block_ids() {
+        if !order.is_reachable(b) {
+            continue;
+        }
+        for h in f.succs(b) {
+            if doms.dominates(h, b) {
+                let mut in_loop = vec![false; n];
+                in_loop[h.index()] = true;
+                let mut stack = vec![b];
+                while let Some(x) = stack.pop() {
+                    if in_loop[x.index()] {
+                        continue;
+                    }
+                    in_loop[x.index()] = true;
+                    stack.extend(preds[x.index()].iter().filter(|p| !in_loop[p.index()]));
+                }
+                for (i, &inl) in in_loop.iter().enumerate() {
+                    depth[i] += inl as u32;
+                }
+            }
+        }
+    }
+    depth
+}
+
+fn assert_matches_reference(f: &Function, what: &str) {
+    let li = LoopInfo::of(f);
+    let got: Vec<u32> = f.block_ids().map(|b| li.depth(b)).collect();
+    assert_eq!(got, reference_depths(f), "{what}");
+}
+
+/// A random CFG over `n` blocks: every block returns, jumps or branches
+/// to random blocks, so irreducible loops, self-loops, duplicate branch
+/// targets and unreachable blocks all occur.
+fn random_cfg(rng: &mut Lcg, n: usize) -> Function {
+    let spec = MachineSpec::alpha_like();
+    let mut b = FunctionBuilder::new(&spec, "r", &[]);
+    let t = b.int_temp("t");
+    b.movi(t, 1);
+    let blocks: Vec<BlockId> =
+        std::iter::once(BlockId(0)).chain((1..n).map(|_| b.block())).collect();
+    for (i, &blk) in blocks.iter().enumerate() {
+        b.switch_to(blk);
+        let kind = rng.below(6);
+        let x = blocks[rng.below(n as u64) as usize];
+        let y = blocks[rng.below(n as u64) as usize];
+        match kind {
+            0 if i > 0 => b.ret(None),
+            1 | 2 => b.jump(x),
+            _ => b.branch(Cond::Ne, t, x, y),
+        }
+    }
+    b.finish()
+}
+
+/// `LoopInfo::compute` (dominance checks on retreating edges only, loop
+/// bodies marked in one epoch set) gives every block the depth the
+/// quadratic algorithm gave, on every workload, on random programs, and on
+/// random CFGs.
+#[test]
+fn loop_depths_match_the_quadratic_reference() {
+    for w in second_chance_regalloc::workloads::all() {
+        let m = (w.build)();
+        for id in m.func_ids() {
+            assert_matches_reference(m.func(id), &format!("{} {id:?}", w.name));
+        }
+    }
+    let mut rng = Lcg::new(1998);
+    for seed in 0..40 {
+        let config = RandomConfig {
+            blocks: 2 + rng.below(30) as usize,
+            diamond_percent: rng.below(50),
+            critical_edge_percent: rng.below(50),
+            ..Default::default()
+        };
+        let m = RandomProgram::new(seed, config).build(&MachineSpec::alpha_like());
+        for id in m.func_ids() {
+            assert_matches_reference(m.func(id), &format!("random program {seed} {id:?}"));
+        }
+    }
+    for case in 0..300 {
+        let n = 1 + rng.below(24) as usize;
+        assert_matches_reference(&random_cfg(&mut rng, n), &format!("random cfg {case}"));
     }
 }
