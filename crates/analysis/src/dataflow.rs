@@ -1,10 +1,12 @@
-//! A small generic solver for iterative bit-vector dataflow problems of the
-//! gen/kill family — the machinery behind liveness, the allocator's
-//! `USED_C` consistency problem (§2.4 of the paper), and spill-slot
-//! liveness.
+//! Iterative dataflow solvers.
 //!
-//! All problems here use the classic transfer `in = gen ∪ (out ∖ kill)`
-//! (backward) or its mirror (forward), with union as the meet. The solver
+//! [`solve_backward`] is the gen/kill solver behind liveness, the
+//! allocator's `USED_C` consistency problem (§2.4 of the paper), and
+//! spill-slot liveness: transfer `in = gen ∪ (out ∖ kill)`, union as the
+//! meet. [`solve_must`] is the one optimistic forward fixpoint with an
+//! intersection meet, over any state and a fallible block transfer; the
+//! symbolic checker, the static validity check, and the `Q102` lint run on
+//! it, and [`solve_forward_must`] is its gen/kill instance. Each solver
 //! visits blocks in an order supplied by the caller and iterates to a fixed
 //! point, reporting the iteration count (the paper's §2.6 leans on this
 //! being 2–3 in practice).
@@ -63,6 +65,97 @@ pub fn solve_backward(
     BackwardSolution { live_in, live_out, iterations }
 }
 
+/// A forward dataflow state whose meet is intersection.
+pub trait MustState: Clone + PartialEq {
+    /// `self ← self ∩ other`.
+    fn meet_with(&mut self, other: &Self);
+}
+
+impl MustState for BitSet {
+    fn meet_with(&mut self, other: &Self) {
+        self.intersect_with(other);
+    }
+}
+
+/// A state per location (register or slot), met location by location.
+impl<S: MustState> MustState for Vec<S> {
+    fn meet_with(&mut self, other: &Self) {
+        for (x, y) in self.iter_mut().zip(other) {
+            x.meet_with(y);
+        }
+    }
+}
+
+/// The fixed point of a forward must problem.
+#[derive(Clone, Debug)]
+pub struct MustSolution<S> {
+    /// The state on entry to each visited block (`None` for the rest).
+    pub ins: Vec<Option<S>>,
+    /// The state on exit from each visited block (`None` for the rest).
+    pub outs: Vec<Option<S>>,
+    /// Passes over `visit` taken to converge.
+    pub iterations: u32,
+}
+
+/// Solves a forward *must* (all-paths) problem: a fact holds at a block
+/// entry only if it holds along **every** path from the entry block.
+///
+/// The solver is optimistic. It sweeps `visit` (the reachable blocks, in
+/// the caller's order) until no exit state changes, computing each block's
+/// entry state as the meet of its predecessors' exit states. A predecessor
+/// not computed yet (or not in `visit`) counts as ⊤ and drops out of the
+/// meet; a block with no computed predecessor starts from `top`. The entry
+/// block is pinned to `entry`. `transfer` turns a block's entry state into
+/// its exit state in place, and its first error ends the solve, so errors
+/// surface in `visit` order on the first sweep.
+///
+/// # Errors
+///
+/// Returns the first error `transfer` returns.
+pub fn solve_must<S: MustState, E>(
+    f: &Function,
+    visit: &[BlockId],
+    entry: &S,
+    top: &S,
+    mut transfer: impl FnMut(BlockId, &mut S) -> Result<(), E>,
+) -> Result<MustSolution<S>, E> {
+    let nb = f.num_blocks();
+    let preds = f.compute_preds();
+    let mut ins: Vec<Option<S>> = vec![None; nb];
+    let mut outs: Vec<Option<S>> = vec![None; nb];
+    let mut iterations = 0;
+    loop {
+        iterations += 1;
+        let mut changed = false;
+        for &b in visit {
+            let inb = if b == f.entry() {
+                entry.clone()
+            } else {
+                let mut acc: Option<S> = None;
+                for p in &preds[b.index()] {
+                    if let Some(out) = &outs[p.index()] {
+                        match &mut acc {
+                            Some(a) => a.meet_with(out),
+                            None => acc = Some(out.clone()),
+                        }
+                    }
+                }
+                acc.unwrap_or_else(|| top.clone())
+            };
+            let mut out = inb.clone();
+            transfer(b, &mut out)?;
+            if outs[b.index()].as_ref() != Some(&out) {
+                outs[b.index()] = Some(out);
+                changed = true;
+            }
+            ins[b.index()] = Some(inb);
+        }
+        if !changed {
+            return Ok(MustSolution { ins, outs, iterations });
+        }
+    }
+}
+
 /// The result of a forward *must* (all-paths) gen/kill solve.
 #[derive(Clone, Debug)]
 pub struct ForwardMustSolution {
@@ -76,16 +169,9 @@ pub struct ForwardMustSolution {
     pub iterations: u32,
 }
 
-/// Solves a forward gen/kill problem with *intersection* as the meet: a bit
-/// holds at a block entry only if it holds along **every** path from the
-/// entry block. This is the meet the symbolic allocation checker uses, and
-/// here it backs must-be-defined analyses (use-before-def, redundant
-/// reloads).
-///
-/// The solver is optimistic: a predecessor whose out-set has not been
-/// computed yet contributes ⊤ (everything) to the meet, and the fixpoint
-/// iterates over `order.rpo` until nothing changes. Only reachable blocks
-/// participate.
+/// Solves a forward gen/kill problem with *intersection* as the meet
+/// ([`solve_must`] over `order.rpo`): here it backs must-be-defined
+/// analyses (use-before-def) and the static validity check.
 pub fn solve_forward_must(
     f: &Function,
     universe: usize,
@@ -94,56 +180,16 @@ pub fn solve_forward_must(
     entry_in: &BitSet,
     order: &Order,
 ) -> ForwardMustSolution {
-    let nb = f.num_blocks();
-    debug_assert_eq!(gen.len(), nb);
-    debug_assert_eq!(kill.len(), nb);
-    let preds = f.compute_preds();
-    let mut outs: Vec<Option<BitSet>> = vec![None; nb];
-    let mut ins: Vec<Option<BitSet>> = vec![None; nb];
-    let entry = f.entry();
-    let mut iterations = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        iterations += 1;
-        for &b in &order.rpo {
-            let bi = b.index();
-            let mut inb = if b == entry {
-                entry_in.clone()
-            } else {
-                let mut acc: Option<BitSet> = None;
-                for p in &preds[bi] {
-                    if !order.is_reachable(*p) {
-                        continue;
-                    }
-                    if let Some(out) = &outs[p.index()] {
-                        match &mut acc {
-                            Some(a) => {
-                                a.intersect_with(out);
-                            }
-                            None => acc = Some(out.clone()),
-                        }
-                    }
-                }
-                acc.unwrap_or_else(|| {
-                    let mut top = BitSet::new(universe);
-                    top.fill();
-                    top
-                })
-            };
-            let mut out = BitSet::new(universe);
-            out.assign_transfer(&gen[bi], &inb, &kill[bi]);
-            if outs[bi].as_ref() != Some(&out) {
-                outs[bi] = Some(out);
-                changed = true;
-            }
-            if ins[bi].as_ref() != Some(&inb) {
-                // Reuse the buffer rather than cloning on every iteration.
-                std::mem::swap(&mut inb, ins[bi].get_or_insert_with(|| BitSet::new(0)));
-                changed = true;
-            }
-        }
-    }
+    debug_assert_eq!(gen.len(), f.num_blocks());
+    debug_assert_eq!(kill.len(), f.num_blocks());
+    let mut top = BitSet::new(universe);
+    top.fill();
+    let sol = solve_must(f, &order.rpo, entry_in, &top, |b, s| {
+        s.difference_with(&kill[b.index()]);
+        s.union_with(&gen[b.index()]);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    let Ok(MustSolution { ins, outs, iterations }) = sol;
     let unwrap = |v: Vec<Option<BitSet>>| {
         v.into_iter().map(|s| s.unwrap_or_else(|| BitSet::new(universe))).collect()
     };

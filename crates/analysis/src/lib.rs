@@ -56,7 +56,10 @@ mod peephole;
 
 pub use bitset::BitSet;
 pub use collections::{Csr, EpochSet, IntervalCursor, IntervalMap, SmallVec};
-pub use dataflow::{solve_backward, solve_forward_must, BackwardSolution, ForwardMustSolution};
+pub use dataflow::{
+    solve_backward, solve_forward_must, solve_must, BackwardSolution, ForwardMustSolution,
+    MustSolution, MustState,
+};
 pub use dce::eliminate_dead_code;
 pub use dominators::Dominators;
 pub use edges::{is_critical, retarget, split_critical_edges, split_edge};

@@ -21,7 +21,7 @@
 //! (caller-saved registers, §2.5); the complement of the blocked segments
 //! are the register's lifetime holes.
 
-use lsra_ir::{BlockId, Function, Inst, MachineSpec, PhysReg, Reg, RegClass, Temp};
+use lsra_ir::{BlockId, Function, Inst, MachineSpec, Reg, RegClass, Temp};
 
 use crate::bitset::BitSet;
 use crate::collections::Csr;
@@ -154,7 +154,6 @@ pub struct Lifetimes {
     block_first: Vec<u32>,
     block_last: Vec<u32>,
     reg_blocked: Vec<Vec<Segment>>,
-    num_int_regs: usize,
     num_insts: u32,
 }
 
@@ -176,14 +175,7 @@ impl Lifetimes {
         scratch: &mut AnalysisScratch,
     ) -> Self {
         let nt = f.num_temps();
-        let num_int = spec.num_regs(RegClass::Int) as usize;
-        let num_float = spec.num_regs(RegClass::Float) as usize;
-        let phys_index = |p: PhysReg| -> usize {
-            match p.class {
-                RegClass::Int => p.index as usize,
-                RegClass::Float => num_int + p.index as usize,
-            }
-        };
+        let nregs = spec.total_regs();
 
         // Global instruction numbering per block.
         let mut block_first = vec![0u32; f.num_blocks()];
@@ -201,7 +193,7 @@ impl Lifetimes {
         // reference rows are not built directly: the pass appends to flat
         // event lists (with per-temp counts), and a counting sort lays the
         // rows out afterwards.
-        let mut reg_blocked: Vec<Vec<Segment>> = vec![Vec::new(); num_int + num_float];
+        let mut reg_blocked: Vec<Vec<Segment>> = vec![Vec::new(); nregs];
         scratch.seg_events.clear();
         scratch.ref_events.clear();
         let seg_events = &mut scratch.seg_events;
@@ -216,7 +208,7 @@ impl Lifetimes {
         scratch.open_t.resize(nt, None);
         let open_t = &mut scratch.open_t;
         scratch.open_r.clear();
-        scratch.open_r.resize(num_int + num_float, None);
+        scratch.open_r.resize(nregs, None);
         let open_r = &mut scratch.open_r;
         scratch.open_r_list.clear();
         let open_r_list = &mut scratch.open_r_list;
@@ -263,7 +255,7 @@ impl Lifetimes {
                 if let Inst::Call { .. } = ins.inst {
                     for class in RegClass::ALL {
                         for p in spec.caller_saved(class) {
-                            let i = phys_index(p);
+                            let i = spec.reg_index(p);
                             match open_r[i] {
                                 Some(_) => {} // already blocked across this point
                                 None => reg_blocked[i].push(Segment::new(rp, wp)),
@@ -289,7 +281,7 @@ impl Lifetimes {
                         }
                     }
                     Reg::Phys(p) => {
-                        let i = phys_index(p);
+                        let i = spec.reg_index(p);
                         match open_r[i].take() {
                             Some(end) => reg_blocked[i].push(Segment::new(wp, end)),
                             None => reg_blocked[i].push(Segment::new(wp, wp)),
@@ -309,7 +301,7 @@ impl Lifetimes {
                         }
                     }
                     Reg::Phys(p) => {
-                        let i = phys_index(p);
+                        let i = spec.reg_index(p);
                         if open_r[i].is_none() {
                             open_r[i] = Some(rp);
                             open_r_list.push(i as u32);
@@ -371,15 +363,7 @@ impl Lifetimes {
             *blocked = merged;
         }
 
-        Lifetimes {
-            segments,
-            refs,
-            block_first,
-            block_last,
-            reg_blocked,
-            num_int_regs: num_int,
-            num_insts,
-        }
+        Lifetimes { segments, refs, block_first, block_last, reg_blocked, num_insts }
     }
 
     /// Convenience constructor that runs the prerequisite analyses.
@@ -398,13 +382,6 @@ impl Lifetimes {
         let (ro, rd) = self.refs.into_parts();
         scratch.ref_offsets = ro;
         scratch.ref_data = rd;
-    }
-
-    fn phys_index(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.num_int_regs + p.index as usize,
-        }
     }
 
     /// The live segments of `t`, in increasing order.
@@ -435,11 +412,12 @@ impl Lifetimes {
         self.refs.row(t.index())
     }
 
-    /// The blocked segments of physical register `p` (precolored values and
-    /// call clobbers), in increasing order, coalesced.
+    /// The blocked segments of the register with dense index `d`
+    /// ([`MachineSpec::reg_index`]): precolored values and call clobbers, in
+    /// increasing order, coalesced.
     #[inline]
-    pub fn blocked(&self, p: PhysReg) -> &[Segment] {
-        &self.reg_blocked[self.phys_index(p)]
+    pub fn blocked(&self, d: usize) -> &[Segment] {
+        &self.reg_blocked[d]
     }
 
     /// The boundary point at the top of block `b`.
@@ -509,17 +487,11 @@ fn csr_from_events<T: Copy>(
 pub fn check_phys_block_local(f: &Function, spec: &MachineSpec) -> bool {
     for b in f.block_ids() {
         let mut defined: Vec<bool> = vec![false; spec.total_regs()];
-        let idx = |p: PhysReg| -> usize {
-            match p.class {
-                RegClass::Int => p.index as usize,
-                RegClass::Float => spec.num_regs(RegClass::Int) as usize + p.index as usize,
-            }
-        };
         let mut ok = true;
         for ins in &f.block(b).insts {
             ins.inst.for_each_use(|r| {
                 if let Reg::Phys(p) = r {
-                    if !defined[idx(p)] {
+                    if !defined[spec.reg_index(p)] {
                         // Upward-exposed physical use: only argument
                         // registers in the entry block may do this.
                         let is_entry_arg =
@@ -532,7 +504,7 @@ pub fn check_phys_block_local(f: &Function, spec: &MachineSpec) -> bool {
             });
             ins.inst.for_each_def(|r| {
                 if let Reg::Phys(p) = r {
-                    defined[idx(p)] = true;
+                    defined[spec.reg_index(p)] = true;
                 }
             });
         }
@@ -684,16 +656,16 @@ mod tests {
         // arg nor ret register is blocked exactly across the call.
         let cs = lsra_ir::PhysReg::int(10);
         assert!(spec.is_caller_saved(cs));
-        let blocked = lt.blocked(cs);
+        let blocked = lt.blocked(spec.reg_index(cs));
         assert_eq!(blocked, &[Segment::new(Point::read(0), Point::write(0))]);
         // A callee-saved register is never blocked.
         let callee = lsra_ir::PhysReg::int(20);
-        assert!(lt.blocked(callee).is_empty());
+        assert!(lt.blocked(spec.reg_index(callee)).is_empty());
         // The return register is blocked twice: from the call's write to the
         // result move's read, and again from the `ret`-value move to the
         // `ret` itself.
         let ret0 = spec.ret_reg(RegClass::Int);
-        let rb = lt.blocked(ret0);
+        let rb = lt.blocked(spec.reg_index(ret0));
         assert_eq!(rb.len(), 2, "blocked: {rb:?}");
         assert_eq!(rb[0], Segment::new(Point::write(0), Point::read(1)));
         assert_eq!(rb[1], Segment::new(Point::write(2), Point::read(3)));

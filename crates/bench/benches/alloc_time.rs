@@ -323,6 +323,10 @@ fn main() {
     //
     // `LSRA_SCALING_MAX_INSTS` caps the largest module measured, so the
     // harness can run quickly (or on slow baselines) without editing code.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a harness budget, not an allocator option: CI's scaling smoke caps the sweep with it"
+    )]
     let max_insts: usize = std::env::var("LSRA_SCALING_MAX_INSTS")
         .ok()
         .and_then(|v| v.parse().ok())

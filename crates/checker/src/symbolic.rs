@@ -17,7 +17,8 @@
 //! * calls empty every caller-saved register and redefine the return-value
 //!   symbols;
 //! * joins intersect (a location holds `t` only if it does on *every*
-//!   incoming path).
+//!   incoming path): the fixpoint is the workspace's one optimistic
+//!   must-dataflow solver, [`lsra_analysis::solve_must`].
 //!
 //! A use of temporary `t` rewritten to register `r` is an error unless `t`
 //! is in `r`'s set. Because the domain distinguishes *which* value a
@@ -33,7 +34,7 @@
 //! instructions plus one untagged `Jump`. Run it *before*
 //! `remove_identity_moves`, like the static check.
 
-use lsra_analysis::{BitSet, Order};
+use lsra_analysis::{solve_must, BitSet, Order};
 use lsra_ir::{BlockId, Function, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, SlotId, Temp};
 
 /// A violation found by [`check_function`].
@@ -84,32 +85,24 @@ impl std::error::Error for CheckError {}
 
 /// Location and symbol numbering.
 ///
-/// Locations are physical registers (integer file, then float file) followed
-/// by spill slots. Symbols are the original temporaries followed by one
-/// symbol per physical register, denoting "the value the original program
-/// most recently placed in that register by convention" (entry arguments,
-/// explicit moves into argument/return registers, call results).
-struct Universe {
-    ni: usize,
-    nregs: usize,
+/// Locations are physical registers ([`MachineSpec::reg_index`] order)
+/// followed by spill slots. Symbols are the original temporaries followed by
+/// one symbol per physical register, denoting "the value the original
+/// program most recently placed in that register by convention" (entry
+/// arguments, explicit moves into argument/return registers, call results).
+struct Universe<'a> {
+    spec: &'a MachineSpec,
     nslots: usize,
     ntemps: usize,
 }
 
-impl Universe {
-    fn loc_reg(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
+impl Universe<'_> {
     fn loc_slot(&self, s: SlotId) -> usize {
-        self.nregs + s.index()
+        self.spec.total_regs() + s.index()
     }
 
     fn num_locs(&self) -> usize {
-        self.nregs + self.nslots
+        self.spec.total_regs() + self.nslots
     }
 
     fn sym_temp(&self, t: Temp) -> usize {
@@ -117,11 +110,11 @@ impl Universe {
     }
 
     fn sym_phys(&self, p: PhysReg) -> usize {
-        self.ntemps + self.loc_reg(p)
+        self.ntemps + self.spec.reg_index(p)
     }
 
     fn num_syms(&self) -> usize {
-        self.ntemps + self.nregs
+        self.ntemps + self.spec.total_regs()
     }
 }
 
@@ -132,7 +125,7 @@ struct Ctx<'a> {
     orig: &'a Function,
     alloc: &'a Function,
     spec: &'a MachineSpec,
-    uni: Universe,
+    uni: Universe<'a>,
 }
 
 impl<'a> Ctx<'a> {
@@ -153,7 +146,7 @@ impl<'a> Ctx<'a> {
         for class in RegClass::ALL {
             for &i in self.spec.arg_regs(class) {
                 let p = PhysReg::new(class, i);
-                st[self.uni.loc_reg(p)].insert(self.uni.sym_phys(p));
+                st[self.spec.reg_index(p)].insert(self.uni.sym_phys(p));
             }
         }
         st
@@ -236,7 +229,7 @@ impl<'a> Ctx<'a> {
                     (self.uni.sym_phys(p), format!("the value of {p}"))
                 }
             };
-            if report && !st[self.uni.loc_reg(q)].contains(sym) {
+            if report && !st[self.spec.reg_index(q)].contains(sym) {
                 return Err(CheckError::WrongValue {
                     func: self.alloc.name.clone(),
                     block: b,
@@ -289,7 +282,7 @@ impl<'a> Ctx<'a> {
                 // The moved value *is* the redefined symbol's new value, so
                 // claims on the source location remain true; stale claims
                 // everywhere else die.
-                let src_loc = self.uni.loc_reg(*qs);
+                let src_loc = self.spec.reg_index(*qs);
                 for (l, set) in st.iter_mut().enumerate() {
                     if l != src_loc {
                         set.remove(d);
@@ -297,12 +290,12 @@ impl<'a> Ctx<'a> {
                 }
                 let mut nd = st[src_loc].clone();
                 nd.insert(d);
-                st[self.uni.loc_reg(*qd)] = nd;
+                st[self.spec.reg_index(*qd)] = nd;
             }
             (Inst::Call { .. }, Inst::Call { ret_regs, .. }) => {
                 for class in RegClass::ALL {
                     for p in self.spec.caller_saved(class) {
-                        st[self.uni.loc_reg(p)].clear();
+                        st[self.spec.reg_index(p)].clear();
                     }
                 }
                 for &r in ret_regs {
@@ -310,7 +303,7 @@ impl<'a> Ctx<'a> {
                     for set in st.iter_mut() {
                         set.remove(s);
                     }
-                    let l = self.uni.loc_reg(r);
+                    let l = self.spec.reg_index(r);
                     st[l].clear();
                     st[l].insert(s);
                 }
@@ -327,7 +320,7 @@ impl<'a> Ctx<'a> {
                         for set in st.iter_mut() {
                             set.remove(d);
                         }
-                        let l = self.uni.loc_reg(q);
+                        let l = self.spec.reg_index(q);
                         st[l].clear();
                         st[l].insert(d);
                     }
@@ -351,19 +344,19 @@ impl<'a> Ctx<'a> {
     ) -> Result<(), CheckError> {
         match ai {
             Inst::Mov { dst: Reg::Phys(d), src: Reg::Phys(s) } => {
-                st[self.uni.loc_reg(*d)] = st[self.uni.loc_reg(*s)].clone();
+                st[self.spec.reg_index(*d)] = st[self.spec.reg_index(*s)].clone();
             }
             Inst::SpillLoad { dst: Reg::Phys(d), temp } => {
                 let slot = self.alloc.spill_slots[temp.index()].ok_or_else(|| {
                     self.mismatch(b, i, format!("spill load of {temp} which has no slot"))
                 })?;
-                st[self.uni.loc_reg(*d)] = st[self.uni.loc_slot(slot)].clone();
+                st[self.spec.reg_index(*d)] = st[self.uni.loc_slot(slot)].clone();
             }
             Inst::SpillStore { src: Reg::Phys(s), temp } => {
                 let slot = self.alloc.spill_slots[temp.index()].ok_or_else(|| {
                     self.mismatch(b, i, format!("spill store of {temp} which has no slot"))
                 })?;
-                st[self.uni.loc_slot(slot)] = st[self.uni.loc_reg(*s)].clone();
+                st[self.uni.loc_slot(slot)] = st[self.spec.reg_index(*s)].clone();
             }
             other => {
                 return Err(self.mismatch(
@@ -420,46 +413,6 @@ impl<'a> Ctx<'a> {
         }
         Ok(())
     }
-
-    /// The block's IN state: the entry convention for block 0, otherwise the
-    /// intersection of every computed reachable predecessor's OUT state
-    /// (TOP, all symbols everywhere, when nothing is computed yet).
-    fn in_state(
-        &self,
-        b: BlockId,
-        preds: &[Vec<BlockId>],
-        order: &Order,
-        outs: &[Option<State>],
-        entry: &State,
-    ) -> State {
-        if b == self.alloc.entry() {
-            return entry.clone();
-        }
-        let mut acc: Option<State> = None;
-        for &p in &preds[b.index()] {
-            if !order.is_reachable(p) {
-                continue;
-            }
-            let Some(out) = &outs[p.index()] else { continue };
-            match &mut acc {
-                None => acc = Some(out.clone()),
-                Some(a) => {
-                    for (x, y) in a.iter_mut().zip(out) {
-                        x.intersect_with(y);
-                    }
-                }
-            }
-        }
-        acc.unwrap_or_else(|| {
-            (0..self.uni.num_locs())
-                .map(|_| {
-                    let mut s = BitSet::new(self.uni.num_syms());
-                    s.fill();
-                    s
-                })
-                .collect()
-        })
-    }
 }
 
 /// Symbolically checks one allocated function against its pre-allocation
@@ -506,41 +459,23 @@ pub fn check_function(
         });
     }
     let uni = Universe {
-        ni: spec.num_regs(RegClass::Int) as usize,
-        nregs: spec.total_regs(),
+        spec,
         nslots: alloc.num_slots as usize,
         ntemps: orig.num_temps().max(alloc.num_temps()),
     };
     let ctx = Ctx { orig, alloc, spec, uni };
     let order = Order::compute(alloc);
-    let preds = alloc.compute_preds();
-    let entry = ctx.entry_state();
-    let mut outs: Vec<Option<State>> = vec![None; alloc.num_blocks()];
+    let visit: Vec<BlockId> = alloc.block_ids().filter(|&b| order.is_reachable(b)).collect();
+    let mut all = BitSet::new(ctx.uni.num_syms());
+    all.fill();
+    let top: State = vec![all; ctx.uni.num_locs()];
     // Optimistic fixpoint: run effects to convergence first (spurious
     // optimism can only over-fill sets, never report false errors once
     // stable), then one reporting pass over the stable IN states.
-    loop {
-        let mut changed = false;
-        for b in alloc.block_ids() {
-            if !order.is_reachable(b) {
-                continue;
-            }
-            let mut st = ctx.in_state(b, &preds, &order, &outs, &entry);
-            ctx.step_block(b, &mut st, false)?;
-            if outs[b.index()].as_ref() != Some(&st) {
-                outs[b.index()] = Some(st);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for b in alloc.block_ids() {
-        if !order.is_reachable(b) {
-            continue;
-        }
-        let mut st = ctx.in_state(b, &preds, &order, &outs, &entry);
+    let sol =
+        solve_must(alloc, &visit, &ctx.entry_state(), &top, |b, st| ctx.step_block(b, st, false))?;
+    for &b in &visit {
+        let mut st = sol.ins[b.index()].clone().expect("visited block has an IN state");
         ctx.step_block(b, &mut st, true)?;
     }
     Ok(())

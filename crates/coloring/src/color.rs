@@ -160,13 +160,6 @@ impl<'a> Round<'a> {
         if u == v {
             return;
         }
-        if let Some(watch) =
-            std::env::var("LSRA_DEBUG_NODE").ok().and_then(|x| x.parse::<u32>().ok())
-        {
-            if u == watch || v == watch {
-                eprintln!("EDGE {u} -- {v}");
-            }
-        }
         let (ui, vi) = (u as usize, v as usize);
         if self.state[ui] == NodeState::Precolored && self.state[vi] == NodeState::Precolored {
             return;
@@ -530,13 +523,6 @@ impl<'a> Round<'a> {
                     ok[c as usize] = false;
                 }
             }
-            if let Some(watch) =
-                std::env::var("LSRA_DEBUG_NODE").ok().and_then(|x| x.parse::<u32>().ok())
-            {
-                if n == watch {
-                    eprintln!("ASSIGN node {n}: ok={ok:?} adj={:?}", self.adj_list[n as usize]);
-                }
-            }
             match ok.iter().position(|&b| b) {
                 Some(c) => {
                     self.state[n as usize] = NodeState::Colored;
@@ -552,13 +538,6 @@ impl<'a> Round<'a> {
             if self.state[n as usize] == NodeState::Coalesced {
                 let a = self.get_alias(n);
                 color[n as usize] = color[a as usize];
-                if let Some(watch) =
-                    std::env::var("LSRA_DEBUG_NODE").ok().and_then(|x| x.parse::<u32>().ok())
-                {
-                    if n == watch {
-                        eprintln!("COALESCED node {n} -> alias {a}, color {:?}", color[n as usize]);
-                    }
-                }
             }
         }
         let spilled: Vec<Temp> =

@@ -62,6 +62,7 @@ pub use config::{BinpackConfig, ConsistencyMode};
 pub use lsra_trace::NoopSink;
 pub use parallel_move::{sequentialize, sequentialize_into, EdgeOp};
 pub use postopt::{optimize_spill_code, PostOptStats};
+pub use resolve::{ensure_slot, EdgeRepair};
 pub use scratch::AllocScratch;
 pub use stats::{AllocStats, AllocTimings, Phase, RegisterAllocator, PHASE_NAMES};
 

@@ -21,8 +21,6 @@
 //! span?" through a forward-only [`IntervalCursor`] rather than a binary
 //! search per query.
 
-use std::ops::Range;
-
 use lsra_analysis::{IntervalCursor, IntervalMap, Lifetimes, Point, Segment, SmallVec};
 use lsra_ir::{Function, Ins, Inst, MachineSpec, PhysReg, Reg, RegClass, SpillTag, Temp};
 use lsra_trace::{TraceEvent, TraceSink};
@@ -42,12 +40,12 @@ pub struct PointScratch {
 
 /// Per-register occupancy of a whole-lifetime allocation in progress.
 ///
-/// Registers are indexed densely: integer registers first, then float.
+/// Registers are indexed densely ([`MachineSpec::reg_index`]).
 /// Precolored blocks (call clobbers, fixed operands) occupy their registers
 /// with owner `None` from the start.
 #[derive(Debug)]
-pub struct Occupancy {
-    ni: usize,
+pub struct Occupancy<'a> {
+    spec: &'a MachineSpec,
     regs: Vec<IntervalMap>,
     /// One forward-only cursor per register, rewound by each sweep.
     cursors: Vec<IntervalCursor>,
@@ -55,13 +53,13 @@ pub struct Occupancy {
     spilled: Vec<bool>,
 }
 
-impl Occupancy {
+impl<'a> Occupancy<'a> {
     /// Empty registers (apart from `lt`'s precolored blocks) for `f`'s
     /// temporaries, built in `scratch`'s recycled maps.
     pub fn new(
         f: &Function,
         lt: &Lifetimes,
-        spec: &MachineSpec,
+        spec: &'a MachineSpec,
         scratch: &mut PointScratch,
     ) -> Self {
         let nregs = spec.total_regs();
@@ -70,42 +68,18 @@ impl Occupancy {
         regs.iter_mut().for_each(IntervalMap::clear);
         regs.resize(nregs, IntervalMap::new());
         let mut occ = Occupancy {
-            ni: spec.num_regs(RegClass::Int) as usize,
+            spec,
             regs,
             cursors: vec![IntervalCursor::default(); nregs],
             assigned: vec![None; f.num_temps()],
             spilled: vec![false; f.num_temps()],
         };
         for d in 0..nregs {
-            for &s in lt.blocked(occ.phys(d)) {
+            for &s in lt.blocked(d) {
                 occ.regs[d].insert(s.start.0, s.end.0, None);
             }
         }
         occ
-    }
-
-    /// The register with dense index `d`.
-    pub(crate) fn phys(&self, d: usize) -> PhysReg {
-        if d < self.ni {
-            PhysReg::int(d as u8)
-        } else {
-            PhysReg::float((d - self.ni) as u8)
-        }
-    }
-
-    fn dense(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
-    /// Dense indices of the registers of `class`.
-    pub fn class_range(&self, class: RegClass) -> Range<usize> {
-        match class {
-            RegClass::Int => 0..self.ni,
-            RegClass::Float => self.ni..self.regs.len(),
-        }
     }
 
     /// The occupied intervals of register `d`.
@@ -130,7 +104,7 @@ impl Occupancy {
         end: u32,
         fits: impl Fn(&IntervalMap) -> bool,
     ) -> Option<usize> {
-        let mut range = self.class_range(class);
+        let mut range = self.spec.reg_indices(class);
         let Occupancy { regs, cursors, .. } = self;
         range.find(|&d| !regs[d].overlaps_from(&mut cursors[d], start, end) && fits(&regs[d]))
     }
@@ -147,13 +121,13 @@ impl Occupancy {
         for s in segments {
             self.regs[d].insert(s.start.0, s.end.0, Some(t));
         }
-        self.assigned[t.index()] = Some(self.phys(d));
+        self.assigned[t.index()] = Some(self.spec.reg_at(d));
     }
 
     /// Sends `t` to memory for its whole lifetime, releasing its register.
     pub fn unassign(&mut self, t: Temp) {
         if let Some(p) = self.assigned[t.index()].take() {
-            let d = self.dense(p);
+            let d = self.spec.reg_index(p);
             self.regs[d].remove_owner(t);
             self.regs[d].reset_cursor(&mut self.cursors[d]);
         }
@@ -173,7 +147,7 @@ impl Occupancy {
 
     /// True if at least `need` registers of `class` are free at `gi`.
     fn has_free(&mut self, class: RegClass, gi: u32, need: usize) -> bool {
-        let free = self.class_range(class).filter(|&d| self.owner_over(d, gi).is_none());
+        let free = self.spec.reg_indices(class).filter(|&d| self.owner_over(d, gi).is_none());
         free.take(need).count() == need
     }
 
@@ -181,11 +155,11 @@ impl Occupancy {
     /// over instruction `gi`'s span, moving the bound down to it: successive
     /// calls hand out the free registers from the top of each class.
     fn scratch_reg(&mut self, class: RegClass, gi: u32, below: &mut [usize; 2]) -> PhysReg {
-        let (lo, next) = (self.class_range(class).start, &mut below[class.index()]);
+        let (lo, next) = (self.spec.reg_indices(class).start, &mut below[class.index()]);
         while *next > lo {
             *next -= 1;
             if self.owner_over(*next, gi).is_none() {
-                return self.phys(*next);
+                return self.spec.reg_at(*next);
             }
         }
         panic!("no scratch register at instruction {gi} (class {class})")
@@ -195,7 +169,7 @@ impl Occupancy {
     /// (the classic "furthest end" heuristic), lowest register on ties.
     fn victim_at(&mut self, lt: &Lifetimes, class: RegClass, gi: u32) -> Option<Temp> {
         let mut best: Option<(u32, Temp)> = None;
-        for d in self.class_range(class) {
+        for d in self.spec.reg_indices(class) {
             if let Some(Some(t)) = self.owner_over(d, gi) {
                 let len = lt.lifetime(t).map_or(0, |s| s.end.0 - s.start.0);
                 if best.is_none_or(|(l, _)| len > l) {
@@ -328,7 +302,7 @@ impl Occupancy {
                         def_temp = Some(t);
                     }
                 });
-                let mut below = RegClass::ALL.map(|c| self.class_range(c).end);
+                let mut below = RegClass::ALL.map(|c| self.spec.reg_indices(c).end);
                 scratch_of.clear();
                 // Loads for spilled sources.
                 for &t in src_temps.iter() {

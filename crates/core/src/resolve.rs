@@ -17,7 +17,7 @@
 //! bits here.
 
 use lsra_analysis::{BitSet, Liveness};
-use lsra_ir::{BlockId, Function, PhysReg, Temp};
+use lsra_ir::{BlockId, Function, Ins, Inst, PhysReg, SpillTag, Temp};
 use lsra_trace::{ResolveOp, TraceEvent, TraceSink};
 
 use crate::config::{BinpackConfig, ConsistencyMode};
@@ -30,12 +30,107 @@ fn reg_of(map: &[(Temp, PhysReg)], t: Temp) -> Option<PhysReg> {
     map.binary_search_by_key(&t, |&(x, _)| x).ok().map(|i| map[i].1)
 }
 
+/// Gives `t` a spill slot, counting it in `stats.spilled_temps` the first
+/// time.
+pub fn ensure_slot(f: &mut Function, t: Temp, stats: &mut AllocStats) {
+    if f.spill_slots[t.index()].is_none() {
+        stats.spilled_temps += 1;
+    }
+    f.slot_for(t);
+}
+
 /// True if the block's terminator reads no register, so code may be placed
 /// immediately before it.
 fn terminator_is_placement_safe(f: &Function, b: BlockId) -> bool {
     let mut uses = 0;
     f.block(b).terminator().for_each_use(|_| uses += 1);
     uses == 0
+}
+
+/// The §2.4 edge repair shared by every allocator whose locations can
+/// disagree across a CFG edge, with its reusable buffers: keep one per
+/// worker so repairing allocates nothing per edge.
+#[derive(Debug, Default)]
+pub struct EdgeRepair {
+    edges: Vec<(BlockId, BlockId)>,
+    pred_count: Vec<u32>,
+    ops: Vec<EdgeOp>,
+    seq: Vec<(Inst, SpillTag)>,
+    spilled: Vec<Temp>,
+}
+
+impl EdgeRepair {
+    /// Repairs every CFG edge `p → s` of `f`. `build(p, s, ops, sink)`
+    /// pushes the location fixes the edge needs (tracing them as it likes);
+    /// this routine does the rest:
+    ///
+    /// * sequences the fixes as one parallel copy, sending a register cycle
+    ///   through one temporary's memory home (traced as `CycleBreak`);
+    /// * gives every temporary that passes through memory a spill slot
+    ///   ([`ensure_slot`]) and counts every inserted instruction;
+    /// * places the code at the top of `s` if `p` is its only predecessor,
+    ///   else at the bottom of `p` if `s` is its only successor and `p`'s
+    ///   terminator reads no register, else in a new block splitting the
+    ///   edge (footnote 1 of the paper).
+    ///
+    /// Edges are taken from `f` before any split, in block order.
+    pub fn run(
+        &mut self,
+        f: &mut Function,
+        stats: &mut AllocStats,
+        sink: &mut dyn TraceSink,
+        mut build: impl FnMut(BlockId, BlockId, &mut Vec<EdgeOp>, &mut dyn TraceSink),
+    ) {
+        let EdgeRepair { edges, pred_count, ops, seq, spilled } = self;
+        // Placement only asks whether a successor has exactly one
+        // predecessor, so a count per block replaces predecessor lists.
+        edges.clear();
+        pred_count.clear();
+        pred_count.resize(f.num_blocks(), 0);
+        for p in f.block_ids() {
+            for s in f.succs(p) {
+                edges.push((p, s));
+                pred_count[s.index()] += 1;
+            }
+        }
+        for &(p, s) in edges.iter() {
+            ops.clear();
+            build(p, s, ops, sink);
+            if ops.is_empty() {
+                continue;
+            }
+            spilled.clear();
+            seq.clear();
+            sequentialize_into(ops, seq, |t| spilled.push(t));
+            if sink.enabled() {
+                for &t in spilled.iter() {
+                    let op = ResolveOp::CycleBreak { temp: t };
+                    sink.event(&TraceEvent::EdgeOp { pred: p, succ: s, op });
+                }
+            }
+            let through_memory = ops.iter().filter_map(|o| match o {
+                EdgeOp::Store { temp, .. } | EdgeOp::Load { temp, .. } => Some(*temp),
+                EdgeOp::Move { .. } => None,
+            });
+            for t in through_memory.chain(spilled.iter().copied()) {
+                ensure_slot(f, t, stats);
+            }
+            for (_, tag) in seq.iter() {
+                stats.record_insert(*tag);
+            }
+            let insns = seq.drain(..).map(|(inst, tag)| Ins::tagged(inst, tag));
+            if pred_count[s.index()] == 1 {
+                f.block_mut(s).insts.splice(0..0, insns);
+            } else if f.succs(p).len() == 1 && terminator_is_placement_safe(f, p) {
+                let blk = f.block_mut(p);
+                let at = blk.insts.len() - 1;
+                blk.insts.splice(at..at, insns);
+            } else {
+                let split = lsra_analysis::split_edge(f, p, s);
+                f.block_mut(split).insts.splice(0..0, insns);
+            }
+        }
+    }
 }
 
 pub(crate) fn resolve(
@@ -50,21 +145,6 @@ pub(crate) fn resolve(
     let mut timer = PhaseTimer::new(cfg.time_phases);
     let nb = scan.top_map.rows();
     let ng = live.num_globals();
-    // Sampled once: `env::var_os` walks the process environment, too slow
-    // for the per-(edge, temp) loop below.
-    let debug = std::env::var_os("LSRA_DEBUG").is_some();
-
-    // Snapshot the original edges; splitting will append blocks. Placement
-    // only asks whether a successor has exactly one predecessor, so a count
-    // per block replaces the full predecessor lists.
-    let mut edges: Vec<(BlockId, BlockId)> = Vec::new();
-    let mut pred_count = vec![0u32; nb];
-    for b in 0..nb {
-        for s in f.succs(BlockId(b as u32)) {
-            edges.push((BlockId(b as u32), s));
-            pred_count[s.index()] += 1;
-        }
-    }
 
     // GEN sets: the scan's eviction-suppression reliances, plus the
     // resolution edge-store omissions computed below (a temporary kept
@@ -73,17 +153,19 @@ pub(crate) fn resolve(
     let mut used_c_in: Vec<BitSet> = scan.used_consistency.clone();
     timer.mark_traced(stats, Phase::Resolve, sink);
     if cfg.consistency == ConsistencyMode::Iterative {
-        for &(p, s) in &edges {
-            for g in live.live_in(s).iter() {
-                let t = live.temp_of(g);
-                let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
-                let loc_s = reg_of(scan.top_map.row(s.index()), t);
-                if loc_p.is_some()
-                    && loc_s.is_none()
-                    && scan.consistent_bottom[p.index()].contains(g)
-                    && !scan.wrote_tr[p.index()].contains(g)
-                {
-                    used_c_in[p.index()].insert(g);
+        for p in f.block_ids() {
+            for s in f.succs(p) {
+                for g in live.live_in(s).iter() {
+                    let t = live.temp_of(g);
+                    let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
+                    let loc_s = reg_of(scan.top_map.row(s.index()), t);
+                    if loc_p.is_some()
+                        && loc_s.is_none()
+                        && scan.consistent_bottom[p.index()].contains(g)
+                        && !scan.wrote_tr[p.index()].contains(g)
+                    {
+                        used_c_in[p.index()].insert(g);
+                    }
                 }
             }
         }
@@ -100,13 +182,7 @@ pub(crate) fn resolve(
     }
     timer.mark_traced(stats, Phase::Consistency, sink);
 
-    // Process each edge; `ops`, `seq`, and `spilled` are the scratch
-    // arena's reusable edge buffers.
-    let mut ops = std::mem::take(&mut scratch.edge_ops);
-    let mut seq = std::mem::take(&mut scratch.edge_insns);
-    let mut spilled = std::mem::take(&mut scratch.edge_spilled);
-    for (p, s) in edges {
-        ops.clear();
+    scratch.edge.run(f, stats, sink, |p, s, ops, sink| {
         for g in live.live_in(s).iter() {
             let t = live.temp_of(g);
             let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
@@ -166,62 +242,7 @@ pub(crate) fn resolve(
                     sink.event(&TraceEvent::EdgeOp { pred: p, succ: s, op });
                 }
             }
-            if debug && (loc_p.is_some() || loc_s.is_some()) {
-                eprintln!(
-                    "EDGE {p}->{s} {t}: p={loc_p:?} s={loc_s:?} consistent_p={consistent_p} store={store}"
-                );
-            }
         }
-        if ops.is_empty() {
-            continue;
-        }
-        spilled.clear();
-        seq.clear();
-        sequentialize_into(&ops, &mut seq, |t| spilled.push(t));
-        if sink.enabled() {
-            // Swap-cycle breaks: the parallel copy had a register cycle and
-            // `t` went through its memory home instead of a spare register.
-            for &t in &spilled {
-                let op = ResolveOp::CycleBreak { temp: t };
-                sink.event(&TraceEvent::EdgeOp { pred: p, succ: s, op });
-            }
-        }
-        for t in ops.iter().filter_map(|o| match o {
-            EdgeOp::Store { temp, .. } | EdgeOp::Load { temp, .. } => Some(*temp),
-            EdgeOp::Move { .. } => None,
-        }) {
-            if f.spill_slots[t.index()].is_none() {
-                stats.spilled_temps += 1;
-            }
-            f.slot_for(t);
-        }
-        for &t in &spilled {
-            if f.spill_slots[t.index()].is_none() {
-                stats.spilled_temps += 1;
-            }
-            f.slot_for(t);
-        }
-        for (_, tag) in &seq {
-            stats.record_insert(*tag);
-        }
-        let insns = seq.drain(..).map(|(inst, tag)| lsra_ir::Ins::tagged(inst, tag));
-
-        // Placement (§2.4, footnote 1).
-        if pred_count[s.index()] == 1 {
-            let blk = f.block_mut(s);
-            blk.insts.splice(0..0, insns);
-        } else if f.succs(p).len() == 1 && terminator_is_placement_safe(f, p) {
-            let blk = f.block_mut(p);
-            let at = blk.insts.len() - 1;
-            blk.insts.splice(at..at, insns);
-        } else {
-            let nb2 = lsra_analysis::split_edge(f, p, s);
-            let blk = f.block_mut(nb2);
-            blk.insts.splice(0..0, insns);
-        }
-    }
-    scratch.edge_ops = ops;
-    scratch.edge_insns = seq;
-    scratch.edge_spilled = spilled;
+    });
     timer.mark_traced(stats, Phase::Resolve, sink);
 }

@@ -60,7 +60,7 @@ pub(crate) struct Scanner<'a> {
     lt: &'a Lifetimes,
     cfg: BinpackConfig,
     stats: &'a mut AllocStats,
-    ni: usize,
+    spec: &'a MachineSpec,
     occupant: Vec<Option<Temp>>,
     loc: Vec<Loc>,
     consistent: Vec<bool>,
@@ -90,9 +90,6 @@ pub(crate) struct Scanner<'a> {
     pending_owner: Vec<Option<Temp>>,
     /// Per-block live-in staging buffer (reused across blocks).
     live_in: Vec<Temp>,
-    /// `LSRA_DEBUG` sampled once per function: `env::var_os` walks the
-    /// whole process environment, far too slow to query per instruction.
-    debug: bool,
     /// Precolored-blocked segment starts over all registers, sorted by
     /// `(start, register)`; `sweep` consumes them through `event_cur` so the
     /// per-instruction cost is one bounds-checked compare instead of a walk
@@ -161,7 +158,6 @@ impl<'a> Scanner<'a> {
         scratch: &'a mut AllocScratch,
         sink: &'a mut dyn TraceSink,
     ) -> Self {
-        let ni = spec.num_regs(RegClass::Int) as usize;
         let nregs = spec.total_regs();
         let nt = f.num_temps();
         let nb = f.num_blocks();
@@ -208,13 +204,12 @@ impl<'a> Scanner<'a> {
         let mut blocked_events = std::mem::take(&mut scratch.blocked_events);
         blocked_events.clear();
         for d in 0..nregs {
-            let p = if d < ni { PhysReg::int(d as u8) } else { PhysReg::float((d - ni) as u8) };
-            if !lt.blocked(p).is_empty() {
+            if !lt.blocked(d).is_empty() {
                 // A precolored block means the register's hole is never the
                 // trivial (INF, INF): it must always be probed.
                 interesting[d / 64] |= 1u64 << (d % 64);
             }
-            for s in lt.blocked(p) {
+            for s in lt.blocked(d) {
                 blocked_events.push((s.start, d as u32));
             }
         }
@@ -232,7 +227,7 @@ impl<'a> Scanner<'a> {
             lt,
             cfg,
             stats,
-            ni,
+            spec,
             occupant,
             loc,
             consistent,
@@ -246,7 +241,6 @@ impl<'a> Scanner<'a> {
             cur_top: Point(0),
             pending_owner,
             live_in,
-            debug: std::env::var_os("LSRA_DEBUG").is_some(),
             blocked_events,
             event_cur: 0,
             unblocked_cache,
@@ -257,30 +251,6 @@ impl<'a> Scanner<'a> {
             scratch,
             sink,
             out: ScanOutput { top_map, bottom_map, consistent_bottom, used_consistency, wrote_tr },
-        }
-    }
-
-    #[inline]
-    fn dense(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
-    #[inline]
-    fn phys(&self, d: usize) -> PhysReg {
-        if d < self.ni {
-            PhysReg::int(d as u8)
-        } else {
-            PhysReg::float((d - self.ni) as u8)
-        }
-    }
-
-    fn class_range(&self, class: RegClass) -> std::ops::Range<usize> {
-        match class {
-            RegClass::Int => 0..self.ni,
-            RegClass::Float => self.ni..self.occupant.len(),
         }
     }
 
@@ -347,7 +317,7 @@ impl<'a> Scanner<'a> {
         if lo <= p && p <= hi {
             return ans;
         }
-        let blocked = self.lt.blocked(self.phys(d));
+        let blocked = self.lt.blocked(d);
         let c = &mut self.blk_cur[d];
         while *c < blocked.len() && blocked[*c].end < p {
             *c += 1;
@@ -438,10 +408,7 @@ impl<'a> Scanner<'a> {
         self.free_candidates[d / 64] |= 1u64 << (d % 64);
         self.interesting[d / 64] |= 1u64 << (d % 64);
         if let Some(o) = self.occupant[d] {
-            if o != t && self.loc[o.index()] == Loc::Reg(self.phys(d)) {
-                if self.debug {
-                    eprintln!("DISPLACE {o} from {} by {t}", self.phys(d));
-                }
+            if o != t && self.loc[o.index()] == Loc::Reg(self.spec.reg_at(d)) {
                 self.loc[o.index()] = Loc::None;
                 self.last_reg[o.index()] = Some(d);
                 // The displaced owner becomes (or stays) the register's
@@ -465,7 +432,7 @@ impl<'a> Scanner<'a> {
             }
         }
         self.occupant[d] = Some(t);
-        self.loc[t.index()] = Loc::Reg(self.phys(d));
+        self.loc[t.index()] = Loc::Reg(self.spec.reg_at(d));
         self.last_reg[t.index()] = None;
         if self.pending_owner[d] == Some(t) {
             self.pending_owner[d] = None;
@@ -510,7 +477,7 @@ impl<'a> Scanner<'a> {
             self.hole_expiry.pop();
             self.free_candidates[d as usize / 64] |= 1u64 << (d % 64);
         }
-        let range = self.class_range(class);
+        let range = self.spec.reg_indices(class);
         // Only registers *with history* (see `interesting`) are probed
         // individually: a clear bit proves the trivial hole (INF, INF), and
         // under the tier rules every virgin register lands in tier 0 with
@@ -638,7 +605,7 @@ impl<'a> Scanner<'a> {
                 ];
                 let ev = TraceEvent::Assign {
                     temp: t,
-                    reg: self.phys(d),
+                    reg: self.spec.reg_at(d),
                     at,
                     tier: TIERS[tier],
                     free_until,
@@ -675,7 +642,7 @@ impl<'a> Scanner<'a> {
         self.occupant[d] = None;
         // The register is vacated: void any standing not-free proof.
         self.free_candidates[d / 64] |= 1u64 << (d % 64);
-        if self.loc[u.index()] != Loc::Reg(self.phys(d)) {
+        if self.loc[u.index()] != Loc::Reg(self.spec.reg_at(d)) {
             return; // stale occupancy of a dead or displaced temp
         }
         self.stats.evictions += 1;
@@ -690,7 +657,7 @@ impl<'a> Scanner<'a> {
             self.loc[u.index()] = Loc::None;
             if self.sink.enabled() {
                 let ev = TraceEvent::Evict {
-                    reg: self.phys(d),
+                    reg: self.spec.reg_at(d),
                     temp: u,
                     at,
                     convention,
@@ -719,7 +686,7 @@ impl<'a> Scanner<'a> {
             let want_end = self.lifetime_end(u);
             let class = self.f.temp_class(u);
             let mut found: Option<(Point, usize)> = None;
-            for d2 in self.class_range(class) {
+            for d2 in self.spec.reg_indices(class) {
                 if d2 == d || pinned.contains(&d2) {
                     // `pinned` holds the registers feeding the current
                     // instruction: a move emitted before it must not
@@ -736,17 +703,20 @@ impl<'a> Scanner<'a> {
             }
             if let Some((_, d2)) = found {
                 pre.push(Ins::tagged(
-                    Inst::Mov { dst: Reg::Phys(self.phys(d2)), src: Reg::Phys(self.phys(d)) },
+                    Inst::Mov {
+                        dst: Reg::Phys(self.spec.reg_at(d2)),
+                        src: Reg::Phys(self.spec.reg_at(d)),
+                    },
                     SpillTag::EvictMove,
                 ));
                 self.stats.record_insert(SpillTag::EvictMove);
                 if self.sink.enabled() {
                     let ev = TraceEvent::Evict {
-                        reg: self.phys(d),
+                        reg: self.spec.reg_at(d),
                         temp: u,
                         at,
                         convention,
-                        action: EvictAction::EarlyMove(self.phys(d2)),
+                        action: EvictAction::EarlyMove(self.spec.reg_at(d2)),
                     };
                     self.sink.event(&ev);
                 }
@@ -757,7 +727,7 @@ impl<'a> Scanner<'a> {
         if needs_store {
             self.ensure_slot(u);
             pre.push(Ins::tagged(
-                Inst::SpillStore { src: Reg::Phys(self.phys(d)), temp: u },
+                Inst::SpillStore { src: Reg::Phys(self.spec.reg_at(d)), temp: u },
                 SpillTag::EvictStore,
             ));
             self.stats.record_insert(SpillTag::EvictStore);
@@ -765,7 +735,8 @@ impl<'a> Scanner<'a> {
         if self.sink.enabled() {
             let action =
                 if needs_store { EvictAction::Stored } else { EvictAction::StoreSuppressed };
-            let ev = TraceEvent::Evict { reg: self.phys(d), temp: u, at, convention, action };
+            let ev =
+                TraceEvent::Evict { reg: self.spec.reg_at(d), temp: u, at, convention, action };
             self.sink.event(&ev);
         }
         self.loc[u.index()] = Loc::Mem;
@@ -806,7 +777,7 @@ impl<'a> Scanner<'a> {
         // distances included); only built when a sink is listening.
         let mut candidates: Vec<SpillCandidate> = Vec::new();
         let tracing = self.sink.enabled();
-        for d in self.class_range(class) {
+        for d in self.spec.reg_indices(class) {
             if exclude.contains(&d) {
                 continue;
             }
@@ -834,7 +805,7 @@ impl<'a> Scanner<'a> {
             };
             if tracing {
                 candidates.push(SpillCandidate {
-                    reg: self.phys(d),
+                    reg: self.spec.reg_at(d),
                     occupant: u,
                     next_ref,
                     weight,
@@ -850,7 +821,7 @@ impl<'a> Scanner<'a> {
                 for_temp: t,
                 at,
                 candidates,
-                chosen: best.map(|(_, d)| self.phys(d)),
+                chosen: best.map(|(_, d)| self.spec.reg_at(d)),
             };
             self.sink.event(&ev);
         }
@@ -881,7 +852,7 @@ impl<'a> Scanner<'a> {
             .unwrap_or_else(|| {
                 let class = self.f.temp_class(t);
                 let mut detail = String::new();
-                for d in self.class_range(class) {
+                for d in self.spec.reg_indices(class) {
                     let occ = self.occupant[d];
                     let occ_live = occ.map(|u| self.temp_live_at(u, at));
                     let occ_next_ref = occ.and_then(|u| self.next_ref(u, at)).map(|r| r.point);
@@ -889,13 +860,13 @@ impl<'a> Scanner<'a> {
                     let hole = self.reg_hole(d, at, t);
                     detail.push_str(&format!(
                         "\n  {}: occupant={:?} (live={:?} next_ref={:?} loc={:?}) pending={:?} blocked@cursor={:?} hole={:?}",
-                        self.phys(d),
+                        self.spec.reg_at(d),
                         occ,
                         occ_live,
                         occ_next_ref,
                         occ_loc,
                         self.pending_owner[d],
-                        self.lt.blocked(self.phys(d)).get(self.blk_cur[d]),
+                        self.lt.blocked(d).get(self.blk_cur[d]),
                         hole,
                     ));
                 }
@@ -905,7 +876,7 @@ impl<'a> Scanner<'a> {
                      the current instruction{detail}"
                 )
             });
-        self.phys(d)
+        self.spec.reg_at(d)
     }
 
     /// Convention sweep: before each instruction, evict temporaries from
@@ -939,7 +910,7 @@ impl<'a> Scanner<'a> {
             if self.occupant[d].is_none() {
                 continue;
             }
-            let blocked = self.lt.blocked(self.phys(d));
+            let blocked = self.lt.blocked(d);
             let mut c = self.blk_cur[d];
             // Peek without disturbing the cursor past live segments.
             while c < blocked.len() && blocked[c].end < threshold {
@@ -968,8 +939,8 @@ impl<'a> Scanner<'a> {
         let rp = Point::read(gi);
         match self.loc[t.index()] {
             Loc::Reg(r) => {
-                debug_assert_eq!(self.occupant[self.dense(r)], Some(t));
-                exclude.push(self.dense(r));
+                debug_assert_eq!(self.occupant[self.spec.reg_index(r)], Some(t));
+                exclude.push(self.spec.reg_index(r));
                 r
             }
             Loc::Mem | Loc::None => {
@@ -990,7 +961,7 @@ impl<'a> Scanner<'a> {
                 // A reload makes register and memory home consistent.
                 self.consistent[t.index()] = true;
                 self.wrote_local.insert(t.index()); // the reload wrote r
-                exclude.push(self.dense(r));
+                exclude.push(self.spec.reg_index(r));
                 r
             }
         }
@@ -1007,7 +978,7 @@ impl<'a> Scanner<'a> {
         let wp = Point::write(gi);
         let r = match self.loc[t.index()] {
             Loc::Reg(r) => {
-                debug_assert_eq!(self.occupant[self.dense(r)], Some(t));
+                debug_assert_eq!(self.occupant[self.spec.reg_index(r)], Some(t));
                 r
             }
             Loc::Mem | Loc::None => {
@@ -1023,7 +994,7 @@ impl<'a> Scanner<'a> {
         };
         self.consistent[t.index()] = false; // register now ahead of memory
         self.wrote_local.insert(t.index());
-        exclude.push(self.dense(r));
+        exclude.push(self.spec.reg_index(r));
         r
     }
 
@@ -1044,7 +1015,7 @@ impl<'a> Scanner<'a> {
         if outcome != CoalesceOutcome::Coalesced {
             return None;
         }
-        self.bind(dst, self.dense(src_phys));
+        self.bind(dst, self.spec.reg_index(src_phys));
         self.consistent[dst.index()] = false;
         self.wrote_local.insert(dst.index());
         self.stats.moves_coalesced += 1;
@@ -1062,25 +1033,29 @@ impl<'a> Scanner<'a> {
         if self.f.temp_class(dst) != src_phys.class {
             return CoalesceOutcome::ClassMismatch;
         }
-        let d = self.dense(src_phys);
+        let d = self.spec.reg_index(src_phys);
         match self.reg_free_until(d, wp, dst) {
             Some(free_until) if free_until >= self.lifetime_end(dst) => CoalesceOutcome::Coalesced,
             _ => CoalesceOutcome::HoleTooSmall,
         }
     }
 
-    /// Debug-only invariant: a temporary believing it owns a register must
-    /// actually be that register's occupant.
-    fn check_invariants(&self, b: lsra_ir::BlockId, gi: u32) {
-        for t in 0..self.loc.len() {
-            if let Loc::Reg(r) = self.loc[t] {
-                let d = self.dense(r);
-                if self.occupant[d] != Some(Temp(t as u32)) {
-                    panic!(
-                        "INVARIANT: t{t} claims {r} but occupant is {:?} (block {b}, inst {gi}, func {})",
-                        self.occupant[d], self.f.name
-                    );
-                }
+    /// The occupancy invariant: a temporary believing it owns a register
+    /// must actually be that register's occupant. [`Scanner::block_end`]'s
+    /// `ARE_CONSISTENT` harvest walks the register file instead of the
+    /// temporaries and is exact only while this holds, so debug builds check
+    /// it at every block end.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self, b: lsra_ir::BlockId) {
+        for (t, loc) in self.loc.iter().enumerate() {
+            if let Loc::Reg(r) = *loc {
+                let occupant = self.occupant[self.spec.reg_index(r)];
+                assert_eq!(
+                    occupant,
+                    Some(Temp(t as u32)),
+                    "t{t} claims {r} at the bottom of {b} in {}",
+                    self.f.name
+                );
             }
         }
     }
@@ -1145,8 +1120,11 @@ impl<'a> Scanner<'a> {
                 if let Some(free_until) = self.reg_free_until(d, top, t) {
                     if free_until >= seg_end {
                         if self.sink.enabled() {
-                            let ev =
-                                TraceEvent::HoleRestore { block: b, temp: t, reg: self.phys(d) };
+                            let ev = TraceEvent::HoleRestore {
+                                block: b,
+                                temp: t,
+                                reg: self.spec.reg_at(d),
+                            };
                             self.sink.event(&ev);
                         }
                         self.bind(t, d);
@@ -1163,12 +1141,6 @@ impl<'a> Scanner<'a> {
                 Loc::Reg(r) => self.out.top_map.push((t, r)),
                 Loc::Mem => {}
                 Loc::None => {
-                    if self.debug {
-                        eprintln!(
-                            "PESSIMIZE {t} -> Mem at top of {b} (last_reg={:?})",
-                            self.last_reg[t.index()]
-                        );
-                    }
                     if self.sink.enabled() {
                         self.sink.event(&TraceEvent::Pessimize { block: b, temp: t });
                     }
@@ -1188,12 +1160,6 @@ impl<'a> Scanner<'a> {
                 Loc::Reg(r) => self.out.bottom_map.push((t, r)),
                 Loc::Mem => {}
                 Loc::None => {
-                    if self.debug {
-                        eprintln!(
-                            "PESSIMIZE {t} -> Mem at top of {b} (last_reg={:?})",
-                            self.last_reg[t.index()]
-                        );
-                    }
                     self.loc[t.index()] = Loc::Mem;
                 }
             }
@@ -1205,9 +1171,13 @@ impl<'a> Scanner<'a> {
         // the temporaries with `Loc::Reg` (the occupancy invariant checked
         // by `check_invariants`), so this costs O(registers) per block
         // instead of O(globals).
+        #[cfg(debug_assertions)]
+        self.check_invariants(b);
         for d in 0..self.occupant.len() {
             if let Some(u) = self.occupant[d] {
-                if self.loc[u.index()] == Loc::Reg(self.phys(d)) && self.consistent[u.index()] {
+                if self.loc[u.index()] == Loc::Reg(self.spec.reg_at(d))
+                    && self.consistent[u.index()]
+                {
                     if let Some(g) = self.live.global_of(u) {
                         self.out.consistent_bottom[bi].insert(g);
                     }
@@ -1254,12 +1224,11 @@ impl<'a> Scanner<'a> {
                     let mut float_regs = 0;
                     for d in 0..self.occupant.len() {
                         let held = self.occupant[d]
-                            .is_some_and(|u| self.loc[u.index()] == Loc::Reg(self.phys(d)));
+                            .is_some_and(|u| self.loc[u.index()] == Loc::Reg(self.spec.reg_at(d)));
                         if held {
-                            if d < self.ni {
-                                int_regs += 1;
-                            } else {
-                                float_regs += 1;
+                            match self.spec.reg_at(d).class {
+                                RegClass::Int => int_regs += 1,
+                                RegClass::Float => float_regs += 1,
                             }
                         }
                     }
@@ -1326,9 +1295,6 @@ impl<'a> Scanner<'a> {
                 }
                 new_insts.append(&mut pre);
                 new_insts.push(ins);
-                if self.debug {
-                    self.check_invariants(b, gi);
-                }
             }
             self.f.block_mut(b).insts = new_insts;
             self.block_end(b);

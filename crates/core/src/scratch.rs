@@ -21,8 +21,8 @@
 use lsra_analysis::{AnalysisScratch, BitSet, Csr, EpochSet};
 use lsra_ir::{Ins, PhysReg, Temp};
 
-use crate::parallel_move::EdgeOp;
 use crate::point::PointScratch;
+use crate::resolve::EdgeRepair;
 use crate::scan::Loc;
 
 /// Reusable working memory for allocating one function at a time.
@@ -72,10 +72,8 @@ pub struct AllocScratch {
     pub(crate) consistent_bottom: Vec<BitSet>,
     pub(crate) used_consistency: Vec<BitSet>,
     pub(crate) wrote_tr: Vec<BitSet>,
-    // ---- resolve: per-edge buffers ----
-    pub(crate) edge_ops: Vec<EdgeOp>,
-    pub(crate) edge_insns: Vec<(lsra_ir::Inst, lsra_ir::SpillTag)>,
-    pub(crate) edge_spilled: Vec<Temp>,
+    // ---- resolve: edge snapshot and per-edge buffers ----
+    pub(crate) edge: EdgeRepair,
     // ---- two-pass: per-register occupancy, per-instruction buffers ----
     pub(crate) point: PointScratch,
 }

@@ -20,7 +20,13 @@ use crate::scratch::AllocScratch;
 use crate::stats::{AllocStats, Phase, PhaseTimer};
 
 /// Pass 1: bin-pack whole lifetimes in start order; first fit.
-fn pack(occ: &mut Occupancy, f: &Function, lt: &Lifetimes, sink: &mut dyn TraceSink) {
+fn pack(
+    occ: &mut Occupancy,
+    f: &Function,
+    spec: &MachineSpec,
+    lt: &Lifetimes,
+    sink: &mut dyn TraceSink,
+) {
     // Start order, ties by temp number.
     let mut order: Vec<(Point, Temp)> = (0..f.num_temps() as u32)
         .map(Temp)
@@ -38,7 +44,7 @@ fn pack(occ: &mut Occupancy, f: &Function, lt: &Lifetimes, sink: &mut dyn TraceS
         match choice {
             Some(d) => {
                 if sink.enabled() {
-                    sink.event(&TraceEvent::PackAssign { temp: t, reg: occ.phys(d) });
+                    sink.event(&TraceEvent::PackAssign { temp: t, reg: spec.reg_at(d) });
                 }
                 occ.assign(t, d, segs);
             }
@@ -71,7 +77,7 @@ pub(crate) fn allocate(
     stats.candidates = f.num_temps();
 
     let mut occ = Occupancy::new(f, &lt, spec, &mut scratch.point);
-    pack(&mut occ, f, &lt, sink);
+    pack(&mut occ, f, spec, &lt, sink);
     // Pass 1.5: free enough registers at every instruction for the point
     // lifetimes of its spilled references.
     occ.ensure_point_feasibility(f, &lt, sink);

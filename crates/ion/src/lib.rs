@@ -58,10 +58,11 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use lsra_analysis::{
-    split_edge, BitSet, IntervalCursor, IntervalMap, Lifetimes, Liveness, LoopInfo, Point, Segment,
-    SmallVec,
+    BitSet, IntervalCursor, IntervalMap, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec,
 };
-use lsra_core::{sequentialize_into, AllocStats, EdgeOp, RegisterAllocator};
+use lsra_core::{
+    ensure_slot, sequentialize_into, AllocStats, EdgeOp, EdgeRepair, RegisterAllocator,
+};
 use lsra_ir::{
     BlockId, Function, Ins, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, SpillTag, Temp,
 };
@@ -131,7 +132,7 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 
 struct State<'a> {
     lt: &'a Lifetimes,
-    ni: usize,
+    spec: &'a MachineSpec,
     ranges: Vec<LiveRange>,
     bundles: Vec<Bundle>,
     /// Occupancy per dense register; blocked (precolored / call-clobber)
@@ -142,28 +143,6 @@ struct State<'a> {
 }
 
 impl State<'_> {
-    fn phys(&self, d: usize) -> PhysReg {
-        if d < self.ni {
-            PhysReg::int(d as u8)
-        } else {
-            PhysReg::float((d - self.ni) as u8)
-        }
-    }
-
-    fn dense(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
-    fn class_range(&self, class: RegClass) -> std::ops::Range<usize> {
-        match class {
-            RegClass::Int => 0..self.ni,
-            RegClass::Float => self.ni..self.regs.len(),
-        }
-    }
-
     /// The representative temporary of a bundle (its earliest range's), used
     /// to label trace events.
     fn repr(&self, bid: u32) -> Temp {
@@ -203,7 +182,7 @@ impl State<'_> {
             let s = self.ranges[r as usize].seg;
             self.regs[d].insert(s.start.0, s.end.0, Some(Temp(bid)));
         }
-        let reg = self.phys(d);
+        let reg = self.spec.reg_at(d);
         let b = &mut self.bundles[bid as usize];
         b.ranges = ranges;
         b.assignment = Some(reg);
@@ -332,22 +311,20 @@ fn allocate(
     stats.candidates = f.num_temps();
 
     let nt = f.num_temps();
-    let ni = spec.num_regs(RegClass::Int) as usize;
     let nregs = spec.total_regs();
     let nb = f.num_blocks();
 
     // Phase 1: one bundle per live temporary.
     let mut st = State {
         lt: &lt,
-        ni,
+        spec,
         ranges: Vec::new(),
         bundles: Vec::new(),
         regs: vec![IntervalMap::new(); nregs],
         block_tops: (0..nb).map(|b| lt.top(BlockId(b as u32)).0).collect(),
     };
     for d in 0..nregs {
-        let p = st.phys(d);
-        for &s in lt.blocked(p) {
+        for &s in lt.blocked(d) {
             st.regs[d].insert(s.start.0, s.end.0, None);
         }
     }
@@ -482,7 +459,7 @@ fn allocate(
             continue;
         }
         let class = b.class;
-        let hint_d = b.hint.filter(|p| p.class == class).map(|p| st.dense(p));
+        let hint_d = b.hint.filter(|p| p.class == class).map(|p| spec.reg_index(p));
         // Sibling affinity: pieces of an already-placed temp try its
         // register first, so a split lifetime reassembles into one register
         // wherever it fits and edge resolution has nothing to repair.
@@ -495,12 +472,13 @@ fn allocate(
             }
         }
         // Hint, then siblings, then dense order.
-        let order = hint_d.into_iter().chain(sibling.iter().copied()).chain(st.class_range(class));
+        let order =
+            hint_d.into_iter().chain(sibling.iter().copied()).chain(spec.reg_indices(class));
         let mut placed = false;
         for d in order {
             if st.fits(&st.bundles[bid as usize].ranges, d) {
                 if sink.enabled() {
-                    sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: st.phys(d) });
+                    sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: spec.reg_at(d) });
                 }
                 st.assign(bid, d);
                 for &r in &st.bundles[bid as usize].ranges {
@@ -525,7 +503,7 @@ fn allocate(
         // ends up far above just splitting around the conflict.
         let our_weight = st.bundles[bid as usize].weight;
         let mut best: Option<(f64, usize, SmallVec<u32, 8>)> = None;
-        for d in st.class_range(class) {
+        for d in spec.reg_indices(class) {
             let Some(cs) = st.conflicts(&st.bundles[bid as usize].ranges, d) else { continue };
             let maxw =
                 cs.iter().map(|&c| st.bundles[c as usize].weight).fold(0.0f64, |a, w| a.max(w));
@@ -542,7 +520,7 @@ fn allocate(
                     if sink.enabled() {
                         sink.event(&TraceEvent::EvictBundle {
                             temp: st.repr(c),
-                            reg: st.phys(d),
+                            reg: spec.reg_at(d),
                             at,
                         });
                     }
@@ -551,7 +529,7 @@ fn allocate(
                     queue.push((st.bundles[c as usize].prio, Reverse(c)));
                 }
                 if sink.enabled() {
-                    sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: st.phys(d) });
+                    sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: spec.reg_at(d) });
                 }
                 st.assign(bid, d);
                 for &r in &st.bundles[bid as usize].ranges {
@@ -672,7 +650,7 @@ fn allocate(
                 if at_r <= at_cur {
                     continue;
                 }
-                let (d_old, d_new) = (st.dense(cur), st.dense(r));
+                let (d_old, d_new) = (spec.reg_index(cur), spec.reg_index(r));
                 st.regs[d_old].remove_owner(Temp(bid));
                 if st.fits(&st.bundles[bid as usize].ranges, d_new) {
                     st.assign(bid, d_new);
@@ -733,8 +711,8 @@ fn allocate(
                         continue;
                     }
                     loop {
-                        let free = st
-                            .class_range(class)
+                        let free = spec
+                            .reg_indices(class)
                             .filter(|&d| {
                                 st.regs[d]
                                     .overlapping_owner_from(
@@ -752,7 +730,7 @@ fn allocate(
                         // priority (longest total life — the cheapest per
                         // point to park in memory), lowest id on ties.
                         let mut victim: Option<(u64, u32, usize)> = None;
-                        for d in st.class_range(class) {
+                        for d in spec.reg_indices(class) {
                             for (_, _, owner) in st.regs[d].overlapping_entries_from(
                                 &mut cursors[d],
                                 span.start.0,
@@ -829,12 +807,6 @@ fn allocate(
     // Phase 6: rewrite. Every temp operand becomes its piece's register, or
     // a scratch register free over the instruction's span when the piece
     // lives in memory.
-    fn ensure_slot(f: &mut Function, t: Temp, stats: &mut AllocStats) {
-        if f.spill_slots[t.index()].is_none() {
-            stats.spilled_temps += 1;
-        }
-        f.slot_for(t);
-    }
     let mut pre: Vec<Ins> = Vec::new();
     let mut post: Vec<Ins> = Vec::new();
     let mut seq: Vec<(Inst, SpillTag)> = Vec::new();
@@ -886,7 +858,7 @@ fn allocate(
             }
             for class in RegClass::ALL {
                 free[class.index()].clear();
-                free[class.index()].extend(st.class_range(class).filter(|&d| {
+                free[class.index()].extend(spec.reg_indices(class).filter(|&d| {
                     st.regs[d]
                         .overlapping_owner_from(&mut cursors[d], span.start.0, span.end.0)
                         .is_none()
@@ -907,7 +879,7 @@ fn allocate(
                     let d = free[class.index()].pop().unwrap_or_else(|| {
                         panic!("no scratch register at instruction {gi} for {t}")
                     });
-                    let r = st.phys(d);
+                    let r = spec.reg_at(d);
                     ensure_slot(f, t, stats);
                     pre.push(Ins::tagged(
                         Inst::SpillLoad { dst: Reg::Phys(r), temp: t },
@@ -948,7 +920,7 @@ fn allocate(
                                 let d = free[class.index()].pop().unwrap_or_else(|| {
                                     panic!("no scratch register at instruction {gi} for def {t}")
                                 });
-                                st.phys(d)
+                                spec.reg_at(d)
                             });
                         ensure_slot(f, t, stats);
                         post.push(Ins::tagged(
@@ -980,22 +952,10 @@ fn allocate(
 
     // Phase 7: edge resolution. The split bundles make locations per-piece,
     // so a temp's register leaving a predecessor can differ from the one
-    // its successor expects — the same §2.4 repair as the linear scan, with
-    // the parallel-move sequencer and the placement triad, but against
-    // piece locations. Ion keeps no cross-edge consistency facts, so a
+    // its successor expects — the linear scan's §2.4 repair (`EdgeRepair`),
+    // fed piece locations. Ion keeps no cross-edge consistency facts, so a
     // register-to-memory transition always stores.
-    let mut edges: Vec<(BlockId, BlockId)> = Vec::new();
-    let mut pred_count = vec![0u32; nb];
-    for bi in 0..nb {
-        for s in f.succs(BlockId(bi as u32)) {
-            edges.push((BlockId(bi as u32), s));
-            pred_count[s.index()] += 1;
-        }
-    }
-    let mut ops: Vec<EdgeOp> = Vec::new();
-    let mut cycle_spilled: Vec<Temp> = Vec::new();
-    for (p, s) in edges {
-        ops.clear();
+    EdgeRepair::default().run(f, stats, sink, |p, s, ops, sink| {
         for g in live.live_in(s).iter() {
             let t = live.temp_of(g);
             // Bottom of p = the write slot of its last instruction (the
@@ -1024,42 +984,7 @@ fn allocate(
                 }
             }
         }
-        if ops.is_empty() {
-            continue;
-        }
-        cycle_spilled.clear();
-        seq.clear();
-        sequentialize_into(&ops, &mut seq, |t| cycle_spilled.push(t));
-        if sink.enabled() {
-            for &t in &cycle_spilled {
-                let op = ResolveOp::CycleBreak { temp: t };
-                sink.event(&TraceEvent::EdgeOp { pred: p, succ: s, op });
-            }
-        }
-        for t in ops.iter().filter_map(|o| match o {
-            EdgeOp::Store { temp, .. } | EdgeOp::Load { temp, .. } => Some(*temp),
-            EdgeOp::Move { .. } => None,
-        }) {
-            ensure_slot(f, t, stats);
-        }
-        for &t in &cycle_spilled {
-            ensure_slot(f, t, stats);
-        }
-        for (_, tag) in &seq {
-            stats.record_insert(*tag);
-        }
-        let insns = seq.drain(..).map(|(inst, tag)| Ins::tagged(inst, tag));
-        if pred_count[s.index()] == 1 {
-            f.block_mut(s).insts.splice(0..0, insns);
-        } else if f.succs(p).len() == 1 && terminator_is_placement_safe(f, p) {
-            let blk = f.block_mut(p);
-            let at = blk.insts.len() - 1;
-            blk.insts.splice(at..at, insns);
-        } else {
-            let nb2 = split_edge(f, p, s);
-            f.block_mut(nb2).insts.splice(0..0, insns);
-        }
-    }
+    });
 
     // Phase 8: redundant spill-code elimination. The rewrite above reloads
     // a spilled temporary at every use, so a block that reads the same
@@ -1182,14 +1107,6 @@ fn allocate(
             ins.tag == SpillTag::None || !matches!(ins.inst, Inst::Mov { dst, src } if dst == src)
         });
     }
-}
-
-/// True if the block's terminator reads no register, so code may be placed
-/// immediately before it.
-fn terminator_is_placement_safe(f: &Function, b: BlockId) -> bool {
-    let mut uses = 0;
-    f.block(b).terminator().for_each_use(|_| uses += 1);
-    uses == 0
 }
 
 /// The pieces of one split, in ascending start order.

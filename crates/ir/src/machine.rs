@@ -2,6 +2,8 @@
 //! calling-convention register sets that shape register lifetime holes (§2.5
 //! of the paper).
 
+use std::ops::Range;
+
 use crate::reg::{PhysReg, RegClass};
 
 /// A description of a target machine's allocatable register files and
@@ -226,6 +228,39 @@ impl MachineSpec {
     pub fn total_regs(&self) -> usize {
         self.num_regs.iter().map(|&n| n as usize).sum()
     }
+
+    /// The dense index of `p` in `0..total_regs()`: the integer file first,
+    /// then the float file. Every per-register table in the workspace is
+    /// laid out this way.
+    #[inline]
+    pub fn reg_index(&self, p: PhysReg) -> usize {
+        match p.class {
+            RegClass::Int => p.index as usize,
+            RegClass::Float => self.num_regs(RegClass::Int) as usize + p.index as usize,
+        }
+    }
+
+    /// The register with dense index `d` (the inverse of
+    /// [`MachineSpec::reg_index`]).
+    #[inline]
+    pub fn reg_at(&self, d: usize) -> PhysReg {
+        let ni = self.num_regs(RegClass::Int) as usize;
+        if d < ni {
+            PhysReg::int(d as u8)
+        } else {
+            PhysReg::float((d - ni) as u8)
+        }
+    }
+
+    /// The dense indices of `class`'s registers.
+    #[inline]
+    pub fn reg_indices(&self, class: RegClass) -> Range<usize> {
+        let ni = self.num_regs(RegClass::Int) as usize;
+        match class {
+            RegClass::Int => 0..ni,
+            RegClass::Float => ni..self.total_regs(),
+        }
+    }
 }
 
 impl Default for MachineSpec {
@@ -292,6 +327,30 @@ mod tests {
         assert_eq!(m.ret_reg(RegClass::Float), PhysReg::float(0));
         assert!(m.is_caller_saved(PhysReg::float(0)), "return register must be caller-saved");
         assert_eq!(m.arg_reg(RegClass::Int, 0), Some(PhysReg::int(1)));
+    }
+
+    #[test]
+    fn dense_register_numbering_round_trips() {
+        let specs = [
+            MachineSpec::alpha_like(),
+            MachineSpec::small(2, 1),
+            MachineSpec::small(4, 2),
+            MachineSpec::small(6, 4),
+            MachineSpec::small(3, 7),
+        ];
+        for m in specs {
+            let indices: Vec<usize> = m.all_regs().map(|p| m.reg_index(p)).collect();
+            assert_eq!(indices, (0..m.total_regs()).collect::<Vec<_>>(), "{}", m.name());
+            for p in m.all_regs() {
+                assert_eq!(m.reg_at(m.reg_index(p)), p, "{}", m.name());
+            }
+            let (int, float) = (m.reg_indices(RegClass::Int), m.reg_indices(RegClass::Float));
+            assert_eq!((int.start, int.end, float.end), (0, float.start, m.total_regs()));
+            for c in RegClass::ALL {
+                assert_eq!(m.reg_indices(c).len(), m.num_regs(c) as usize);
+                assert!(m.reg_indices(c).all(|d| m.reg_at(d).class == c), "{}", m.name());
+            }
+        }
     }
 
     #[test]

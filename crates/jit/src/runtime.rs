@@ -356,10 +356,12 @@ fn probe() -> bool {
 pub fn jit_supported() -> bool {
     static SUPPORTED: OnceLock<bool> = OnceLock::new();
     *SUPPORTED.get_or_init(|| {
-        if std::env::var_os("LSRA_JIT_DISABLE").is_some() {
-            return false;
-        }
-        probe()
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a host setting, not an allocator option: CI runs the no-exec fallbacks with it"
+        )]
+        let disabled = std::env::var_os("LSRA_JIT_DISABLE").is_some();
+        !disabled && probe()
     })
 }
 

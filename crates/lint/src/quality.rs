@@ -22,8 +22,8 @@
 //!   (the spill decision was forced elsewhere; a lifetime-hole split could
 //!   have avoided touching this block).
 
-use lsra_analysis::{solve_backward, BitSet, Order};
-use lsra_ir::{Function, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, Temp};
+use lsra_analysis::{solve_backward, solve_must, BitSet, Order};
+use lsra_ir::{Function, Inst, MachineSpec, Module, Reg, RegClass, Temp};
 
 use crate::{Emitter, LintCode, LintReport};
 
@@ -63,22 +63,6 @@ pub fn lint_quality(m: &Module, spec: &MachineSpec) -> LintReport {
         report.merge(lint_quality_function(f, spec));
     }
     report
-}
-
-/// Location index for a physical register: int registers first, then float.
-fn loc(spec: &MachineSpec, p: PhysReg) -> usize {
-    match p.class {
-        RegClass::Int => p.index as usize,
-        RegClass::Float => spec.num_regs(RegClass::Int) as usize + p.index as usize,
-    }
-}
-
-fn class_of_loc(spec: &MachineSpec, l: usize) -> RegClass {
-    if l < spec.num_regs(RegClass::Int) as usize {
-        RegClass::Int
-    } else {
-        RegClass::Float
-    }
 }
 
 fn slot_of(f: &Function, t: Temp) -> Option<usize> {
@@ -189,8 +173,8 @@ fn dead_store_lint(f: &Function, order: &Order, em: &mut Emitter<'_>) {
 
 /// `Q102`: forward must-dataflow mapping each physical register to the set
 /// of spill slots whose *current* value it provably holds. Not a gen/kill
-/// problem (moves copy whole sets between locations), so this runs its own
-/// optimistic fixpoint, exactly like the symbolic checker.
+/// problem (moves copy whole sets between locations), so it runs on the
+/// general [`solve_must`] fixpoint, like the symbolic checker.
 fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut Emitter<'_>) {
     let ns = f.num_slots as usize;
     if ns == 0 {
@@ -214,16 +198,9 @@ fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &m
             Inst::SpillLoad { dst: Reg::Phys(d), temp } => {
                 let slot = slot_of(f, *temp);
                 if let (Some(s), Some((em, b, i))) = (slot, report) {
-                    let ni = spec.num_regs(RegClass::Int) as usize;
-                    let holder = (0..st.len())
-                        .filter(|&l| class_of_loc(spec, l) == d.class)
-                        .find(|&l| st[l].contains(s));
+                    let holder = spec.reg_indices(d.class).find(|&l| st[l].contains(s));
                     if let Some(l) = holder {
-                        let r = if l < ni {
-                            PhysReg::int(l as u8)
-                        } else {
-                            PhysReg::float((l - ni) as u8)
-                        };
+                        let r = spec.reg_at(l);
                         em.emit(
                             LintCode::RedundantReload,
                             Some(b),
@@ -235,9 +212,9 @@ fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &m
                         );
                     }
                 }
-                st[loc(spec, *d)].clear();
+                st[spec.reg_index(*d)].clear();
                 if let Some(s) = slot {
-                    st[loc(spec, *d)].insert(s);
+                    st[spec.reg_index(*d)].insert(s);
                 }
             }
             Inst::SpillStore { src: Reg::Phys(p), temp } => {
@@ -247,82 +224,44 @@ fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &m
                     for set in st.iter_mut() {
                         set.remove(s);
                     }
-                    st[loc(spec, *p)].insert(s);
+                    st[spec.reg_index(*p)].insert(s);
                 }
             }
             Inst::Mov { dst: Reg::Phys(d), src: Reg::Phys(sr) } => {
-                st[loc(spec, *d)] = st[loc(spec, *sr)].clone();
+                st[spec.reg_index(*d)] = st[spec.reg_index(*sr)].clone();
             }
             Inst::Call { ret_regs, .. } => {
                 for c in RegClass::ALL {
                     for r in spec.caller_saved(c) {
-                        st[loc(spec, r)].clear();
+                        st[spec.reg_index(r)].clear();
                     }
                 }
                 for r in ret_regs {
-                    st[loc(spec, *r)].clear();
+                    st[spec.reg_index(*r)].clear();
                 }
             }
             inst => {
                 inst.for_each_def(|r| {
                     if let Reg::Phys(p) = r {
-                        st[loc(spec, p)].clear();
+                        st[spec.reg_index(p)].clear();
                     }
                 });
             }
         }
     }
 
-    let empty = || vec![BitSet::new(ns); nlocs];
-    let preds = f.compute_preds();
-    let in_state = |b: lsra_ir::BlockId, outs: &[Option<State>]| -> State {
-        if b == f.entry() {
-            return empty();
-        }
-        let mut acc: Option<State> = None;
-        for p in &preds[b.index()] {
-            if !order.is_reachable(*p) {
-                continue;
-            }
-            if let Some(out) = &outs[p.index()] {
-                match &mut acc {
-                    Some(a) => {
-                        for (x, y) in a.iter_mut().zip(out) {
-                            x.intersect_with(y);
-                        }
-                    }
-                    None => acc = Some(out.clone()),
-                }
-            }
-        }
-        acc.unwrap_or_else(|| {
-            let mut top = empty();
-            for s in &mut top {
-                s.fill();
-            }
-            top
-        })
-    };
-
-    let mut outs: Vec<Option<State>> = vec![None; f.num_blocks()];
-    loop {
-        let mut changed = false;
-        for &b in &order.rpo {
-            let mut st = in_state(b, &outs);
+    let mut all = BitSet::new(ns);
+    all.fill();
+    let sol =
+        solve_must(f, &order.rpo, &vec![BitSet::new(ns); nlocs], &vec![all; nlocs], |b, st| {
             for ins in &f.block(b).insts {
-                step(f, spec, &mut st, ins, None);
+                step(f, spec, st, ins, None);
             }
-            if outs[b.index()].as_ref() != Some(&st) {
-                outs[b.index()] = Some(st);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+            Ok::<(), std::convert::Infallible>(())
+        });
+    let Ok(sol) = sol;
     for &b in &order.rpo {
-        let mut st = in_state(b, &outs);
+        let mut st = sol.ins[b.index()].clone().expect("visited block has an IN state");
         for (i, ins) in f.block(b).insts.iter().enumerate() {
             step(f, spec, &mut st, ins, Some((&mut *em, b, i)));
         }
@@ -347,14 +286,14 @@ fn low_pressure_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut E
         for ins in &f.block(b).insts {
             ins.inst.for_each_use(|r| {
                 if let Reg::Phys(p) = r {
-                    if !kill[bi].contains(loc(spec, p)) {
-                        gen[bi].insert(loc(spec, p));
+                    if !kill[bi].contains(spec.reg_index(p)) {
+                        gen[bi].insert(spec.reg_index(p));
                     }
                 }
             });
             ins.inst.for_each_def(|r| {
                 if let Reg::Phys(p) = r {
-                    kill[bi].insert(loc(spec, p));
+                    kill[bi].insert(spec.reg_index(p));
                 }
             });
             if ins.inst.is_call() {
@@ -362,7 +301,7 @@ fn low_pressure_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut E
                 // liveness purposes.
                 for c in RegClass::ALL {
                     for r in spec.caller_saved(c) {
-                        kill[bi].insert(loc(spec, r));
+                        kill[bi].insert(spec.reg_index(r));
                     }
                 }
             }
@@ -397,7 +336,7 @@ fn low_pressure_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut E
         let count = |live: &BitSet| {
             let mut n = [0u32; 2];
             for l in live.iter() {
-                n[class_of_loc(spec, l).index()] += 1;
+                n[spec.reg_at(l).class.index()] += 1;
             }
             n
         };
@@ -405,19 +344,19 @@ fn low_pressure_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut E
         for ins in insts.iter().rev() {
             ins.inst.for_each_def(|r| {
                 if let Reg::Phys(p) = r {
-                    live.remove(loc(spec, p));
+                    live.remove(spec.reg_index(p));
                 }
             });
             if ins.inst.is_call() {
                 for c in RegClass::ALL {
                     for r in spec.caller_saved(c) {
-                        live.remove(loc(spec, r));
+                        live.remove(spec.reg_index(r));
                     }
                 }
             }
             ins.inst.for_each_use(|r| {
                 if let Reg::Phys(p) = r {
-                    live.insert(loc(spec, p));
+                    live.insert(spec.reg_index(p));
                 }
             });
             let n = count(&live);

@@ -55,7 +55,7 @@ impl PolettoAllocator {
 }
 
 /// The linear scan over whole lifetime intervals sorted by start.
-fn scan(occ: &mut Occupancy, f: &Function, lt: &Lifetimes) {
+fn scan(occ: &mut Occupancy, f: &Function, spec: &MachineSpec, lt: &Lifetimes) {
     let mut order: Vec<(Segment, Temp)> = (0..f.num_temps() as u32)
         .map(Temp)
         .filter_map(|t| lt.lifetime(t).map(|s| (s, t)))
@@ -73,7 +73,7 @@ fn scan(occ: &mut Occupancy, f: &Function, lt: &Lifetimes) {
         // would become usable for the current interval; if none ends later
         // than the current interval, spill the current one.
         let mut victim: Option<(Point, Temp, usize)> = None;
-        for d in occ.class_range(class) {
+        for d in spec.reg_indices(class) {
             let Some(Some(a)) = occ.owner_at(d, iv.start) else {
                 continue;
             };
@@ -110,7 +110,7 @@ impl RegisterAllocator for PolettoAllocator {
         let lt = Lifetimes::of(f, spec);
         let mut scratch = PointScratch::default();
         let mut occ = Occupancy::new(f, &lt, spec, &mut scratch);
-        scan(&mut occ, f, &lt);
+        scan(&mut occ, f, spec, &lt);
         // Spilled references must always find scratch registers; the shared
         // fixpoint spills further victims if not.
         occ.ensure_point_feasibility(f, &lt, &mut NoopSink);

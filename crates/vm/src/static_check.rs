@@ -8,8 +8,8 @@
 //! have been destroyed on some path. Because it covers *all* paths, it can
 //! catch allocation bugs that a particular test input never executes.
 
-use lsra_analysis::{BitSet, Order};
-use lsra_ir::{BlockId, Function, Inst, MachineSpec, Module, PhysReg, Reg, RegClass};
+use lsra_analysis::{solve_forward_must, BitSet, Order};
+use lsra_ir::{BlockId, Function, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, Temp};
 
 /// A potential invalid read found by [`check_function`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,29 +36,6 @@ impl std::fmt::Display for StaticCheckError {
 
 impl std::error::Error for StaticCheckError {}
 
-struct Universe {
-    ni: usize,
-    nregs: usize,
-    nslots: usize,
-}
-
-impl Universe {
-    fn reg(&self, p: PhysReg) -> usize {
-        match p.class {
-            RegClass::Int => p.index as usize,
-            RegClass::Float => self.ni + p.index as usize,
-        }
-    }
-
-    fn slot(&self, s: lsra_ir::SlotId) -> usize {
-        self.nregs + s.index()
-    }
-
-    fn size(&self) -> usize {
-        self.nregs + self.nslots
-    }
-}
-
 /// Checks one allocated function.
 ///
 /// # Examples
@@ -80,44 +57,74 @@ impl Universe {
 ///
 /// # Errors
 ///
-/// Returns the first potentially-invalid read found.
+/// Returns the first potentially-invalid read found, or the first spill
+/// instruction whose temporary has no spill slot.
 ///
 /// # Panics
 ///
 /// Panics if the function is not allocated.
 pub fn check_function(f: &Function, spec: &MachineSpec) -> Result<(), StaticCheckError> {
     assert!(f.allocated, "static check requires an allocated function");
-    let uni = Universe {
-        ni: spec.num_regs(RegClass::Int) as usize,
-        nregs: spec.total_regs(),
-        nslots: f.num_slots as usize,
+    // Locations: the registers in `MachineSpec::reg_index` order, then the
+    // spill slots.
+    let nregs = spec.total_regs();
+    let universe = nregs + f.num_slots as usize;
+    let error = |block: BlockId, inst: usize, what: String| StaticCheckError {
+        func: f.name.clone(),
+        block,
+        inst,
+        what,
     };
-    let nb = f.num_blocks();
-    let preds = f.compute_preds();
+    // The slot location a spill instruction touches.
+    let slot = |b: BlockId, i: usize, temp: Temp| -> Result<usize, StaticCheckError> {
+        match f.spill_slots.get(temp.index()).copied().flatten() {
+            Some(s) => Ok(nregs + s.index()),
+            None => Err(error(b, i, format!("spill slot of {temp} (none assigned)"))),
+        }
+    };
+    let stored_slot = |b: BlockId, i: usize, inst: &Inst| match inst {
+        Inst::SpillStore { temp, .. } => slot(b, i, *temp).map(Some),
+        _ => Ok(None),
+    };
+
     // Unreachable blocks never execute (and the allocators, like the
     // paper's, see empty liveness there): skip them.
     let order = Order::compute(f);
+    let reachable = || f.block_ids().filter(|&b| order.is_reachable(b));
 
-    // Optimistic initialization: unvisited blocks start at TOP (everything
-    // valid) so the intersection meet converges downwards.
-    let mut valid_in: Vec<BitSet> = (0..nb)
-        .map(|_| {
-            let mut s = BitSet::new(uni.size());
-            s.fill();
-            s
-        })
-        .collect();
+    // A gen/kill problem: definitions, call results and spill stores
+    // validate their locations (gen); a call clobbers the caller-saved
+    // registers (kill) before its results are validated. Spill code
+    // without a slot is reported here, before any read.
+    let nb = f.num_blocks();
+    let mut gen = vec![BitSet::new(universe); nb];
+    let mut kill = vec![BitSet::new(universe); nb];
+    for b in reachable() {
+        let (gen, kill) = (&mut gen[b.index()], &mut kill[b.index()]);
+        for (i, ins) in f.block(b).insts.iter().enumerate() {
+            if let Inst::SpillLoad { temp, .. } = ins.inst {
+                slot(b, i, temp)?;
+            }
+            let stored = stored_slot(b, i, &ins.inst)?;
+            apply(spec, &ins.inst, stored, gen, |l| {
+                kill.insert(l);
+            });
+        }
+    }
     // Entry: argument registers only (the VM marks exactly the caller-set
     // args valid; assuming all arg registers is the conservative upper
     // bound a checker without call-site knowledge can use).
-    valid_in[0].clear();
+    let mut entry_in = BitSet::new(universe);
     for class in RegClass::ALL {
         for &i in spec.arg_regs(class) {
-            valid_in[0].insert(uni.reg(PhysReg::new(class, i)));
+            entry_in.insert(spec.reg_index(PhysReg::new(class, i)));
         }
     }
+    let sol = solve_forward_must(f, universe, &gen, &kill, &entry_in, &order);
 
-    let transfer = |b: BlockId, valid: &mut BitSet| -> Result<(), StaticCheckError> {
+    // Reporting pass over the stable block entry states.
+    for b in reachable() {
+        let mut valid = sol.must_in[b.index()].clone();
         for (i, ins) in f.block(b).insts.iter().enumerate() {
             let mut bad: Option<String> = None;
             let mut require = |idx: usize, what: String| {
@@ -127,121 +134,51 @@ pub fn check_function(f: &Function, spec: &MachineSpec) -> Result<(), StaticChec
             };
             match &ins.inst {
                 Inst::SpillLoad { temp, .. } => {
-                    let slot = f.spill_slots[temp.index()].expect("slot");
-                    require(uni.slot(slot), format!("spill slot {} ({temp})", slot.0));
+                    let l = slot(b, i, *temp)?;
+                    require(l, format!("spill slot {} ({temp})", l - nregs));
                 }
                 other => other.for_each_use(|r| {
                     if let Reg::Phys(p) = r {
-                        require(uni.reg(p), p.to_string());
+                        require(spec.reg_index(p), p.to_string());
                     }
                 }),
             }
             if let Some(what) = bad {
-                return Err(StaticCheckError { func: f.name.clone(), block: b, inst: i, what });
+                return Err(error(b, i, what));
             }
-            // Effects.
-            if let Inst::Call { ret_regs, .. } = &ins.inst {
-                for class in RegClass::ALL {
-                    for p in spec.caller_saved(class) {
-                        valid.remove(uni.reg(p));
-                    }
-                }
-                for &p in ret_regs {
-                    valid.insert(uni.reg(p));
-                }
-            }
-            ins.inst.for_each_def(|r| {
-                if let Reg::Phys(p) = r {
-                    valid.insert(uni.reg(p));
-                }
-            });
-            if let Inst::SpillStore { temp, .. } = &ins.inst {
-                let slot = f.spill_slots[temp.index()].expect("slot");
-                valid.insert(uni.slot(slot));
-            }
+            apply(spec, &ins.inst, stored_slot(b, i, &ins.inst)?, &mut valid, |_| {});
         }
-        Ok(())
-    };
-
-    // Iterate to the fixed point (errors are only reported once stable,
-    // since optimistic starts can show spurious validity, never spurious
-    // invalidity — so we first run to convergence ignoring reads, then do
-    // one reporting pass).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in f.block_ids() {
-            if !order.is_reachable(b) {
-                continue;
-            }
-            let mut valid = if b == f.entry() {
-                valid_in[0].clone()
-            } else {
-                let mut v: Option<BitSet> = None;
-                for &p in preds[b.index()].iter().filter(|p| order.is_reachable(**p)) {
-                    // Use the predecessor's OUT = transfer(IN); recompute.
-                    let mut pv = valid_in[p.index()].clone();
-                    let _ = run_effects_only(f, spec, &uni, p, &mut pv);
-                    v = Some(match v {
-                        None => pv,
-                        Some(mut acc) => {
-                            acc.intersect_with(&pv);
-                            acc
-                        }
-                    });
-                }
-                v.unwrap_or_else(|| valid_in[b.index()].clone())
-            };
-            if b != f.entry() {
-                // Meet result becomes the block's IN.
-                if valid != valid_in[b.index()] {
-                    valid_in[b.index()] = valid.clone();
-                    changed = true;
-                }
-            }
-            let _ = &mut valid;
-        }
-    }
-    // Reporting pass.
-    for b in f.block_ids() {
-        if !order.is_reachable(b) {
-            continue;
-        }
-        let mut valid = valid_in[b.index()].clone();
-        transfer(b, &mut valid)?;
     }
     Ok(())
 }
 
-fn run_effects_only(
-    f: &Function,
+/// Applies one instruction to the set of valid locations: a call clobbers
+/// the caller-saved registers (each also passed to `clobbered`), then its
+/// definitions and, for a spill store, the slot location `stored` become
+/// valid.
+fn apply(
     spec: &MachineSpec,
-    uni: &Universe,
-    b: BlockId,
+    inst: &Inst,
+    stored: Option<usize>,
     valid: &mut BitSet,
-) -> Result<(), StaticCheckError> {
-    for ins in &f.block(b).insts {
-        if let Inst::Call { ret_regs, .. } = &ins.inst {
-            for class in RegClass::ALL {
-                for p in spec.caller_saved(class) {
-                    valid.remove(uni.reg(p));
-                }
+    mut clobbered: impl FnMut(usize),
+) {
+    if inst.is_call() {
+        for class in RegClass::ALL {
+            for p in spec.caller_saved(class) {
+                valid.remove(spec.reg_index(p));
+                clobbered(spec.reg_index(p));
             }
-            for &p in ret_regs {
-                valid.insert(uni.reg(p));
-            }
-        }
-        ins.inst.for_each_def(|r| {
-            if let Reg::Phys(p) = r {
-                valid.insert(uni.reg(p));
-            }
-        });
-        if let Inst::SpillStore { temp, .. } = &ins.inst {
-            let slot = f.spill_slots[temp.index()].expect("slot");
-            valid.insert(uni.slot(slot));
         }
     }
-    Ok(())
+    inst.for_each_def(|r| {
+        if let Reg::Phys(p) = r {
+            valid.insert(spec.reg_index(p));
+        }
+    });
+    if let Some(l) = stored {
+        valid.insert(l);
+    }
 }
 
 /// Checks every allocated function of a module.
@@ -264,7 +201,7 @@ pub fn check_module(m: &Module, spec: &MachineSpec) -> Result<(), StaticCheckErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsra_ir::{Callee, ExtFn, Ins};
+    use lsra_ir::{Callee, ExtFn, Ins, SpillTag};
 
     fn spec() -> MachineSpec {
         MachineSpec::alpha_like()
@@ -357,6 +294,31 @@ mod tests {
         let e = check_function(&f, &s).unwrap_err();
         assert_eq!(e.block, j);
         assert!(e.what.contains("r8"), "{e}");
+    }
+
+    #[test]
+    fn reports_spill_code_without_a_slot() {
+        // `Function::validate` does not check slot assignment, so a
+        // slotless spill in allocator output must be an error, not a panic.
+        let s = spec();
+        let r1: Reg = PhysReg::int(1).into();
+        for (inst, tag) in [
+            (Inst::SpillLoad { dst: r1, temp: Temp(0) }, SpillTag::EvictLoad),
+            (Inst::SpillStore { src: r1, temp: Temp(0) }, SpillTag::EvictStore),
+        ] {
+            let mut f = Function::new("slotless");
+            f.new_temp(RegClass::Int, None);
+            let b0 = f.add_block();
+            f.block_mut(b0).insts.extend([
+                Ins::new(Inst::MovI { dst: r1, imm: 1 }),
+                Ins::tagged(inst, tag),
+                Ins::new(Inst::Ret { ret_regs: vec![] }),
+            ]);
+            f.allocated = true;
+            let e = check_function(&f, &s).unwrap_err();
+            assert_eq!((e.block, e.inst), (b0, 1));
+            assert!(e.what.contains("t0") && e.what.contains("none assigned"), "{e}");
+        }
     }
 
     #[test]

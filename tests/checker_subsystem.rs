@@ -5,6 +5,7 @@
 
 use second_chance_regalloc::checker;
 use second_chance_regalloc::fuzz::{run_fuzz, FuzzConfig, ALLOCATOR_NAMES};
+use second_chance_regalloc::ir::Ins;
 use second_chance_regalloc::prelude::*;
 use second_chance_regalloc::workloads::random::{RandomConfig, RandomProgram};
 
@@ -117,4 +118,155 @@ fn fuzz_is_deterministic_in_the_seed() {
     let a = run_fuzz(&cfg);
     let b = run_fuzz(&cfg);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+/// Which tagged instruction a corruption picks: the first, middle and last
+/// of the `n` candidates (deduplicated).
+fn picks(n: usize) -> Vec<usize> {
+    let mut v = vec![0, n / 2, n.saturating_sub(1)];
+    v.dedup();
+    v.retain(|&k| k < n);
+    v
+}
+
+/// Positions `(func, block, inst)` of every instruction matching `pred`, in
+/// module order.
+fn positions(m: &Module, pred: impl Fn(&Ins) -> bool) -> Vec<(usize, usize, usize)> {
+    let mut out = Vec::new();
+    for (fi, f) in m.funcs.iter().enumerate() {
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (ii, ins) in b.insts.iter().enumerate() {
+                if pred(ins) {
+                    out.push((fi, bi, ii));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every fixed corruption of one allocated module, labelled.
+fn corruptions(m: &Module, spec: &MachineSpec) -> Vec<(String, Module)> {
+    let mut out = Vec::new();
+    for (label, store) in [("drop-store", true), ("drop-load", false)] {
+        let at = positions(m, |ins| match ins.inst {
+            Inst::SpillStore { .. } => ins.tag.is_spill() && store,
+            Inst::SpillLoad { .. } => ins.tag.is_spill() && !store,
+            _ => false,
+        });
+        for k in picks(at.len()) {
+            let (fi, bi, ii) = at[k];
+            let mut c = m.clone();
+            c.funcs[fi].blocks[bi].insts.remove(ii);
+            out.push((format!("{label} {k}"), c));
+        }
+    }
+
+    // Cross the sources of two tagged reg-to-reg moves of one class in one
+    // block (the k-th such pair in module order).
+    let movs = positions(m, |ins| {
+        ins.tag.is_spill() && matches!(ins.inst, Inst::Mov { dst: Reg::Phys(_), src: Reg::Phys(_) })
+    });
+    let mut pairs = Vec::new();
+    for (x, &(fi, bi, i)) in movs.iter().enumerate() {
+        for &(fj, bj, j) in &movs[x + 1..] {
+            if (fi, bi) != (fj, bj) {
+                continue;
+            }
+            let insts = &m.funcs[fi].blocks[bi].insts;
+            let (Inst::Mov { src: Reg::Phys(s1), .. }, Inst::Mov { src: Reg::Phys(s2), .. }) =
+                (&insts[i].inst, &insts[j].inst)
+            else {
+                unreachable!()
+            };
+            if s1.class == s2.class && s1 != s2 {
+                pairs.push((fi, bi, i, j, *s1, *s2));
+            }
+        }
+    }
+    for k in picks(pairs.len()) {
+        let (fi, bi, i, j, s1, s2) = pairs[k];
+        let mut c = m.clone();
+        let insts = &mut c.funcs[fi].blocks[bi].insts;
+        for (at, src) in [(i, s2), (j, s1)] {
+            if let Inst::Mov { src: s, .. } = &mut insts[at].inst {
+                *s = src.into();
+            }
+        }
+        out.push((format!("cross-moves {k}"), c));
+    }
+
+    // Retarget the first rewritable register use of the k-th instruction
+    // that has one (call and return operands are fixed) to the next
+    // register of its class.
+    let users = positions(m, |ins| {
+        let mut any = false;
+        ins.inst.clone().for_each_use_mut(|r| any |= matches!(r, Reg::Phys(_)));
+        any
+    });
+    for k in picks(users.len()) {
+        let (fi, bi, ii) = users[k];
+        let mut c = m.clone();
+        let mut done = false;
+        c.funcs[fi].blocks[bi].insts[ii].inst.for_each_use_mut(|r| {
+            if let (false, Reg::Phys(p)) = (done, *r) {
+                let n = spec.num_regs(p.class);
+                *r = PhysReg::new(p.class, (p.index + 1) % n).into();
+                done = true;
+            }
+        });
+        out.push((format!("retarget-use {k}"), c));
+    }
+    out
+}
+
+/// Pins the verdicts of both checkers on fixed corruptions of every
+/// workload's allocation, and the quality-lint report of every clean
+/// allocation, as one digest. A refactor of either checker, the lints or
+/// the dataflow solver behind them must leave every verdict and every
+/// diagnostic unchanged.
+#[test]
+fn checker_and_lint_verdicts_are_pinned() {
+    use second_chance_regalloc::fuzz::allocator_by_name;
+    use second_chance_regalloc::lint::lint_quality;
+
+    let mut text = String::new();
+    for w in lsra_workloads::all() {
+        let original = (w.build)();
+        for alloc in ALLOCATOR_NAMES {
+            for spec in [MachineSpec::alpha_like(), MachineSpec::small(6, 4)] {
+                let mut allocated = original.clone();
+                allocator_by_name(alloc, 1, false)
+                    .expect("registered allocator")
+                    .allocate_module(&mut allocated, &spec);
+                text += &format!("== {} {alloc} {}\n", w.name, spec.name());
+                text += &lint_quality(&allocated, &spec).render_human();
+                let cases = std::iter::once(("clean".to_string(), allocated.clone()))
+                    .chain(corruptions(&allocated, &spec));
+                for (label, c) in cases {
+                    text += &format!(
+                        "{label}: static {:?}; symbolic {:?}\n",
+                        lsra_vm::check_module(&c, &spec),
+                        checker::check_module(&original, &c, &spec)
+                    );
+                    // Per function too: the module verdict stops at the
+                    // first failing function, and on the small machine
+                    // that can be one built for the alpha call convention.
+                    for (of, cf) in original.funcs.iter().zip(&c.funcs) {
+                        text += &format!(
+                            "  {}: {:?}; {:?}\n",
+                            cf.name,
+                            lsra_vm::check_function(cf, &spec),
+                            checker::check_function(of, cf, &spec)
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        lsra_ir::fnv64(text.as_bytes()),
+        0xda5a_1f49_2f6c_e0a2,
+        "checker/lint verdict digest changed"
+    );
 }
