@@ -1,17 +1,22 @@
 //! Content-addressed allocation-result cache with LRU eviction under a
 //! byte budget.
 //!
-//! The key is the *canonical* program text (the display form of the parsed
-//! module, so textually different but structurally identical requests
-//! share an entry) concatenated with the allocator name, the machine name,
-//! and the result-shaping options; the map is addressed by the FNV-1a hash
-//! of that string. The full key string is stored alongside each entry and
-//! compared on lookup, so an FNV collision degrades to a miss (and the
-//! colliding entry is replaced on insert) — it can never serve the wrong
-//! result. The differential-fuzz service stage hammers exactly this
-//! property with adversarial programs.
+//! A key is a program component (a built-in workload's name, or an inline
+//! program's canonical text; see [`crate::protocol::cache_key`]) joined to
+//! the allocator name, the machine name, and the result-shaping options.
+//! The map is addressed by the FNV-1a hash of that string, computed once
+//! per [`Key`] and stored with its entry, so neither a miss's insert nor an
+//! eviction hashes the key again. The full key string is stored alongside
+//! each entry and compared on lookup, so an FNV collision degrades to a
+//! miss (and the colliding entry is replaced on insert) — it can never
+//! serve the wrong result. The differential-fuzz service stage hammers
+//! exactly this property with adversarial programs.
+//!
+//! Entries are shared, not copied: a hit returns an [`Arc`] of the stored
+//! [`Outcome`], which the service renders from directly.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use lsra_core::AllocStats;
 use lsra_ir::fnv64;
@@ -34,9 +39,24 @@ pub struct Outcome {
 /// cache full of tiny entries still respects the budget roughly.
 const ENTRY_OVERHEAD: usize = 256;
 
+/// A cache key string with its FNV-1a hash, computed once however often
+/// the key is probed, stored or evicted.
+#[derive(Debug)]
+pub struct Key {
+    text: String,
+    hash: u64,
+}
+
+impl Key {
+    /// Hashes `text` into a key.
+    pub fn new(text: String) -> Self {
+        Key { hash: fnv64(text.as_bytes()), text }
+    }
+}
+
 struct Slot {
-    key: String,
-    value: Outcome,
+    key: Key,
+    value: Arc<Outcome>,
     bytes: usize,
     /// More-recently-used neighbour (`None` for the MRU head).
     prev: Option<usize>,
@@ -98,7 +118,7 @@ impl Cache {
 
     /// Lookups that computed instead of hitting: one per [`Cache::insert`]
     /// or [`Cache::note_miss`] (the service calls exactly one of the two
-    /// after every failed [`Cache::get`]).
+    /// for every request that none of its probes answered).
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -143,13 +163,21 @@ impl Cache {
         }
     }
 
-    /// Looks `key` up, promoting a hit to most-recently-used. Returns a
-    /// clone of the stored outcome; an FNV collision with a different key
-    /// string is a miss, never a wrong answer.
-    pub fn get(&mut self, key: &str) -> Option<Outcome> {
-        let hash = fnv64(key.as_bytes());
+    /// Looks `key` up, promoting a hit to most-recently-used. An FNV
+    /// collision with a different key string is a miss, never a wrong
+    /// answer.
+    pub fn get(&mut self, key: &str) -> Option<Arc<Outcome>> {
+        self.probe(fnv64(key.as_bytes()), key)
+    }
+
+    /// [`Cache::get`] with the hash already computed.
+    pub fn get_key(&mut self, key: &Key) -> Option<Arc<Outcome>> {
+        self.probe(key.hash, &key.text)
+    }
+
+    fn probe(&mut self, hash: u64, key: &str) -> Option<Arc<Outcome>> {
         let idx = *self.map.get(&hash)?;
-        if self.slots[idx].as_ref().expect("mapped slot must be live").key != key {
+        if self.slots[idx].as_ref().expect("mapped slot must be live").key.text != key {
             // FNV collision: a miss (counted by the insert or note_miss
             // that follows), never a wrong answer.
             return None;
@@ -157,7 +185,7 @@ impl Cache {
         self.hits += 1;
         self.unlink(idx);
         self.push_front(idx);
-        Some(self.slots[idx].as_ref().unwrap().value.clone())
+        Some(Arc::clone(&self.slots[idx].as_ref().expect("just promoted").value))
     }
 
     /// Records a miss that never produced a cacheable outcome (a request
@@ -170,12 +198,17 @@ impl Cache {
     /// from the LRU tail until the budget holds. An entry bigger than the
     /// whole budget is not stored.
     pub fn insert(&mut self, key: String, value: Outcome) {
+        self.insert_key(Key::new(key), value);
+    }
+
+    /// [`Cache::insert`] with the hash already computed.
+    pub fn insert_key(&mut self, key: Key, value: Outcome) {
         self.misses += 1;
-        let entry_bytes = key.len() + value.module_text.len() + ENTRY_OVERHEAD;
+        let entry_bytes = key.text.len() + value.module_text.len() + ENTRY_OVERHEAD;
         if entry_bytes > self.budget {
             return;
         }
-        let hash = fnv64(key.as_bytes());
+        let hash = key.hash;
         self.remove_hash(hash);
         let idx = match self.free.pop() {
             Some(i) => i,
@@ -184,16 +217,14 @@ impl Cache {
                 self.slots.len() - 1
             }
         };
+        let value = Arc::new(value);
         self.slots[idx] = Some(Slot { key, value, bytes: entry_bytes, prev: None, next: None });
         self.map.insert(hash, idx);
         self.push_front(idx);
         self.bytes += entry_bytes;
         while self.bytes > self.budget {
             let tail = self.tail.expect("over budget implies a tail");
-            let tail_hash = {
-                let s = self.slots[tail].as_ref().unwrap();
-                fnv64(s.key.as_bytes())
-            };
+            let tail_hash = self.slots[tail].as_ref().expect("the tail is live").key.hash;
             self.remove_hash(tail_hash);
         }
     }
@@ -214,7 +245,9 @@ mod tests {
         c.insert("k1".to_string(), outcome("m1"));
         let got = c.get("k1").expect("hit");
         assert_eq!(got.module_text, "m1");
-        assert_eq!((c.hits(), c.misses()), (1, 1));
+        let again = c.get_key(&Key::new("k1".to_string())).expect("hit by prehashed key");
+        assert!(Arc::ptr_eq(&got, &again), "hits share the stored outcome");
+        assert_eq!((c.hits(), c.misses()), (2, 1));
         assert_eq!(c.len(), 1);
     }
 

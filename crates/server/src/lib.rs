@@ -9,9 +9,13 @@
 //!   rendering, both through the shared `lsra_trace::json` module
 //!   (re-exported here as [`json_in`]), and the allocator registry
 //!   ([`protocol::allocator_by_name`]) every front end selects from.
-//! - [`cache`] — a content-addressed result cache keyed by the canonical
-//!   program text plus allocator/machine/options, FNV-addressed,
-//!   LRU-evicted under a byte budget, collision-safe by full-key compare.
+//! - [`cache`] — a content-addressed result cache keyed by the workload
+//!   name or canonical program text plus allocator/machine/options,
+//!   FNV-addressed (each key hashed once), LRU-evicted under a byte
+//!   budget, collision-safe by full-key compare, handing hits out as
+//!   shared `Arc`s. The service probes it with the request's program text
+//!   as received before it parses anything, so a hit on printed text
+//!   never touches the IR.
 //! - [`service`] — the bounded work queue and worker pool (one reused
 //!   `AllocScratch` per worker), per-request deadlines, immediate
 //!   `overloaded` backpressure, and `catch_unwind` panic isolation.

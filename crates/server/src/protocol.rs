@@ -42,6 +42,17 @@
 //! Unknown fields are rejected, so typos fail loudly instead of silently
 //! selecting defaults.
 //!
+//! ## Cache keys
+//!
+//! [`cache_key`] tags the program component by source — `workload:<name>`
+//! or `program:<len>:<canonical text>` — so a workload and an inline copy
+//! of its text (which runs on different input) never share an entry.
+//! [`probe_key`] is the same key over the inline text as received: the
+//! service probes with it first and materialises the program (parse,
+//! validate, print: [`materialize`]) only when it misses. Printed text is
+//! a fixpoint of parse-then-print, so this first probe can only hit an
+//! entry the canonical key would have hit.
+//!
 //! ## Response
 //!
 //! ```json
@@ -102,6 +113,8 @@
 //! stats plus each histogram's sparse `[bucket, count]` list, which a
 //! client can rebuild, diff against an earlier poll, and reduce to
 //! percentiles over exactly its own interval (see `lsra_telemetry`).
+
+use std::fmt::Write as _;
 
 use lsra_core::{AllocScratch, AllocTimings, BinpackAllocator, BinpackConfig, RegisterAllocator};
 use lsra_ir::{MachineSpec, Module};
@@ -373,9 +386,11 @@ pub fn parse_request(line: &str) -> Result<ParsedLine, (String, String)> {
     Ok(if op == "lint" { ParsedLine::Lint(req) } else { ParsedLine::Alloc(req) })
 }
 
-/// Builds the request's module, its VM input, and the canonical program
-/// text (the display form of the parsed module — the cache key's program
-/// component, so formatting differences never split cache entries).
+/// Builds the request's module, its VM input, and the canonical text of an
+/// inline program (the display form of the parsed module — the cache key's
+/// program component, so formatting differences never split cache
+/// entries). A workload's key is its name, so its module is not printed
+/// and the text is empty.
 ///
 /// # Errors
 ///
@@ -392,9 +407,7 @@ pub fn materialize(req: &Request) -> Result<(Module, Vec<u8>, String), String> {
         Source::Workload(name) => {
             let w = lsra_workloads::by_name(name)
                 .ok_or_else(|| format!("unknown workload `{name}`"))?;
-            let m = (w.build)();
-            let canonical = format!("{m}");
-            Ok((m, (w.input)(), canonical))
+            Ok(((w.build)(), (w.input)(), String::new()))
         }
     }
 }
@@ -403,14 +416,50 @@ pub fn materialize(req: &Request) -> Result<(Module, Vec<u8>, String), String> {
 /// every input that shapes the cached [`Outcome`] — program, allocator,
 /// machine, and the result-shaping options (`emit_module` is *not* part of
 /// the key; the module text is always cached and dropped at render time).
+///
+/// The program component is tagged by source, so the two kinds never share
+/// a key: `workload:<name>` for a built-in, whose module and VM input are
+/// both fixed by its name (`canonical` is ignored), and
+/// `program:<len>:<canonical>` for inline text, which runs on empty input.
+/// The length prefix keeps the key unambiguous whatever bytes the text
+/// holds.
 pub fn cache_key(req: &Request, canonical: &str) -> String {
-    format!(
-        "{canonical}\u{0}{}\u{0}{}\u{0}cleanup={},run={}",
+    let mut key = match &req.source {
+        Source::Workload(name) => format!("workload:{name}"),
+        Source::Program(_) => {
+            let mut key = String::with_capacity(canonical.len() + 64);
+            let _ = write!(key, "program:{}:", canonical.len());
+            key.push_str(canonical);
+            key
+        }
+    };
+    let _ = write!(
+        key,
+        "\u{0}{}\u{0}{}\u{0}cleanup={},run={}",
         req.allocator,
         req.machine.name(),
         req.cleanup as u8,
         req.run as u8
-    )
+    );
+    key
+}
+
+/// The key to probe before materialising `req`: [`cache_key`] over an
+/// inline program's text exactly as received (a workload's key needs no
+/// materialising). Stored keys are built from canonical text, and
+/// canonical text is what the printer, `lsra loadgen` and the fuzz service
+/// stage send, so such a request hits without its module being parsed,
+/// validated or printed.
+///
+/// The probe is sound because printing is a fixpoint of parse-then-print
+/// on printed text (`print(parse(print(m))) == print(m)`, pinned by
+/// `tests/text_roundtrip.rs`): text that equals some stored canonical text
+/// is its own canonical text, so it would have built the same key anyway.
+pub fn probe_key(req: &Request) -> String {
+    match &req.source {
+        Source::Program(text) => cache_key(req, text),
+        Source::Workload(_) => cache_key(req, ""),
+    }
 }
 
 /// Allocates `m` as `req` asks, reusing `scratch` for the binpack family.

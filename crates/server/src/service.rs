@@ -34,8 +34,8 @@ use lsra_core::{AllocScratch, AllocTimings, PHASE_NAMES};
 use lsra_telemetry::SpanRecord;
 use lsra_trace::json::JsonWriter;
 
-use crate::cache::Cache;
-use crate::protocol::{self, ParsedLine, Request};
+use crate::cache::{Cache, Key, Outcome};
+use crate::protocol::{self, ParsedLine, Request, Source};
 use crate::telemetry::{secs_to_ns, ServerTelemetry, SpanLog};
 
 /// Service configuration; every knob has a `lsra serve` flag.
@@ -443,8 +443,13 @@ impl Service {
         self.inner.queue_cv.notify_one();
         let mut st = lock(&job.state);
         loop {
-            if let JobState::Done((resp, wt)) = &*st {
-                let resp = resp.clone();
+            if matches!(*st, JobState::Done(_)) {
+                // The caller is the job's only reader: move the response out
+                // rather than copy it.
+                let JobState::Done((resp, wt)) = std::mem::replace(&mut *st, JobState::Pending)
+                else {
+                    unreachable!("checked above")
+                };
                 record.queue_ns = wt.queue_ns;
                 record.alloc_ns = wt.alloc_ns;
                 record.serialize_ns = wt.serialize_ns;
@@ -687,8 +692,18 @@ fn error_response(req: &Request, start: Instant, msg: &str) -> (String, WorkerTi
 }
 
 /// The cache-fronted execution path. Locks are held only around the cache
-/// probe and insert, never across allocation.
+/// probes and insert, never across allocation.
+///
+/// The first probe uses the request as received ([`protocol::probe_key`]),
+/// so a hit on a workload name or on canonical program text never touches
+/// the IR. Only when it misses is the program materialised; an inline
+/// program whose text was not canonical then probes again under its
+/// canonical key, so differently formatted copies share one entry.
 fn compute(inner: &Inner, req: &Request, scratch: &mut AllocScratch) -> Result<ComputeOut, String> {
+    let probe = Key::new(protocol::probe_key(req));
+    if let Some(hit) = lock(&inner.cache).get_key(&probe) {
+        return Ok(served_hit(inner, req, &hit));
+    }
     let (module, input, canonical) = match protocol::materialize(req) {
         Ok(x) => x,
         Err(e) => {
@@ -697,24 +712,22 @@ fn compute(inner: &Inner, req: &Request, scratch: &mut AllocScratch) -> Result<C
             return Err(e);
         }
     };
-    let key = protocol::cache_key(req, &canonical);
-    if let Some(outcome) = lock(&inner.cache).get(&key) {
-        inner.tel.cache_hits.inc();
-        let render = Instant::now();
-        let resp = protocol::render_ok(&req.id, &outcome, req.emit_module);
-        return Ok(ComputeOut {
-            resp,
-            cache_hit: true,
-            phases: None,
-            serialize_ns: ns(render.elapsed()),
-        });
-    }
+    let key = match &req.source {
+        Source::Program(text) if *text != canonical => {
+            let key = Key::new(protocol::cache_key(req, &canonical));
+            if let Some(hit) = lock(&inner.cache).get_key(&key) {
+                return Ok(served_hit(inner, req, &hit));
+            }
+            key
+        }
+        _ => probe,
+    };
     match protocol::run_allocation(module, &input, req, scratch) {
         Ok((outcome, timings)) => {
             let render = Instant::now();
             let resp = protocol::render_ok(&req.id, &outcome, req.emit_module);
             let serialize_ns = ns(render.elapsed());
-            lock(&inner.cache).insert(key, outcome);
+            lock(&inner.cache).insert_key(key, outcome);
             inner.tel.cache_misses.inc();
             Ok(ComputeOut { resp, cache_hit: false, phases: timings, serialize_ns })
         }
@@ -724,6 +737,14 @@ fn compute(inner: &Inner, req: &Request, scratch: &mut AllocScratch) -> Result<C
             Err(e)
         }
     }
+}
+
+/// Counts a cache hit and renders its response.
+fn served_hit(inner: &Inner, req: &Request, outcome: &Outcome) -> ComputeOut {
+    inner.tel.cache_hits.inc();
+    let render = Instant::now();
+    let resp = protocol::render_ok(&req.id, outcome, req.emit_module);
+    ComputeOut { resp, cache_hit: true, phases: None, serialize_ns: ns(render.elapsed()) }
 }
 
 #[cfg(test)]

@@ -18,20 +18,30 @@ use std::fmt::Write as _;
 
 /// Escapes `s` as JSON string *contents* (no surrounding quotes) into
 /// `out`: `"`, `\`, and control characters become escape sequences.
+///
+/// Every byte that needs escaping is ASCII, so the bytes between two of
+/// them always form whole characters: each such run is copied with one
+/// `push_str` rather than character by character.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// The escaped form of `s`, quotes included.
@@ -85,9 +95,13 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
-    /// The finished document text.
-    pub fn finish(self) -> String {
+    /// The finished document text, with no spare capacity: callers keep
+    /// large documents (service replies, a load generator's expected
+    /// replies) alive, and a buffer grown by doubling can hold nearly twice
+    /// its length.
+    pub fn finish(mut self) -> String {
         debug_assert!(self.stack.is_empty(), "unclosed object/array");
+        self.buf.shrink_to_fit();
         self.buf
     }
 

@@ -19,7 +19,10 @@
 //!    and allocated module text — must match a direct, cache-free
 //!    execution of the same request **byte-for-byte**. This hammers the
 //!    protocol's parse/render paths and the content-addressed result cache
-//!    (repeated and colliding keys must never change a response);
+//!    (repeated and colliding keys must never change a response). The case
+//!    is then sent again, reformatted by [`reformat_program`]: the reply
+//!    must be the same bytes and must be a cache hit, which exercises the
+//!    service's second, canonical-key probe;
 //! 6. (cases that pass 1–4, on hosts where [`lsra_jit::jit_supported`])
 //!    native differential execution: the allocated module is JIT-compiled
 //!    to x86-64 and executed, and its **entire** [`lsra_vm::RunResult`] —
@@ -314,28 +317,52 @@ fn trace_failure(original: &Module, allocator: &str, spec: &MachineSpec) -> Opti
     }
 }
 
+/// `text` laid out differently without changing the module it denotes:
+/// every line indented two more spaces and followed by a blank line, and a
+/// whole-line `; comment` before every fourth line. The service must serve
+/// such a copy from the entry its canonical text made.
+pub fn reformat_program(text: &str) -> String {
+    let mut out = String::with_capacity(2 * text.len());
+    for (i, line) in text.lines().enumerate() {
+        if i % 4 == 0 {
+            out.push_str("  ; reformatted\n");
+        }
+        out.push_str("  ");
+        out.push_str(line);
+        out.push_str("\n\n");
+    }
+    out
+}
+
 /// Oracle stage 5: sends the case through `service` as an inline-program
 /// request (`emit_module: true`, machine named by its selector) and
 /// compares the served response byte-for-byte against
 /// [`lsra_server::expected_response_line`] — a direct, cache-free
-/// execution of the same request. Only called for cases that passed the
-/// in-process oracle, so direct allocation is known not to panic.
+/// execution of the same request. Then sends the case again as
+/// [`reformat_program`] text: the reply must be the same bytes, served as
+/// a cache hit through the canonical-key probe. Only called for cases that
+/// passed the in-process oracle, so direct allocation is known not to
+/// panic.
 fn check_serve_case(
     service: &lsra_server::Service,
     module: &Module,
     allocator: &str,
     spec: &MachineSpec,
 ) -> Result<(), String> {
-    let mut w = lsra_trace::json::JsonWriter::new();
-    w.begin_object();
-    w.field_str("id", "fuzz");
-    w.field_str("program", &format!("{module}"));
-    w.field_str("allocator", allocator);
-    w.field_str("machine", &spec.selector());
-    w.key("emit_module");
-    w.bool(true);
-    w.end_object();
-    let line = w.finish();
+    let request = |program: &str| {
+        let mut w = lsra_trace::json::JsonWriter::new();
+        w.begin_object();
+        w.field_str("id", "fuzz");
+        w.field_str("program", program);
+        w.field_str("allocator", allocator);
+        w.field_str("machine", &spec.selector());
+        w.key("emit_module");
+        w.bool(true);
+        w.end_object();
+        w.finish()
+    };
+    let text = format!("{module}");
+    let line = request(&text);
     let req = match lsra_server::parse_request(&line) {
         Ok(lsra_server::ParsedLine::Alloc(r)) => *r,
         Ok(_) => return Err("fuzz built a non-alloc service request".to_string()),
@@ -345,6 +372,14 @@ fn check_serve_case(
     let got = service.call(&line);
     if got != want {
         return Err(format!("service round-trip mismatch:\n  served: {got}\n  direct: {want}"));
+    }
+    let hits = service.counters().cache_hits;
+    let got = service.call(&request(&reformat_program(&text)));
+    if got != want {
+        return Err(format!("reformatted-program mismatch:\n  served: {got}\n  direct: {want}"));
+    }
+    if service.counters().cache_hits != hits + 1 {
+        return Err("the reformatted program was not served from the cache".to_string());
     }
     Ok(())
 }

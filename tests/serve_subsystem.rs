@@ -2,16 +2,24 @@
 //! must be a structured JSON response, and none may take the server down.
 //! Plus the observability contracts: the documented `stats` field set, the
 //! `metrics` exposition, counter conservation at quiescence, span logging,
-//! and the guarantee that telemetry never changes response bytes.
+//! and the guarantee that telemetry never changes response bytes. Plus the
+//! cache-key contracts (a key covers everything that shapes a reply, and
+//! formatting never splits an entry) and the JSON escaper replies go
+//! through.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
+use second_chance_regalloc::fuzz::reformat_program;
 use second_chance_regalloc::ir::fnv64;
 use second_chance_regalloc::server::json_in::{self, JsonValue};
-use second_chance_regalloc::server::{serve_tcp, ServeConfig, Service, STATS_FIELDS};
-use second_chance_regalloc::trace::json::validate;
+use second_chance_regalloc::server::{
+    expected_response_line, parse_request, serve_tcp, ParsedLine, ServeConfig, Service,
+    STATS_FIELDS,
+};
+use second_chance_regalloc::trace::json::{escape_into, validate, JsonWriter};
+use second_chance_regalloc::workloads::{self, Lcg};
 
 fn service(cfg: ServeConfig) -> Service {
     Service::start(cfg)
@@ -169,6 +177,125 @@ fn repeated_requests_are_byte_identical_and_hit_the_cache() {
     let third = call(&s, respaced);
     assert_eq!(third, first);
     assert_eq!(s.counters().cache_hits, 2);
+}
+
+/// An inline-program `alloc` request line for `program`.
+fn program_line(id: &str, program: &str, run: bool) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_str("id", id);
+    w.field_str("program", program);
+    w.key("run");
+    w.bool(run);
+    w.key("emit_module");
+    w.bool(true);
+    w.end_object();
+    w.finish()
+}
+
+fn expected(line: &str) -> String {
+    let Ok(ParsedLine::Alloc(req)) = parse_request(line) else { panic!("not alloc: {line}") };
+    expected_response_line(&req)
+}
+
+#[test]
+fn a_workload_and_its_inline_text_do_not_share_an_entry() {
+    // The workload runs on its own input, the inline copy on empty input:
+    // the same canonical text must not make the second reply the first's.
+    let s = service(small_cfg());
+    let by_name = call(&s, r#"{"id": "p", "workload": "wc", "run": true, "emit_module": true}"#);
+    let text = ((workloads::by_name("wc").expect("wc").build)()).to_string();
+    let line = program_line("p", &text, true);
+    let inline = call(&s, &line);
+    assert_eq!(inline, expected(&line), "the inline copy must run on empty input");
+    assert_ne!(inline, by_name);
+    assert_eq!(s.counters().cache_hits, 0, "two different requests, two entries");
+}
+
+#[test]
+fn one_program_reaches_one_entry_however_it_is_formatted() {
+    let s = service(small_cfg());
+    let canonical = ((workloads::by_name("eqntott").expect("eqntott").build)()).to_string();
+    let reformatted = reformat_program(&canonical);
+    assert_ne!(reformatted, canonical);
+    let line = program_line("f", &canonical, false);
+    let want = expected(&line);
+    assert!(want.contains(r#""status": "ok""#), "{want}");
+    // A miss, a hit through the canonical-key probe, another such hit, and
+    // a hit through the raw-text probe.
+    for (sent, program) in
+        [&canonical, &reformatted, &reformat_program(&reformatted), &canonical].iter().enumerate()
+    {
+        let got = call(&s, &program_line("f", program, false));
+        assert_eq!(got, want, "send {sent} must reply the direct bytes");
+        let snap = s.counters();
+        assert_eq!((snap.cache_hits, snap.cache_misses), (sent as u64, 1), "after send {sent}");
+    }
+    assert_eq!(s.counters().cache_entries, 1);
+}
+
+/// The escaper as it was before copying by runs: one `char` at a time.
+fn escape_charwise(s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn escaped(s: &str) -> String {
+    let mut out = String::new();
+    escape_into(&mut out, s);
+    out
+}
+
+#[test]
+fn escaping_by_runs_matches_the_charwise_escaper() {
+    for b in 0u8..0x80 {
+        let c = char::from(b);
+        for s in [c.to_string(), format!("ab{c}"), format!("{c}cd"), format!("a{c}{c}b")] {
+            assert_eq!(escaped(&s), escape_charwise(&s), "{s:?}");
+        }
+    }
+    let wide = ["\u{e9}", "\u{20ac}", "\u{1d11e}", "\u{7f}", "\u{80}", "\u{2028}"];
+    for w in wide {
+        let s = format!("\"{w}\n{w}\\{w}\u{1}");
+        assert_eq!(escaped(&s), escape_charwise(&s), "{s:?}");
+    }
+    let mut rng = Lcg::new(0x6a73_6f6e);
+    for _ in 0..10_000 {
+        let len = rng.below(24) as usize;
+        let s: String = (0..len)
+            .map(|_| match rng.below(4) {
+                0 => wide[rng.below(wide.len() as u64) as usize].chars().next().unwrap(),
+                _ => char::from(rng.below(0x80) as u8),
+            })
+            .collect();
+        assert_eq!(escaped(&s), escape_charwise(&s), "{s:?}");
+    }
+}
+
+#[test]
+fn finished_documents_hold_no_spare_capacity() {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_str("id", "cap");
+    w.field_str("module", &"data 1 2 3\n".repeat(5000));
+    w.end_object();
+    let doc = w.finish();
+    assert_eq!(doc.capacity(), doc.len());
+    let wc = ((workloads::by_name("wc").expect("wc").build)()).to_string();
+    let reply = expected(&program_line("c", &wc, false));
+    assert!(reply.contains(r#""module": "module wc"#), "{reply}");
+    assert_eq!(reply.capacity(), reply.len());
 }
 
 #[test]

@@ -4,6 +4,8 @@
 
 use second_chance_regalloc::allocate_and_cleanup;
 use second_chance_regalloc::prelude::*;
+use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
+use second_chance_regalloc::workloads::random::{RandomConfig, RandomProgram};
 
 fn load(name: &str) -> Module {
     let path = format!("{}/examples/ir/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -41,21 +43,46 @@ fn gcd_survives_a_three_register_machine() {
     assert_eq!(r.ret, Some(21));
 }
 
+/// `print(parse(print(m))) == print(m)`: printed text is its own
+/// canonical form. The allocation service's raw-text cache probe relies on
+/// this (text equal to a stored canonical text must canonicalise to
+/// itself).
+fn assert_print_is_a_fixpoint(what: &str, module: &Module) -> Module {
+    let text = module.to_string();
+    let reparsed = lsra_ir::parse_module(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(reparsed.to_string(), text, "{what}: round trip changed the text");
+    reparsed
+}
+
 #[test]
 fn printer_and_parser_are_inverse_on_workloads() {
     // Print, parse, print again: the texts must agree, and the reparsed
-    // module must behave identically.
+    // module must behave identically. Allocated output (spill tags, slots,
+    // negative offsets, physical operands) and random programs must print
+    // to a fixpoint too.
     let spec = MachineSpec::alpha_like();
-    for name in ["eqntott", "li", "wc"] {
-        let w = lsra_workloads::by_name(name).unwrap();
+    let machines = [spec.clone(), MachineSpec::small(4, 2)];
+    for w in lsra_workloads::all() {
         let module = (w.build)();
-        let text = module.to_string();
-        let reparsed = lsra_ir::parse_module(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(reparsed.to_string(), text, "{name}: round trip changed the text");
+        let reparsed = assert_print_is_a_fixpoint(w.name, &module);
         let input = (w.input)();
         let a = run_module(&module, &spec, &input).unwrap();
         let b = run_module(&reparsed, &spec, &input).unwrap();
-        assert_eq!(a, b, "{name}: reparsed module behaves differently");
+        assert_eq!(a, b, "{}: reparsed module behaves differently", w.name);
+        for machine in &machines {
+            for name in ALLOCATOR_NAMES {
+                let mut allocated = module.clone();
+                allocator_by_name(name, 1, false)
+                    .expect("registered name")
+                    .allocate_module(&mut allocated, machine);
+                let what = format!("{} / {name} / {}", w.name, machine.name());
+                assert_print_is_a_fixpoint(&what, &allocated);
+            }
+        }
+    }
+    for seed in 0..200 {
+        let module = RandomProgram::new(seed, RandomConfig::default()).build(&spec);
+        assert_print_is_a_fixpoint(&format!("random seed {seed}"), &module);
     }
 }
 
