@@ -14,7 +14,7 @@
 //! 3. bundles are allocated from a priority queue ordered by total live
 //!    length — long, hard-to-place bundles first;
 //! 4. an unsplit bundle that fits nowhere may **evict** already-placed
-//!    bundles whose spill weight it at least doubles (they return to the
+//!    bundles whose spill weight it more than doubles (they return to the
 //!    queue; a budget bounds the cascading), any bundle may **split** into
 //!    smaller bundles at block boundaries or at the widest gap between its
 //!    references, or — as the second-chance fallback that guarantees
@@ -99,7 +99,7 @@ struct Bundle {
     /// Queue priority: total points covered. Long bundles allocate first.
     prio: u64,
     /// Spill weight: reference weight per covered point. Eviction demands
-    /// at least double the victim's weight from the evictor.
+    /// strictly more than double the victim's weight from the evictor.
     weight: f64,
     assignment: Option<PhysReg>,
     spilled: bool,
@@ -188,31 +188,67 @@ impl State<'_> {
         b.assignment = Some(reg);
     }
 
-    /// All distinct bundles parked in `d` that conflict with the range set;
-    /// `None` when a blocked segment conflicts (the register cannot be
-    /// evicted free).
-    fn conflicts(&self, range_ids: &[u32], d: usize) -> Option<SmallVec<u32, 8>> {
-        let mut out: SmallVec<u32, 8> = SmallVec::new();
-        for &r in range_ids {
-            let s = self.ranges[r as usize].seg;
-            for (_, _, owner) in self.regs[d].overlapping_entries(s.start.0, s.end.0) {
-                match owner {
-                    None => return None,
-                    Some(t) => {
-                        if !out.contains(&t.0) {
-                            out.push(t.0);
-                        }
-                    }
-                }
+    /// Where bundle `bid` may go by eviction, and whom it must evict: of
+    /// the class's registers not blocked over its ranges, the first whose
+    /// heaviest conflicting bundle is lightest — provided our weight more
+    /// than doubles that heaviest one.
+    ///
+    /// A register wins only if its heaviest conflict weighs strictly less
+    /// than both the best so far and half our weight, so each register's
+    /// scan is bounded by the smaller of the two and abandoned at its first
+    /// bundle that heavy.
+    fn eviction_target(&self, bid: u32) -> Option<(usize, SmallVec<u32, 8>)> {
+        let b = &self.bundles[bid as usize];
+        let half = b.weight / 2.0;
+        let mut best: Option<(f64, usize, SmallVec<u32, 8>)> = None;
+        for d in self.spec.reg_indices(b.class) {
+            let bound = best.as_ref().map_or(half, |(bw, _, _)| bw.min(half));
+            let segs = b.ranges.iter().map(|&r| self.ranges[r as usize].seg);
+            let weight = |c: u32| self.bundles[c as usize].weight;
+            let Some((maxw, cs)) = conflicts(&self.regs[d], segs, weight, bound) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(bw, _, _)| maxw < *bw) {
+                best = Some((maxw, d, cs));
             }
         }
-        Some(out)
+        let (maxw, d, cs) = best?;
+        (maxw * 2.0 < b.weight).then_some((d, cs))
     }
 
     /// The block containing `p` in linear order.
     fn block_of(&self, p: Point) -> usize {
         self.block_tops.partition_point(|&s| s <= p.0) - 1
     }
+}
+
+/// The distinct bundles parked in `map` that overlap any of `segs`, and the
+/// greatest of their weights (0 for none). `None` when a blocked segment
+/// overlaps (the register cannot be evicted free), or as soon as a
+/// conflicting bundle weighs `bound` or more (the register cannot win the
+/// caller's search, so the rest of its scan would be thrown away).
+fn conflicts(
+    map: &IntervalMap,
+    segs: impl IntoIterator<Item = Segment>,
+    weight: impl Fn(u32) -> f64,
+    bound: f64,
+) -> Option<(f64, SmallVec<u32, 8>)> {
+    let mut out: SmallVec<u32, 8> = SmallVec::new();
+    let mut maxw = 0.0f64;
+    for s in segs {
+        for (_, _, owner) in map.overlapping_entries(s.start.0, s.end.0) {
+            let c = owner?.0;
+            if !out.contains(&c) {
+                let w = weight(c);
+                if w >= bound {
+                    return None;
+                }
+                maxw = maxw.max(w);
+                out.push(c);
+            }
+        }
+    }
+    Some((maxw, out))
 }
 
 /// The span a point lifetime at instruction `gi` must have free (same model
@@ -466,14 +502,16 @@ fn allocate(
         let mut sibling: SmallVec<usize, 4> = SmallVec::new();
         for &r in &st.bundles[bid as usize].ranges {
             if let Some(d) = temp_reg[st.ranges[r as usize].temp.index()] {
-                if !sibling.contains(&(d as usize)) {
-                    sibling.push(d as usize);
+                let d = d as usize;
+                if hint_d != Some(d) && !sibling.contains(&d) {
+                    sibling.push(d);
                 }
             }
         }
-        // Hint, then siblings, then dense order.
-        let order =
-            hint_d.into_iter().chain(sibling.iter().copied()).chain(spec.reg_indices(class));
+        // Hint, then siblings, then dense order. Each register is probed
+        // once: nothing changes between probes, so a repeat would fail again.
+        let dense = spec.reg_indices(class).filter(|&d| hint_d != Some(d) && !sibling.contains(&d));
+        let order = hint_d.into_iter().chain(sibling.iter().copied()).chain(dense);
         let mut placed = false;
         for d in order {
             if st.fits(&st.bundles[bid as usize].ranges, d) {
@@ -495,51 +533,42 @@ fn allocate(
             continue;
         }
 
-        // Eviction: find the register whose conflicting bundles have the
-        // smallest maximum weight; evict them all if our weight *clearly*
-        // dominates (2x). Mere strict inequality lets similar-weight
-        // bundles displace each other in cascades — each round re-places
-        // every loser somewhere worse, and the measured inserted spill code
-        // ends up far above just splitting around the conflict.
-        let our_weight = st.bundles[bid as usize].weight;
-        let mut best: Option<(f64, usize, SmallVec<u32, 8>)> = None;
-        for d in spec.reg_indices(class) {
-            let Some(cs) = st.conflicts(&st.bundles[bid as usize].ranges, d) else { continue };
-            let maxw =
-                cs.iter().map(|&c| st.bundles[c as usize].weight).fold(0.0f64, |a, w| a.max(w));
-            if best.as_ref().is_none_or(|(bw, _, _)| maxw < *bw) {
-                best = Some((maxw, d, cs));
-            }
-        }
-        if let Some((maxw, d, cs)) = best {
-            if st.bundles[bid as usize].gen == 0 && maxw * 2.0 < our_weight && evict_budget > 0 {
-                let at = st.ranges[st.bundles[bid as usize].ranges[0] as usize].seg.start;
-                for &c in cs.iter() {
-                    st.regs[d].remove_owner(Temp(c));
-                    st.bundles[c as usize].assignment = None;
-                    if sink.enabled() {
-                        sink.event(&TraceEvent::EvictBundle {
-                            temp: st.repr(c),
-                            reg: spec.reg_at(d),
-                            at,
-                        });
-                    }
-                    stats.evictions += 1;
-                    evict_budget = evict_budget.saturating_sub(1);
-                    queue.push((st.bundles[c as usize].prio, Reverse(c)));
-                }
+        // Eviction, open only to an unsplit bundle while the budget lasts:
+        // take the register whose conflicting bundles have the smallest
+        // maximum weight and evict them all if our weight *clearly*
+        // dominates (more than 2x). Mere strict inequality lets
+        // similar-weight bundles displace each other in cascades — each
+        // round re-places every loser somewhere worse, and the measured
+        // inserted spill code ends up far above just splitting around the
+        // conflict.
+        let may_evict = st.bundles[bid as usize].gen == 0 && evict_budget > 0;
+        if let Some((d, cs)) = may_evict.then(|| st.eviction_target(bid)).flatten() {
+            let at = st.ranges[st.bundles[bid as usize].ranges[0] as usize].seg.start;
+            for &c in cs.iter() {
+                st.regs[d].remove_owner(Temp(c));
+                st.bundles[c as usize].assignment = None;
                 if sink.enabled() {
-                    sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: spec.reg_at(d) });
+                    sink.event(&TraceEvent::EvictBundle {
+                        temp: st.repr(c),
+                        reg: spec.reg_at(d),
+                        at,
+                    });
                 }
-                st.assign(bid, d);
-                for &r in &st.bundles[bid as usize].ranges {
-                    let anchor = &mut temp_reg[st.ranges[r as usize].temp.index()];
-                    if anchor.is_none() {
-                        *anchor = Some(d as u32);
-                    }
-                }
-                continue;
+                stats.evictions += 1;
+                evict_budget = evict_budget.saturating_sub(1);
+                queue.push((st.bundles[c as usize].prio, Reverse(c)));
             }
+            if sink.enabled() {
+                sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: spec.reg_at(d) });
+            }
+            st.assign(bid, d);
+            for &r in &st.bundles[bid as usize].ranges {
+                let anchor = &mut temp_reg[st.ranges[r as usize].temp.index()];
+                if anchor.is_none() {
+                    *anchor = Some(d as u32);
+                }
+            }
+            continue;
         }
 
         // Split: at block boundaries for multi-block bundles, at the widest
@@ -856,14 +885,24 @@ fn allocate(
                     pre.push(Ins::tagged(inst, tag));
                 }
             }
-            for class in RegClass::ALL {
-                free[class.index()].clear();
-                free[class.index()].extend(spec.reg_indices(class).filter(|&d| {
-                    st.regs[d]
-                        .overlapping_owner_from(&mut cursors[d], span.start.0, span.end.0)
-                        .is_none()
-                }));
-            }
+            // A class's scratch list is built the first time this
+            // instruction needs a scratch register of it. Most instructions
+            // touch no memory-resident value and build none. Skipping queries
+            // changes no later answer: a cursor answers exactly for any
+            // non-decreasing sequence of queries.
+            let mut listed = [false; 2];
+            let mut scratch = |class: RegClass| {
+                let free = &mut free[class.index()];
+                if !std::mem::replace(&mut listed[class.index()], true) {
+                    free.clear();
+                    free.extend(spec.reg_indices(class).filter(|&d| {
+                        st.regs[d]
+                            .overlapping_owner_from(&mut cursors[d], span.start.0, span.end.0)
+                            .is_none()
+                    }));
+                }
+                free.pop()
+            };
             scratch_of.clear();
             src_temps.clear();
             ins.inst.for_each_use(|r| {
@@ -876,7 +915,7 @@ fn allocate(
             for &t in src_temps.iter() {
                 if loc_at(&temp_pieces, &st.bundles, t, Point::read(gi)).is_none() {
                     let class = f.temp_class(t);
-                    let d = free[class.index()].pop().unwrap_or_else(|| {
+                    let d = scratch(class).unwrap_or_else(|| {
                         panic!("no scratch register at instruction {gi} for {t}")
                     });
                     let r = spec.reg_at(d);
@@ -917,7 +956,7 @@ fn allocate(
                             .find(|(_, p)| p.class == class)
                             .map(|(_, p)| *p)
                             .unwrap_or_else(|| {
-                                let d = free[class.index()].pop().unwrap_or_else(|| {
+                                let d = scratch(class).unwrap_or_else(|| {
                                     panic!("no scratch register at instruction {gi} for def {t}")
                                 });
                                 spec.reg_at(d)
@@ -1213,6 +1252,65 @@ mod tests {
         let id = mb.add(f);
         mb.entry(id);
         mb.finish()
+    }
+
+    /// The bounded conflict scan against a brute-force walk over every
+    /// interval: random disjoint maps (owners bundles 0..6, or blocked),
+    /// random bundle weights with ties, random query segments.
+    #[test]
+    fn bounded_conflict_scan_matches_brute_force() {
+        let mut rng = lsra_workloads::Lcg::new(1998);
+        for case in 0..2000 {
+            let span = 10 + rng.below(120) as u32;
+            let blocked_odds = 1 + rng.below(12);
+            let mut map = IntervalMap::new();
+            let mut at = rng.below(4) as u32;
+            while at < span {
+                let end = at + rng.below(6) as u32;
+                let owner = (rng.below(blocked_odds) != 0).then(|| Temp(rng.below(6) as u32));
+                map.insert(at, end, owner);
+                at = end + 1 + rng.below(5) as u32;
+            }
+            let weights: Vec<f64> = (0..6).map(|_| rng.below(8) as f64 * 0.5).collect();
+            let weight = |c: u32| weights[c as usize];
+            let mut segs: Vec<Segment> = Vec::new();
+            let mut at = rng.below(8) as u32;
+            for _ in 0..1 + rng.below(4) {
+                let end = at + rng.below(12) as u32;
+                segs.push(Segment::new(Point(at), Point(end)));
+                at = end + 1 + rng.below(10) as u32;
+            }
+
+            // Brute force: every stored interval, in start order, per segment.
+            let all: Vec<_> = map.overlapping_entries(0, u32::MAX).collect();
+            let (mut want, mut blocked) = (Vec::new(), false);
+            for s in &segs {
+                for &(a, e, owner) in &all {
+                    if a <= s.end.0 && e >= s.start.0 {
+                        match owner {
+                            None => blocked = true,
+                            Some(t) if !want.contains(&t.0) => want.push(t.0),
+                            Some(_) => {}
+                        }
+                    }
+                }
+            }
+            let maxw = want.iter().map(|&c| weight(c)).fold(0.0f64, f64::max);
+
+            let bounds = [f64::INFINITY, maxw, maxw + 0.25, rng.below(9) as f64 * 0.5];
+            for bound in bounds {
+                let got = conflicts(&map, segs.iter().copied(), weight, bound);
+                if blocked {
+                    assert!(got.is_none(), "case {case}: blocked segment missed");
+                } else if !want.is_empty() && maxw >= bound {
+                    assert!(got.is_none(), "case {case}: max {maxw} reaches bound {bound}");
+                } else {
+                    let (w, cs) = got.unwrap_or_else(|| panic!("case {case}: bound {bound}"));
+                    assert_eq!(w, maxw, "case {case}: bound {bound}");
+                    assert_eq!(cs.as_slice(), &want[..], "case {case}: bound {bound}");
+                }
+            }
+        }
     }
 
     #[test]

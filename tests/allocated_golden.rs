@@ -215,6 +215,47 @@ fn scaling_pins_cover_the_feasibility_unassign_path() {
     assert!(sink.0 > 0, "no pinned scaling shape unassigns a feasibility victim");
 }
 
+/// Counts ion's evictions, and the most splits any one temporary's bundles
+/// took within one function.
+#[derive(Default)]
+struct BacktrackCounter {
+    evictions: usize,
+    splits: std::collections::HashMap<Temp, usize>,
+    most_splits: usize,
+}
+
+impl TraceSink for BacktrackCounter {
+    fn event(&mut self, ev: &TraceEvent) {
+        match ev {
+            TraceEvent::FunctionBegin { .. } => self.splits.clear(),
+            TraceEvent::EvictBundle { .. } => self.evictions += 1,
+            TraceEvent::SplitBundle { temp, .. } => {
+                let n = self.splits.entry(*temp).or_default();
+                *n += 1;
+                self.most_splits = self.most_splits.max(*n);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The scaling pins must cover ion's backtracking paths, which the bounded
+/// eviction search and the split-piece retry run through: a traced ion
+/// allocation of the pinned `medium` shape evicts at least once, and splits
+/// some temporary at least twice (a split piece that missed again).
+#[test]
+fn scaling_pins_cover_the_ion_backtracking_paths() {
+    let spec = MachineSpec::alpha_like();
+    let mut sink = BacktrackCounter::default();
+    let mut m = lsra_workloads::scaling::scale_module("medium", 20_000).unwrap();
+    allocator_by_name("ion", 1, false)
+        .unwrap()
+        .allocate_module_traced(&mut m, &spec, &mut sink)
+        .expect("ion has a traced path");
+    assert!(sink.evictions > 0, "the pinned medium shape never evicts under ion");
+    assert!(sink.most_splits >= 2, "no split piece of the pinned medium shape splits again");
+}
+
 #[test]
 fn allocated_output_is_pinned() {
     let mut got = Vec::new();
