@@ -106,31 +106,40 @@ pub(crate) struct Scanner<'a> {
     /// Same shape of memo for [`Scanner::temp_live_at`], per temporary.
     live_cache: Vec<(Point, Point, bool)>,
     /// Candidate bitmask for [`Scanner::try_alloc`]'s hole sweep, one bit
-    /// per dense register index. A cleared bit is a *proof* that
-    /// [`Scanner::reg_hole`] returns `None` for the register until the
-    /// matching [`Scanner::hole_expiry`] entry fires: no pending owner and
-    /// an occupant live through the recorded segment end. A set bit
-    /// promises nothing — the sweep still probes it. Bits are cleared by
-    /// the sweep itself when the proof is found and re-set by `bind` /
-    /// `evict` (the only occupancy writers) and by expiry, so a fully
-    /// packed register file costs one word read per definition instead of
-    /// a hole query per register.
+    /// per dense register index. A cleared bit is a *busy proof*: until the
+    /// matching [`Scanner::hole_expiry`] entry fires, the register's
+    /// occupant stays live, so [`Scanner::reg_hole`] returns `None`, and
+    /// skipping the probe skips no side effect. The proof stands beside a
+    /// valid pending owner too, because its expiry is also bounded by the
+    /// point just before the owner can next be live. Only there can a probe
+    /// lapse the owner's claim, so the lapse lands in the same call as
+    /// without the proof. (A stale owner needs no bound: every reader
+    /// re-checks validity.) A set bit promises nothing; the sweep still
+    /// probes it. The sweep clears bits when it finds the proof. `bind` /
+    /// `evict` (the only occupancy writers) and expiry set them again, so a
+    /// fully packed register file costs one word read per definition
+    /// instead of a hole query per register.
     free_candidates: Vec<u64>,
-    /// Monotone "has history" bitmask, one bit per dense register index. A
-    /// clear bit is a *proof* that [`Scanner::reg_hole`] returns the trivial
-    /// hole `(INF, INF)`: the register has no precolored blocked segments
-    /// (checked once at setup) and has never been bound, so it can have
-    /// neither an occupant nor a pending owner. Such registers are all
-    /// equivalent to the sweep — under the smallest-sufficient-hole rule
-    /// only the lowest-indexed one can ever win — so `try_alloc` probes only
-    /// `free_candidates & interesting` individually and folds the whole
-    /// virgin remainder in as one constant-time candidate. Bits are set by
-    /// `bind` and never cleared (an evicted register keeps its bit: the
-    /// over-approximation only costs a probe).
+    /// "Has history" bitmask, one bit per dense register index. A clear bit
+    /// is a *proof* that [`Scanner::reg_hole`] returns the trivial hole
+    /// `(INF, INF)` for every requester. At setup the bit is clear for a
+    /// register with no precolored blocked segment, which has never been
+    /// bound. The sweep clears it again for a *dead* register: one whose
+    /// probe returned `(INF, INF)` to a requester that is not its pending
+    /// owner. No blocked segment lies ahead of it, and its occupant and
+    /// any valid pending owner are never live again, so the hole stays
+    /// trivial until the next `bind`, which sets the bit. Such registers
+    /// are all equivalent to the sweep: under the smallest-sufficient-hole
+    /// rule only the lowest-indexed one can ever win. So `try_alloc` probes
+    /// only `free_candidates & interesting` individually and folds the
+    /// whole trivial remainder in as one constant-time candidate. An
+    /// evicted register keeps its bit; the over-approximation only costs a
+    /// probe.
     interesting: Vec<u64>,
-    /// Min-heap of `(segment_end, register)` re-admission events for the
-    /// cleared bits of `free_candidates`. Stale entries (the register was
-    /// re-admitted early by `bind`/`evict`) only cost a redundant re-set.
+    /// Min-heap of `(expiry, register)` re-admission events for the cleared
+    /// bits of `free_candidates`: `expiry` is the last point the busy proof
+    /// covers. Stale entries (the register was re-admitted early by
+    /// `bind`/`evict`) only cost a redundant re-set.
     hole_expiry: std::collections::BinaryHeap<std::cmp::Reverse<(Point, u32)>>,
     /// Arena the working vectors were taken from; `run` hands them back so
     /// the next function reuses their capacity.
@@ -439,6 +448,105 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// After [`Scanner::reg_hole`] found register `d` not free at `at` for
+    /// `t`, drops it from `free_candidates` when the reason is a live
+    /// occupant, until the occupant's covering segment ends. A valid pending
+    /// owner `w` (not `t`) also bounds the proof: it expires just before `w`
+    /// can next be live, the first point where a probe could lapse `w`'s
+    /// claim. `bind`/`evict` re-admit the register early if the occupancy
+    /// changes first.
+    fn prove_busy(&mut self, d: usize, at: Point, t: Temp) {
+        let Some(u) = self.occupant[d] else { return };
+        self.advance_segs(u, at);
+        let Some(s) = self.lt.segments(u).get(self.seg_cur[u.index()]).copied() else { return };
+        if !(s.start <= at && at <= s.end) {
+            return; // not free because of a blocked segment
+        }
+        let pending = self.pending_owner[d];
+        let until = match pending {
+            None => s.end,
+            // Only when the probe got past the blocked check: then it has
+            // already asked for `w`'s next live point, so asking again moves
+            // no cursor, and the answer lies after `at` (else the probe
+            // would have lapsed the claim).
+            Some(w)
+                if w != t
+                    && self.loc[w.index()] == Loc::None
+                    && self.last_reg[w.index()] == Some(d)
+                    && self.reg_unblocked_until(d, at).is_some() =>
+            {
+                s.end.min(Point(self.next_live_start(w, at).0 - 1))
+            }
+            Some(_) => return,
+        };
+        self.free_candidates[d / 64] &= !(1u64 << (d % 64));
+        self.hole_expiry.push(std::cmp::Reverse((until, d as u32)));
+    }
+
+    /// [`Scanner::reg_hole`] without its side effects: no claim lapses, no
+    /// cursor moves (segments are found by binary search), so debug checks
+    /// can ask it anything without changing what the scan does next.
+    #[cfg(debug_assertions)]
+    fn peek_hole(&self, d: usize, p: Point, for_temp: Temp) -> Option<(Point, Point)> {
+        // The first point at or after `p` where `t` is live (`p` itself
+        // exactly when `t` is live at `p`).
+        let next_live = |t: Temp| {
+            let segs = self.lt.segments(t);
+            segs.get(segs.partition_point(|s| s.end < p)).map_or(INF, |s| s.start.max(p))
+        };
+        let blocked = self.lt.blocked(d);
+        let limit = match blocked.get(blocked.partition_point(|s| s.end < p)) {
+            Some(s) if s.start <= p => return None,
+            Some(s) => s.start,
+            None => INF,
+        };
+        let mut reclaim = INF;
+        if let Some(w) = self.pending_owner[d] {
+            if w != for_temp
+                && self.loc[w.index()] == Loc::None
+                && self.last_reg[w.index()] == Some(d)
+                && next_live(w) > p
+            {
+                reclaim = next_live(w);
+            }
+        }
+        match self.occupant[d] {
+            Some(u) if next_live(u) == p => None,
+            Some(u) => {
+                let ret = reclaim.min(next_live(u));
+                Some((limit.min(ret), ret))
+            }
+            None => Some((limit.min(reclaim), reclaim)),
+        }
+    }
+
+    /// Verifies every register of `range` that `try_alloc`'s masks let it
+    /// skip: a busy proof must mean "not free", and a clear `interesting`
+    /// bit must mean the trivial hole.
+    #[cfg(debug_assertions)]
+    fn check_skipped(&self, range: std::ops::Range<usize>, at: Point, t: Temp) {
+        for d in range {
+            let bit = 1u64 << (d % 64);
+            if self.interesting[d / 64] & bit == 0 {
+                assert_eq!(
+                    self.peek_hole(d, at, t),
+                    Some((INF, INF)),
+                    "{} folded as trivial at {at} in {}",
+                    self.spec.reg_at(d),
+                    self.f.name
+                );
+            } else if self.free_candidates[d / 64] & bit == 0 {
+                assert_eq!(
+                    self.peek_hole(d, at, t),
+                    None,
+                    "{} skipped as busy at {at} in {}",
+                    self.spec.reg_at(d),
+                    self.f.name
+                );
+            }
+        }
+    }
+
     /// The paper's allocation heuristic: among registers free at `at` whose
     /// hole lasts at least until `need_end`, prefer the *smallest hole* that
     /// covers `t`'s remaining lifetime; failing that (and if configured) the
@@ -478,13 +586,16 @@ impl<'a> Scanner<'a> {
             self.free_candidates[d as usize / 64] |= 1u64 << (d % 64);
         }
         let range = self.spec.reg_indices(class);
+        #[cfg(debug_assertions)]
+        self.check_skipped(range.clone(), at, t);
         // Only registers *with history* (see `interesting`) are probed
         // individually: a clear bit proves the trivial hole (INF, INF), and
-        // under the tier rules every virgin register lands in tier 0 with
-        // the largest possible hole — so the whole virgin remainder of the
+        // under the tier rules every such register lands in tier 0 with the
+        // largest possible hole — so the whole trivial remainder of the
         // class collapses into one candidate, folded in after the loop. The
-        // sweep is thereby O(registers ever bound), not O(registers): a
-        // wide machine running a narrow function never scans its idle tail.
+        // sweep is thereby O(registers with a live or pending value), not
+        // O(registers): a wide machine running a narrow function never
+        // scans its idle or dead tail.
         let mut d = range.start;
         while d < range.end {
             let word = (self.free_candidates[d / 64] & self.interesting[d / 64]) >> (d % 64);
@@ -502,26 +613,18 @@ impl<'a> Scanner<'a> {
             if exclude.contains(&d) {
                 continue;
             }
+            self.stats.hole_probes += 1;
             let Some((free_until, occupant_return)) = self.reg_hole(d, at, t) else {
-                // Not free. When the reason is the provable stable kind —
-                // no pending owner, a live occupant — drop the register
-                // from the candidate mask until the occupant's covering
-                // segment ends; `bind`/`evict` re-admit it early if the
-                // occupancy changes first.
-                if self.pending_owner[d].is_none() {
-                    if let Some(u) = self.occupant[d] {
-                        self.advance_segs(u, at);
-                        let seg = self.lt.segments(u).get(self.seg_cur[u.index()]).copied();
-                        if let Some(s) = seg {
-                            if s.start <= at && at <= s.end {
-                                self.free_candidates[d / 64] &= !(1u64 << (d % 64));
-                                self.hole_expiry.push(std::cmp::Reverse((s.end, d as u32)));
-                            }
-                        }
-                    }
-                }
+                self.prove_busy(d, at, t);
                 continue;
             };
+            if (free_until, occupant_return) == (INF, INF) && self.pending_owner[d] != Some(t) {
+                // Dead: nothing blocks the register from here on, and its
+                // occupant and any valid pending owner are never live
+                // again. It joins the trivial remainder until the next
+                // `bind` (see `interesting`).
+                self.interesting[d / 64] &= !(1u64 << (d % 64));
+            }
             if free_until < need_end {
                 continue;
             }
@@ -550,11 +653,11 @@ impl<'a> Scanner<'a> {
                 prev_tier = Some((tier, free_until));
             }
         }
-        // Fold the virgin remainder in as one candidate: the lowest-indexed
-        // non-excluded register with no history. Its hole is (INF, INF) —
-        // always sufficient, so tier 0 — and the full sweep resolves tier-0
-        // ties (equal free_until) to the lowest index, which is exactly the
-        // lexicographic comparison below.
+        // Fold the trivial remainder in as one candidate: the lowest-indexed
+        // non-excluded register with a clear `interesting` bit. Its hole is
+        // (INF, INF) — always sufficient, so tier 0 — and the full sweep
+        // resolves tier-0 ties (equal free_until) to the lowest index, which
+        // is exactly the lexicographic comparison below.
         let mut v = range.start;
         while v < range.end {
             let word = !self.interesting[v / 64] >> (v % 64);
@@ -569,7 +672,6 @@ impl<'a> Scanner<'a> {
             v += 1;
         }
         if v < range.end {
-            debug_assert_eq!(self.reg_hole(v, at, t), Some((INF, INF)));
             let better = match best[0] {
                 None => true,
                 Some((e, b)) => e == INF && v < b,

@@ -134,6 +134,10 @@ pub struct AllocStats {
     pub spilled_temps: usize,
     /// Evictions performed (including convention-forced ones).
     pub evictions: u64,
+    /// Hole queries made by the binpacking scan's per-definition register
+    /// sweep (one per register it had to probe individually). A measure of
+    /// how well the sweep's skip proofs work; 0 for the other allocators.
+    pub hole_probes: u64,
     /// Moves whose destination was bound to the source register by the
     /// move-coalescing check (§2.5), or by coloring's coalescing.
     pub moves_coalesced: u64,
@@ -205,6 +209,7 @@ impl AllocStats {
         }
         self.spilled_temps += other.spilled_temps;
         self.evictions += other.evictions;
+        self.hole_probes += other.hole_probes;
         self.moves_coalesced += other.moves_coalesced;
         self.lifetime_splits += other.lifetime_splits;
         self.stores_suppressed += other.stores_suppressed;
@@ -293,11 +298,19 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = AllocStats { candidates: 5, evictions: 2, ..Default::default() };
-        let b = AllocStats { candidates: 3, evictions: 1, iterations: 4, ..Default::default() };
+        let mut a =
+            AllocStats { candidates: 5, evictions: 2, hole_probes: 7, ..Default::default() };
+        let b = AllocStats {
+            candidates: 3,
+            evictions: 1,
+            hole_probes: 4,
+            iterations: 4,
+            ..Default::default()
+        };
         a.merge(&b);
         assert_eq!(a.candidates, 8);
         assert_eq!(a.evictions, 3);
+        assert_eq!(a.hole_probes, 11);
         assert_eq!(a.iterations, 4);
     }
 

@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::block::{Block, BlockId};
 use crate::inst::{Inst, OpCode};
+use crate::machine::MachineSpec;
 use crate::reg::{Reg, RegClass, Temp};
 
 /// Per-temporary metadata.
@@ -281,6 +282,55 @@ impl Function {
         Ok(())
     }
 
+    /// Checks that `spec` has room for every instruction: all of an
+    /// instruction's sources sit in registers at once, so none may read more
+    /// distinct temporaries of one class than `spec` has registers of that
+    /// class. Every allocator would fail on such an instruction (panic or
+    /// spin), so callers reject it up front. Assumes [`Function::validate`]
+    /// passed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ValidateError`] naming the first instruction that does
+    /// not fit and its class.
+    pub fn check_fits(&self, spec: &MachineSpec) -> Result<(), ValidateError> {
+        let mut reads: Vec<Temp> = Vec::new();
+        for b in self.block_ids() {
+            for (i, ins) in self.block(b).insts.iter().enumerate() {
+                reads.clear();
+                ins.inst.for_each_use(|r| {
+                    if let Reg::Temp(t) = r {
+                        if !reads.contains(&t) {
+                            reads.push(t);
+                        }
+                    }
+                });
+                for class in RegClass::ALL {
+                    let n = reads.iter().filter(|&&t| self.temp_class(t) == class).count();
+                    let have = spec.num_regs(class) as usize;
+                    if n > have {
+                        let word = match class {
+                            RegClass::Int => "int",
+                            RegClass::Float => "float",
+                        };
+                        let msg = format!(
+                            "does not fit the machine: reads {n} distinct {word} temporaries, \
+                             but {} has {have} {word} register(s)",
+                            spec.selector()
+                        );
+                        return Err(ValidateError {
+                            func: self.name.clone(),
+                            block: b,
+                            inst: i,
+                            msg,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Counts the move instructions sourced from `op` (used by tests and the
     /// move-optimization statistics).
     pub fn count_insts(&self, mut pred: impl FnMut(&Inst) -> bool) -> usize {
@@ -406,6 +456,29 @@ mod tests {
         assert!(f.validate().is_ok());
         f.allocated = true;
         assert!(f.validate().is_err());
+    }
+
+    #[test]
+    fn check_fits_counts_distinct_reads_per_class() {
+        let mut f = skeleton();
+        let x = f.new_temp(RegClass::Float, None);
+        let y = f.new_temp(RegClass::Float, None);
+        let add = |a, b| Inst::Op {
+            op: OpCode::FAdd,
+            dst: Reg::Temp(x),
+            srcs: vec![Reg::Temp(a), Reg::Temp(b)],
+        };
+        f.block_mut(BlockId(0)).insts.insert(0, add(x, x).into());
+        assert_eq!(f.check_fits(&MachineSpec::small(2, 1)), Ok(()), "one distinct read");
+        f.block_mut(BlockId(0)).insts.insert(1, add(x, y).into());
+        let e = f.check_fits(&MachineSpec::small(2, 1)).unwrap_err();
+        assert_eq!((e.block, e.inst), (BlockId(0), 1));
+        assert_eq!(
+            e.to_string(),
+            "in t, b0 inst 1: does not fit the machine: reads 2 distinct float temporaries, \
+             but small:2,1 has 1 float register(s)"
+        );
+        assert_eq!(f.check_fits(&MachineSpec::small(2, 2)), Ok(()));
     }
 
     #[test]

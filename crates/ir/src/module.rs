@@ -108,6 +108,17 @@ impl Module {
         Ok(())
     }
 
+    /// Checks that every function fits `spec` (see
+    /// [`crate::Function::check_fits`]). Assumes [`Module::validate`] passed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first instruction that reads more distinct temporaries
+    /// of one class than `spec` has registers of that class.
+    pub fn check_fits(&self, spec: &crate::MachineSpec) -> Result<(), crate::ValidateError> {
+        self.funcs.iter().try_for_each(|f| f.check_fits(spec))
+    }
+
     /// Total instruction count over all functions (static size).
     pub fn num_insts(&self) -> usize {
         self.funcs.iter().map(|f| f.num_insts()).sum()

@@ -394,20 +394,24 @@ pub fn parse_request(line: &str) -> Result<ParsedLine, (String, String)> {
 ///
 /// # Errors
 ///
-/// Returns a message for unparseable or invalid inline programs and
-/// unknown workloads.
+/// Returns a message for unparseable or invalid inline programs, unknown
+/// workloads, and programs with an instruction the requested machine
+/// cannot hold (see [`Module::check_fits`]).
 pub fn materialize(req: &Request) -> Result<(Module, Vec<u8>, String), String> {
     match &req.source {
         Source::Program(text) => {
             let m = lsra_ir::parse_module(text).map_err(|e| format!("program:{e}"))?;
             m.validate().map_err(|e| format!("program: {e}"))?;
+            m.check_fits(&req.machine).map_err(|e| format!("program: {e}"))?;
             let canonical = format!("{m}");
             Ok((m, Vec::new(), canonical))
         }
         Source::Workload(name) => {
             let w = lsra_workloads::by_name(name)
                 .ok_or_else(|| format!("unknown workload `{name}`"))?;
-            Ok(((w.build)(), (w.input)(), String::new()))
+            let m = (w.build)();
+            m.check_fits(&req.machine).map_err(|e| format!("workload `{name}`: {e}"))?;
+            Ok((m, (w.input)(), String::new()))
         }
     }
 }

@@ -173,7 +173,8 @@ fn make_allocator(o: &Opts, force_phases: bool) -> Result<Box<dyn RegisterAlloca
         .ok_or_else(|| unknown_allocator(name))
 }
 
-/// Prints the per-phase breakdown when `--time-phases` collected one.
+/// Prints the per-phase breakdown when `--time-phases` collected one, and
+/// the binpacking sweep's hole-probe count beside it.
 fn report_timings(stats: &second_chance_regalloc::binpack::AllocStats) {
     let Some(t) = &stats.timings else { return };
     eprintln!("; phase breakdown:");
@@ -181,6 +182,7 @@ fn report_timings(stats: &second_chance_regalloc::binpack::AllocStats) {
         eprintln!(";   {name:<12} {:>9.3} ms", secs * 1e3);
     }
     eprintln!(";   {:<12} {:>9.3} ms", "total", t.total() * 1e3);
+    eprintln!("; hole probes: {}", stats.hole_probes);
 }
 
 struct Opts {
@@ -551,6 +553,7 @@ fn allocate_traced(
 fn cmd_alloc(o: &Opts) -> Result<(), String> {
     let original = load_module(o.positional.first().ok_or("missing file")?)?;
     let spec = o.machine();
+    original.check_fits(&spec).map_err(|e| e.to_string())?;
     let mut m = original.clone();
     let (stats, alloc_name) = if o.trace.is_some() {
         allocate_traced(o, &mut m, &spec)?
@@ -700,6 +703,7 @@ fn cmd_report(o: &Opts) -> Result<(), String> {
     use second_chance_regalloc::trace::MetricsSink;
     let mut m = load_module(o.positional.first().ok_or("missing file")?)?;
     let spec = o.machine();
+    m.check_fits(&spec).map_err(|e| format!("report: {e}"))?;
     let alloc = make_allocator(o, false).map_err(|e| format!("report: {e}"))?;
     let mut sink = MetricsSink::new();
     let stats = alloc
@@ -749,6 +753,7 @@ fn cmd_lint(o: &Opts) -> Result<(), String> {
         // The input is sound; allocate a copy and lint the physical code
         // (before identity-move removal — the postopt pass would erase the
         // very residues Q103/Q104 exist to count).
+        m.check_fits(&spec).map_err(|e| e.to_string())?;
         let alloc = make_allocator(o, false)?;
         let mut allocated = m.clone();
         alloc.allocate_module(&mut allocated, &spec);

@@ -162,6 +162,44 @@ fn a_panicking_request_is_confined_to_its_response() {
     assert_eq!(snap.ok, 1);
 }
 
+/// A program the machine cannot hold (an instruction reading more distinct
+/// temporaries of one class than the machine has registers of that class)
+/// is refused before any allocator sees it. Coloring used to spin on it and
+/// wedge the only worker, so the request queued behind it timed out too.
+#[test]
+fn a_program_the_machine_cannot_hold_is_refused_and_the_worker_stays_free() {
+    let s = service(ServeConfig { workers: 1, ..small_cfg() });
+    let bound = std::time::Duration::from_secs(10);
+    let t0 = std::time::Instant::now();
+    let resp = call(
+        &s,
+        r#"{"id": "tight", "workload": "alvinn", "allocator": "coloring", "machine": "small:2,1", "timeout_ms": 2000}"#,
+    );
+    let v = json_in::parse(&resp).unwrap();
+    assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("error"), "{resp}");
+    let msg = v.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(
+        msg.starts_with("workload `alvinn`: in main, ")
+            && msg.ends_with(
+                "does not fit the machine: reads 2 distinct float temporaries, \
+                 but small:2,1 has 1 float register(s)"
+            ),
+        "{msg}"
+    );
+    assert!(t0.elapsed() < bound, "refusal took {:?}", t0.elapsed());
+    let t1 = std::time::Instant::now();
+    let ok = call(
+        &s,
+        r#"{"id": "next", "workload": "wc", "allocator": "binpack", "machine": "alpha", "timeout_ms": 2000}"#,
+    );
+    assert!(ok.contains("\"status\": \"ok\""), "{ok}");
+    assert!(t1.elapsed() < bound, "the request behind it took {:?}", t1.elapsed());
+    let snap = s.counters();
+    assert_eq!((snap.errors, snap.ok, snap.timeouts), (1, 1, 0));
+    assert_eq!((snap.in_flight, snap.queue_depth), (0, 0));
+    assert_eq!(snap.requests, snap.accounted(), "{snap:?}");
+}
+
 #[test]
 fn repeated_requests_are_byte_identical_and_hit_the_cache() {
     let s = service(small_cfg());
