@@ -5,8 +5,8 @@
 //! spill-slot liveness: transfer `in = gen ∪ (out ∖ kill)`, union as the
 //! meet. [`solve_must`] is the one optimistic forward fixpoint with an
 //! intersection meet, over any state and a fallible block transfer; the
-//! symbolic checker, the static validity check, and the `Q102` lint run on
-//! it, and [`solve_forward_must`] is its gen/kill instance. Each solver
+//! symbolic checker and the `Q102` lint run on it, and
+//! [`solve_forward_must`] is its gen/kill instance. Each solver
 //! visits blocks in an order supplied by the caller and iterates to a fixed
 //! point, reporting the iteration count (the paper's §2.6 leans on this
 //! being 2–3 in practice).
@@ -171,7 +171,7 @@ pub struct ForwardMustSolution {
 
 /// Solves a forward gen/kill problem with *intersection* as the meet
 /// ([`solve_must`] over `order.rpo`): here it backs must-be-defined
-/// analyses (use-before-def) and the static validity check.
+/// analyses (use-before-def).
 pub fn solve_forward_must(
     f: &Function,
     universe: usize,

@@ -11,9 +11,9 @@
 //!   (joins intersect, calls clobber caller-saved registers,
 //!   allocator-inserted moves/loads/stores transfer symbol sets), and
 //!   rejects any use that can read a location not guaranteed to hold that
-//!   use's temporary. This is strictly stronger than the VM's static
-//!   validity check: it distinguishes *which* value a location holds, not
-//!   merely whether it holds *a* value.
+//!   use's temporary. A *written* symbol also marks every location that
+//!   holds some value, so an allocator-inserted move, reload or spill store
+//!   that copies from a location nothing wrote is rejected too.
 //! * [`shrink_module`] — a delta-debugging minimizer that reduces a failing
 //!   module to a small `.lsra`-printable repro by dropping functions,
 //!   truncating and simplifying control flow, and deleting instructions,

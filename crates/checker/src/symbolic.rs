@@ -1,11 +1,11 @@
 //! A symbolic dataflow checker for register allocations.
 //!
-//! Where the VM's static check ([`lsra_vm::check_module`]) only proves that
-//! every read sees *a* valid value, this checker proves it sees the *right
+//! The checker proves that every read of allocated code sees the *right
 //! temporary's* value. It runs a forward must-dataflow over the allocated
 //! code that tracks, per physical register and per spill slot, the set of
-//! symbols (original temporaries plus convention-defined physical-register
-//! values) the location is guaranteed to hold:
+//! symbols (original temporaries, convention-defined physical-register
+//! values, and one *written* symbol for "holds some value") the location is
+//! guaranteed to hold:
 //!
 //! * an original instruction defining temporary `t` into register `r` kills
 //!   `t` from every location and sets `r = {t}`;
@@ -13,7 +13,10 @@
 //!   set (which makes a coalesced identity move `rX = rX` check out);
 //! * allocator-inserted moves, spill loads, spill stores, and the spill
 //!   store/load pairs that break parallel-move cycles simply copy symbol
-//!   sets between locations;
+//!   sets between locations, and their source must hold the written symbol
+//!   even when nothing reads the copy;
+//! * every definition, paired move destination, entry argument register
+//!   and call result holds the written symbol;
 //! * calls empty every caller-saved register and redefine the return-value
 //!   symbols;
 //! * joins intersect (a location holds `t` only if it does on *every*
@@ -23,8 +26,8 @@
 //! A use of temporary `t` rewritten to register `r` is an error unless `t`
 //! is in `r`'s set. Because the domain distinguishes *which* value a
 //! location holds, the checker rejects wrong-value bugs — e.g. a swapped
-//! pair of resolution moves on one CFG edge — that the static validity
-//! check happily accepts.
+//! pair of resolution moves on one CFG edge — even though every register
+//! involved holds *a* value.
 //!
 //! The checker relies on the lockstep-correspondence invariant every
 //! allocator in this workspace maintains: blocks `0..orig.num_blocks()` of
@@ -32,7 +35,7 @@
 //! in order, interleaved with tagged ([`SpillTag::is_spill`]) insertions;
 //! appended blocks (from critical-edge splitting) contain only tagged
 //! instructions plus one untagged `Jump`. Run it *before*
-//! `remove_identity_moves`, like the static check.
+//! `remove_identity_moves`.
 
 use lsra_analysis::{solve_must, BitSet, Order};
 use lsra_ir::{BlockId, Function, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, SlotId, Temp};
@@ -89,7 +92,8 @@ impl std::error::Error for CheckError {}
 /// followed by spill slots. Symbols are the original temporaries followed by
 /// one symbol per physical register, denoting "the value the original
 /// program most recently placed in that register by convention" (entry
-/// arguments, explicit moves into argument/return registers, call results).
+/// arguments, explicit moves into argument/return registers, call results),
+/// and last the *written* symbol: the location holds some value at all.
 struct Universe<'a> {
     spec: &'a MachineSpec,
     nslots: usize,
@@ -113,8 +117,12 @@ impl Universe<'_> {
         self.ntemps + self.spec.reg_index(p)
     }
 
-    fn num_syms(&self) -> usize {
+    fn sym_written(&self) -> usize {
         self.ntemps + self.spec.total_regs()
+    }
+
+    fn num_syms(&self) -> usize {
+        self.sym_written() + 1
     }
 }
 
@@ -133,6 +141,10 @@ impl<'a> Ctx<'a> {
         CheckError::Mismatch { func: self.alloc.name.clone(), block, inst, what }
     }
 
+    fn slot(&self, t: Temp) -> Option<SlotId> {
+        self.alloc.spill_slots.get(t.index()).copied().flatten()
+    }
+
     fn temp_desc(&self, t: Temp) -> String {
         match &self.orig.temps.get(t.index()).and_then(|i| i.name.clone()) {
             Some(n) => format!("{t} ({n})"),
@@ -146,7 +158,9 @@ impl<'a> Ctx<'a> {
         for class in RegClass::ALL {
             for &i in self.spec.arg_regs(class) {
                 let p = PhysReg::new(class, i);
-                st[self.spec.reg_index(p)].insert(self.uni.sym_phys(p));
+                let l = self.spec.reg_index(p);
+                st[l].insert(self.uni.sym_phys(p));
+                st[l].insert(self.uni.sym_written());
             }
         }
         st
@@ -290,6 +304,7 @@ impl<'a> Ctx<'a> {
                 }
                 let mut nd = st[src_loc].clone();
                 nd.insert(d);
+                nd.insert(self.uni.sym_written());
                 st[self.spec.reg_index(*qd)] = nd;
             }
             (Inst::Call { .. }, Inst::Call { ret_regs, .. }) => {
@@ -306,6 +321,7 @@ impl<'a> Ctx<'a> {
                     let l = self.spec.reg_index(r);
                     st[l].clear();
                     st[l].insert(s);
+                    st[l].insert(self.uni.sym_written());
                 }
             }
             _ => {
@@ -323,6 +339,7 @@ impl<'a> Ctx<'a> {
                         let l = self.spec.reg_index(q);
                         st[l].clear();
                         st[l].insert(d);
+                        st[l].insert(self.uni.sym_written());
                     }
                     _ => {
                         return Err(self.mismatch(b, i, "definition shape changed".into()));
@@ -334,29 +351,32 @@ impl<'a> Ctx<'a> {
     }
 
     /// Transfer for one allocator-inserted instruction: pure symbol-set
-    /// copies between locations.
+    /// copies between locations. The source must hold *some* value, even
+    /// when no later read needs it.
     fn step_inserted(
         &self,
         ai: &Inst,
         st: &mut State,
         b: BlockId,
         i: usize,
+        report: bool,
     ) -> Result<(), CheckError> {
-        match ai {
+        let (dst, src, src_desc) = match ai {
             Inst::Mov { dst: Reg::Phys(d), src: Reg::Phys(s) } => {
-                st[self.spec.reg_index(*d)] = st[self.spec.reg_index(*s)].clone();
+                (self.spec.reg_index(*d), self.spec.reg_index(*s), s.to_string())
             }
             Inst::SpillLoad { dst: Reg::Phys(d), temp } => {
-                let slot = self.alloc.spill_slots[temp.index()].ok_or_else(|| {
+                let slot = self.slot(*temp).ok_or_else(|| {
                     self.mismatch(b, i, format!("spill load of {temp} which has no slot"))
                 })?;
-                st[self.spec.reg_index(*d)] = st[self.uni.loc_slot(slot)].clone();
+                let desc = format!("spill slot {} ({temp})", slot.index());
+                (self.spec.reg_index(*d), self.uni.loc_slot(slot), desc)
             }
             Inst::SpillStore { src: Reg::Phys(s), temp } => {
-                let slot = self.alloc.spill_slots[temp.index()].ok_or_else(|| {
+                let slot = self.slot(*temp).ok_or_else(|| {
                     self.mismatch(b, i, format!("spill store of {temp} which has no slot"))
                 })?;
-                st[self.uni.loc_slot(slot)] = st[self.spec.reg_index(*s)].clone();
+                (self.uni.loc_slot(slot), self.spec.reg_index(*s), s.to_string())
             }
             other => {
                 return Err(self.mismatch(
@@ -365,7 +385,16 @@ impl<'a> Ctx<'a> {
                     format!("unexpected allocator-inserted instruction {other:?}"),
                 ));
             }
+        };
+        if report && !st[src].contains(self.uni.sym_written()) {
+            return Err(CheckError::WrongValue {
+                func: self.alloc.name.clone(),
+                block: b,
+                inst: i,
+                what: format!("{src_desc} is read without a written value"),
+            });
         }
+        st[dst] = st[src].clone();
         Ok(())
     }
 
@@ -378,7 +407,7 @@ impl<'a> Ctx<'a> {
         let mut j = 0usize;
         for (i, ins) in self.alloc.block(b).insts.iter().enumerate() {
             if ins.tag.is_spill() {
-                self.step_inserted(&ins.inst, st, b, i)?;
+                self.step_inserted(&ins.inst, st, b, i, report)?;
             } else if appended {
                 // Split blocks carry exactly one untagged instruction: the
                 // jump to the original successor. It has no operands.
@@ -482,8 +511,7 @@ pub fn check_function(
 }
 
 /// Symbolically checks every function of an allocated module against the
-/// pre-allocation original. Like the static check, run this *before*
-/// `remove_identity_moves`.
+/// pre-allocation original. Run this *before* `remove_identity_moves`.
 ///
 /// # Errors
 ///
@@ -562,12 +590,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_swapped_resolution_pair_that_static_check_accepts() {
+    fn rejects_swapped_resolution_pair_whose_registers_all_hold_values() {
         let (orig, mut alloc) = diamond();
         // Corrupt one edge: resolution-style moves on the left arm swap the
-        // contents of r8 and r9 through r10. Every involved register stays
-        // statically valid, but the join now reads t0's value from r9 and
-        // t1's from r8 on that path.
+        // contents of r8 and r9 through r10. Every involved register still
+        // holds a written value, but the join now reads t0's value from r9
+        // and t1's from r8 on that path.
         let r8: Reg = PhysReg::int(8).into();
         let r9: Reg = PhysReg::int(9).into();
         let r10: Reg = PhysReg::int(10).into();
@@ -581,9 +609,6 @@ mod tests {
             alloc.block_mut(l).insts.insert(k, ins);
         }
         alloc.validate().unwrap();
-        // The static validity check is blind to the swap...
-        assert_eq!(lsra_vm::check_function(&alloc, &spec()), Ok(()));
-        // ...the symbolic checker is not.
         let e = check_function(&orig, &alloc, &spec()).unwrap_err();
         match &e {
             CheckError::WrongValue { block, what, .. } => {
@@ -632,8 +657,6 @@ mod tests {
             Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: r8, srcs: vec![r8, r9] });
         let e = check_function(&orig, &bad, &s).unwrap_err();
         assert!(matches!(e, CheckError::WrongValue { .. }), "{e}");
-        // ...while the static check cannot tell the difference.
-        assert_eq!(lsra_vm::check_function(&bad, &s), Ok(()));
     }
 
     #[test]
@@ -707,5 +730,142 @@ mod tests {
         alloc2.allocated = true;
         let e = check_function(&orig2, &alloc2, &s).unwrap_err();
         assert!(matches!(e, CheckError::WrongValue { .. }), "{e}");
+    }
+
+    /// Asserts that `e` is a `WrongValue` at `(block, inst)` whose text
+    /// names `what`.
+    fn assert_wrong_value_at(e: CheckError, block: BlockId, inst: usize, what: &str) {
+        match &e {
+            CheckError::WrongValue { block: b, inst: i, what: w, .. } => {
+                assert_eq!((*b, *i), (block, inst), "{e}");
+                assert!(w.contains(what), "{e}");
+            }
+            other => panic!("expected WrongValue, got {other:?}"),
+        }
+    }
+
+    /// A one-block function over one integer temporary `t0`, which has a
+    /// spill slot, with the given original and allocated bodies.
+    fn one_block(orig: Vec<Ins>, alloc: Vec<Ins>) -> (Function, Function) {
+        let mut f = Function::new("line");
+        f.new_temp(RegClass::Int, None);
+        let b0 = f.add_block();
+        let mut a = f.clone();
+        f.block_mut(b0).insts = orig;
+        let _ = a.slot_for(Temp(0));
+        a.block_mut(b0).insts = alloc;
+        a.allocated = true;
+        (f, a)
+    }
+
+    /// `t0 = 7; ret`, allocated as `r8 = 7`, `extra`, `ret`.
+    fn straight_line(extra: &[Ins]) -> (Function, Function) {
+        let ret = Ins::new(Inst::Ret { ret_regs: vec![] });
+        let def = |r| Ins::new(Inst::MovI { dst: r, imm: 7 });
+        let mut alloc = vec![def(PhysReg::int(8).into())];
+        alloc.extend_from_slice(extra);
+        alloc.push(ret.clone());
+        one_block(vec![def(Reg::Temp(Temp(0))), ret], alloc)
+    }
+
+    #[test]
+    fn accepts_straight_line_code() {
+        let (r8, r9, r10): (Reg, Reg, Reg) =
+            (PhysReg::int(8).into(), PhysReg::int(9).into(), PhysReg::int(10).into());
+        let (orig, alloc) = straight_line(&[
+            Ins::tagged(Inst::SpillStore { src: r8, temp: Temp(0) }, SpillTag::EvictStore),
+            Ins::tagged(Inst::SpillLoad { dst: r9, temp: Temp(0) }, SpillTag::EvictLoad),
+            Ins::tagged(Inst::Mov { dst: r10, src: r8 }, SpillTag::ResolveMove),
+        ]);
+        alloc.validate().unwrap();
+        assert_eq!(check_function(&orig, &alloc, &spec()), Ok(()));
+    }
+
+    #[test]
+    fn rejects_tagged_move_from_a_register_never_written() {
+        // On the left arm, a dead resolution move reads r12, which nothing
+        // ever writes: no use of a temporary is wrong, but the copy reads
+        // garbage.
+        let (orig, mut alloc) = diamond();
+        let mov = Inst::Mov { dst: PhysReg::int(11).into(), src: PhysReg::int(12).into() };
+        alloc.block_mut(BlockId(1)).insts.insert(0, Ins::tagged(mov, SpillTag::ResolveMove));
+        alloc.validate().unwrap();
+        let e = check_function(&orig, &alloc, &spec()).unwrap_err();
+        assert_wrong_value_at(e, BlockId(1), 0, "r12 is read without a written value");
+    }
+
+    #[test]
+    fn rejects_read_written_on_one_path_only() {
+        // r12 is written on the left arm only; a resolution move at the join
+        // reads it.
+        let (orig, mut alloc) = diamond();
+        let r12: Reg = PhysReg::int(12).into();
+        let left = Inst::Mov { dst: r12, src: PhysReg::int(8).into() };
+        alloc.block_mut(BlockId(1)).insts.insert(0, Ins::tagged(left, SpillTag::ResolveMove));
+        let join = Inst::Mov { dst: PhysReg::int(11).into(), src: r12 };
+        alloc.block_mut(BlockId(3)).insts.insert(0, Ins::tagged(join, SpillTag::ResolveMove));
+        alloc.validate().unwrap();
+        let e = check_function(&orig, &alloc, &spec()).unwrap_err();
+        assert_wrong_value_at(e, BlockId(3), 0, "r12 is read without a written value");
+    }
+
+    #[test]
+    fn rejects_dead_reload_of_a_slot_never_stored() {
+        let load = Inst::SpillLoad { dst: PhysReg::int(9).into(), temp: Temp(0) };
+        let (orig, alloc) = straight_line(&[Ins::tagged(load, SpillTag::EvictLoad)]);
+        alloc.validate().unwrap();
+        let e = check_function(&orig, &alloc, &spec()).unwrap_err();
+        assert_wrong_value_at(e, BlockId(0), 1, "spill slot 0 (t0) is read without a written");
+    }
+
+    #[test]
+    fn rejects_spill_store_of_a_caller_saved_register_after_a_call() {
+        // t0 sits in caller-saved r8; a call clobbers it before the store.
+        let call = Ins::new(Inst::Call {
+            callee: lsra_ir::Callee::Ext(lsra_ir::ExtFn::GetChar),
+            arg_regs: vec![],
+            ret_regs: vec![spec().ret_reg(RegClass::Int)],
+        });
+        let r8: Reg = PhysReg::int(8).into();
+        let ret = Ins::new(Inst::Ret { ret_regs: vec![] });
+        let (orig, alloc) = one_block(
+            vec![
+                Ins::new(Inst::MovI { dst: Reg::Temp(Temp(0)), imm: 7 }),
+                call.clone(),
+                ret.clone(),
+            ],
+            vec![
+                Ins::new(Inst::MovI { dst: r8, imm: 7 }),
+                call,
+                Ins::tagged(Inst::SpillStore { src: r8, temp: Temp(0) }, SpillTag::EvictStore),
+                ret,
+            ],
+        );
+        alloc.validate().unwrap();
+        let e = check_function(&orig, &alloc, &spec()).unwrap_err();
+        assert_wrong_value_at(e, BlockId(0), 2, "r8 is read without a written value");
+    }
+
+    #[test]
+    fn reports_spill_code_without_a_slot() {
+        // `Function::validate` does not check slot assignment, so a
+        // slotless spill in allocator output must be an error, not a panic.
+        let r8: Reg = PhysReg::int(8).into();
+        for (inst, tag) in [
+            (Inst::SpillLoad { dst: r8, temp: Temp(0) }, SpillTag::EvictLoad),
+            (Inst::SpillStore { src: r8, temp: Temp(0) }, SpillTag::EvictStore),
+            (Inst::SpillLoad { dst: r8, temp: Temp(5) }, SpillTag::EvictLoad),
+        ] {
+            let (orig, mut alloc) = straight_line(&[Ins::tagged(inst, tag)]);
+            alloc.spill_slots[0] = None;
+            alloc.num_slots = 0;
+            match check_function(&orig, &alloc, &spec()).unwrap_err() {
+                CheckError::Mismatch { block, inst, what, .. } => {
+                    assert_eq!((block, inst), (BlockId(0), 1));
+                    assert!(what.contains("which has no slot"), "{what}");
+                }
+                other => panic!("expected Mismatch, got {other:?}"),
+            }
+        }
     }
 }

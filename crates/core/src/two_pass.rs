@@ -142,20 +142,26 @@ mod tests {
         let out = b.int_temp("out");
         b.add(out, keep, keep);
         b.ret(Some(out.into()));
-        let mut f = b.finish();
+        let mut mb = lsra_ir::ModuleBuilder::new("m", 0);
+        let id = mb.add(b.finish());
+        mb.entry(id);
+        let original = mb.finish();
+        let mut m = original.clone();
         let mut stats = AllocStats::default();
         allocate(
-            &mut f,
+            m.func_mut(id),
             &spec,
             BinpackConfig::two_pass(),
             &mut stats,
             &mut AllocScratch::default(),
             &mut lsra_trace::NoopSink,
         );
-        f.allocated = true;
+        m.func_mut(id).allocated = true;
         // keep either got the lone callee-saved register or was spilled;
-        // it must never sit in a caller-saved register across the call.
-        lsra_vm::check_function(&f, &spec).expect("statically valid");
+        // it must never sit in a caller-saved register across the call,
+        // which the VM poisons there.
+        lsra_vm::verify_allocation(&original, &m, &spec, &[], lsra_vm::VmOptions::default())
+            .expect("keep survives the call");
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`verify_allocation`] checks a rewritten module against the original
 //!   by differential execution (return value, output trace, final memory).
 //!
+//! Execution covers the paths one input takes; `lsra_checker` proves an
+//! allocation over all paths.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,11 +44,9 @@
 mod counters;
 mod error;
 mod interp;
-mod static_check;
 mod verify;
 
 pub use counters::DynCounts;
 pub use error::VmError;
 pub use interp::{memory_checksum, run_module, OutputEvent, RunResult, Vm, VmOptions};
-pub use static_check::{check_function, check_module, StaticCheckError};
 pub use verify::{compare_runs, verify_allocation, Mismatch};

@@ -45,8 +45,8 @@
 //! reasons, resolution op mix; `--json FILE` additionally writes them as
 //! JSON. `bench` writes the same registry to `BENCH_alloc_metrics.json`.
 //!
-//! `alloc --check` proves the allocation with the symbolic checker (and the
-//! VM's static check) before identity-move removal; `alloc --run` executes
+//! `alloc --check` proves the allocation with the symbolic checker before
+//! identity-move removal; `alloc --run` executes
 //! both the original and the allocated module and reports any observational
 //! mismatch (return value, output trace, final memory). `--backend native`
 //! runs the allocated side as JIT-compiled x86-64 machine code instead of
@@ -86,8 +86,8 @@
 //!
 //! `fuzz` generates random adversarial modules and runs each requested
 //! allocator (default: all five) on each requested machine (default:
-//! `small:2,1`, `small:4,2`, `alpha`) under the full oracle — static check,
-//! symbolic checker, differential execution, native-vs-VM execution
+//! `small:2,1`, `small:4,2`, `alpha`) under the full oracle — symbolic
+//! checker, differential execution, native-vs-VM execution
 //! (`--no-native` to skip), static machine-code verification of every
 //! compiled case (`--no-verify` to skip; runs even on noexec hosts), and a
 //! service round-trip (each case is also sent through an in-process
@@ -564,10 +564,9 @@ fn cmd_alloc(o: &Opts) -> Result<(), String> {
     // The symbolic checker pairs allocated instructions 1:1 with the
     // original, so it must see the module before identity-move removal.
     if o.check {
-        lsra_vm::check_module(&m, &spec).map_err(|e| format!("static check: {e}"))?;
         second_chance_regalloc::checker::check_module(&original, &m, &spec)
             .map_err(|e| format!("symbolic check: {e}"))?;
-        eprintln!("; checked: static + symbolic");
+        eprintln!("; checked: symbolic");
     }
     // Quality lints see the allocation before identity-move removal, or the
     // Q103/Q104 findings are already gone.

@@ -4,16 +4,16 @@
 //! knobs (float mix, critical-edge density, swap-heavy diamonds, register
 //! pressure against the machine under test), generates a random module, and
 //! runs every requested allocator (all five by default) through a
-//! seven-stage oracle:
+//! six-stage oracle:
 //!
 //! 1. the allocation itself must not panic and its output must
 //!    [`validate`](lsra_ir::Module::validate);
-//! 2. the VM's static validity check must pass;
-//! 3. the symbolic checker ([`lsra_checker::check_module`]) must prove every
-//!    read sees the right temporary's value;
-//! 4. differential execution against the pre-allocation module must agree on
+//! 2. the symbolic checker ([`lsra_checker::check_module`]) must prove every
+//!    read sees the right temporary's value, and every allocator-inserted
+//!    copy reads a location that holds some value;
+//! 3. differential execution against the pre-allocation module must agree on
 //!    return value, output trace, and final memory;
-//! 5. (cases that pass 1–4) a service round-trip: the module is sent as an
+//! 4. (cases that pass 1–3) a service round-trip: the module is sent as an
 //!    inline-program request through a shared in-process allocation server
 //!    ([`lsra_server::Service`]) and the response — allocation statistics
 //!    and allocated module text — must match a direct, cache-free
@@ -23,7 +23,7 @@
 //!    is then sent again, reformatted by [`reformat_program`]: the reply
 //!    must be the same bytes and must be a cache hit, which exercises the
 //!    service's second, canonical-key probe;
-//! 6. (cases that pass 1–4, on hosts where [`lsra_jit::jit_supported`])
+//! 5. (cases that pass 1–3, on hosts where [`lsra_jit::jit_supported`])
 //!    native differential execution: the allocated module is JIT-compiled
 //!    to x86-64 and executed, and its **entire** [`lsra_vm::RunResult`] —
 //!    return value, output bytes, final-memory checksum, and every
@@ -32,15 +32,15 @@
 //!    of the IR's semantics instruction by instruction; disable with
 //!    [`FuzzConfig::native`] (`--no-native`), and it auto-skips on hosts
 //!    without executable-memory support;
-//! 7. (cases that pass 1–4, on **every** host) static translation
+//! 6. (cases that pass 1–3, on **every** host) static translation
 //!    validation: the same compiled image is decoded back into a typed
 //!    instruction stream and symbolically verified against the allocated
 //!    IR ([`lsra_verify::verify_module`]) — any `N0xx` diagnostic fails
-//!    the case. Unlike stage 6 this needs no executable memory, so the
+//!    the case. Unlike stage 5 this needs no executable memory, so the
 //!    machine-code backend stays under differential test even on noexec
 //!    hosts; disable with [`FuzzConfig::verify`] (`--no-verify`).
 //!
-//! Alongside the hard oracle, every allocation that reaches stage 3 is run
+//! Alongside the hard oracle, every allocation that passes stage 2 is run
 //! through the Family B quality lints ([`lsra_lint::lint_quality`], before
 //! identity-move removal) and the per-code counts are accumulated into
 //! [`FuzzReport::quality_lints`]. These are **advisory** — a dead spill
@@ -223,7 +223,6 @@ fn check_case_impl(
     }))
     .map_err(|p| format!("allocator panicked: {}", panic_message(p)))?;
     m.validate().map_err(|e| format!("invalid allocator output: {e}"))?;
-    lsra_vm::check_module(&m, spec).map_err(|e| format!("static check failed: {e}"))?;
     lsra_checker::check_module(original, &m, spec)
         .map_err(|e| format!("symbolic check failed: {e}"))?;
     for (slot, n) in lints.iter_mut().zip(lsra_lint::lint_quality(&m, spec).tally()) {
@@ -241,8 +240,8 @@ fn check_case_impl(
     compare_runs(&before, &after).map_err(|e| format!("differential run: {e}"))?;
     let exec_native = native && lsra_jit::jit_supported();
     if exec_native || verify {
-        // Compile once: stage 6 (dynamic differential execution, exec hosts
-        // only) and stage 7 (static verification, every host) share the
+        // Compile once: stage 5 (dynamic differential execution, exec hosts
+        // only) and stage 6 (static verification, every host) share the
         // image.
         let code = lsra_jit::compile_module(&m, spec)
             .map_err(|e| format!("native stage: compile failed on a validated allocation: {e}"))?;
@@ -263,7 +262,7 @@ fn check_case_impl(
     Ok(())
 }
 
-/// Oracle stage 6: JIT-compiles the allocated module and requires the
+/// Oracle stage 5: JIT-compiles the allocated module and requires the
 /// native [`lsra_vm::RunResult`] to equal the VM's field-for-field —
 /// including every dynamic-count field, which pins the two backends to the
 /// same instruction-by-instruction account of the program.
@@ -334,7 +333,7 @@ pub fn reformat_program(text: &str) -> String {
     out
 }
 
-/// Oracle stage 5: sends the case through `service` as an inline-program
+/// Oracle stage 4: sends the case through `service` as an inline-program
 /// request (`emit_module: true`, machine named by its selector) and
 /// compares the served response byte-for-byte against
 /// [`lsra_server::expected_response_line`] — a direct, cache-free

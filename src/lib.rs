@@ -28,8 +28,8 @@
 //!   hot path with log/JSONL/Chrome-trace/annotated-IR sinks and a
 //!   per-function metrics registry (`lsra report`);
 //! * [`fuzz`] — differential fuzzing of all five allocators under the
-//!   symbolic checker, static check, VM differential execution, and a
-//!   service round-trip against the allocation server;
+//!   symbolic checker, VM differential execution, native execution and
+//!   verification, and a service round-trip against the allocation server;
 //! * [`telemetry`] — dependency-free runtime telemetry primitives:
 //!   sharded atomic counters, gauges, exactly-mergeable log-linear latency
 //!   histograms, a metric registry with Prometheus and JSON expositions,

@@ -17,8 +17,8 @@ fn check(module: &Module, spec: &MachineSpec, input: &[u8]) {
     for alloc in allocators() {
         let mut m = module.clone();
         alloc.allocate_module(&mut m, spec);
-        lsra_vm::check_module(&m, spec)
-            .unwrap_or_else(|e| panic!("{}/{}: static: {e}", module.name, alloc.name()));
+        second_chance_regalloc::checker::check_module(module, &m, spec)
+            .unwrap_or_else(|e| panic!("{}/{}: symbolic: {e}", module.name, alloc.name()));
         for id in m.func_ids().collect::<Vec<_>>() {
             lsra_analysis::remove_identity_moves(m.func_mut(id));
         }

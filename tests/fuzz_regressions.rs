@@ -2,8 +2,9 @@
 //!
 //! When `lsra fuzz --shrink` minimizes a failing module, its `.lsra` text
 //! belongs in [`REPROS`] below with the machine and allocator that failed;
-//! the harness then replays every entry through the full oracle (static
-//! check, symbolic checker, differential execution) on every test run.
+//! the harness then replays every entry through the full oracle (symbolic
+//! checker, differential execution, native execution and verification) on
+//! every test run.
 //!
 //! The table is currently empty: the fuzzing campaigns run while building
 //! this subsystem (several hundred iterations across `small:2,1`,

@@ -42,17 +42,9 @@ fn check(seed: u64, cfg: RandomConfig, spec: &MachineSpec) {
                 .validate()
                 .unwrap_or_else(|e| panic!("seed {seed}/{}: invalid output: {e}", alloc.name()));
         }
-        // Static all-paths validity check, run *before* identity-move
-        // removal (a coalesced `rX = rX` both requires and re-establishes
-        // validity; deleting it first would blind the checker to the def
-        // while leaving behaviour unchanged).
-        lsra_vm::check_module(&m, spec).unwrap_or_else(|e| {
-            panic!("seed {seed}/{}/{}: static: {e}", alloc.name(), spec.name())
-        });
         // Symbolic checker: every read must be proven to see the right
-        // temporary's value, not merely a defined register. Also runs
-        // before identity-move removal (it pairs instructions 1:1 with the
-        // original program).
+        // temporary's value on every path. Runs before identity-move
+        // removal (it pairs instructions 1:1 with the original program).
         second_chance_regalloc::checker::check_module(&module, &m, spec).unwrap_or_else(|e| {
             panic!("seed {seed}/{}/{}: symbolic: {e}", alloc.name(), spec.name())
         });

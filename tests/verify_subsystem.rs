@@ -404,14 +404,14 @@ fn native_lint_codes_integrate_with_the_lint_machinery() {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz oracle stage 7
+// Fuzz oracle stage 6
 // ---------------------------------------------------------------------------
 
-/// Stage 7 carries the native oracle alone: with dynamic execution off
+/// Stage 6 carries the native oracle alone: with dynamic execution off
 /// (as on a noexec host), 500+ random cases must still compile and verify
 /// statically with zero false positives.
 #[test]
-fn fuzz_stage_seven_runs_five_hundred_cases_clean_without_execution() {
+fn fuzz_stage_six_runs_five_hundred_cases_clean_without_execution() {
     use second_chance_regalloc::fuzz::{run_fuzz, FuzzConfig};
     let cfg = FuzzConfig {
         iters: 34, // 34 iters × 3 machines × 5 allocators = 510 cases
@@ -424,7 +424,7 @@ fn fuzz_stage_seven_runs_five_hundred_cases_clean_without_execution() {
     assert!(report.cases >= 500, "only {} cases ran", report.cases);
     assert!(
         report.ok(),
-        "stage-7 verification failures: {:?}",
+        "stage-6 verification failures: {:?}",
         report.failures.iter().map(|f| (&f.allocator, &f.machine, &f.what)).collect::<Vec<_>>()
     );
 }
