@@ -266,9 +266,13 @@ impl<'a, T: Copy, const N: usize> IntoIterator for &'a SmallVec<T, N> {
 /// interval allocators used: inserting an interval with an existing start
 /// replaces it, [`IntervalMap::overlapping_owner`] finds an overlap through
 /// one binary search, and [`IntervalMap::overlapping_entries`] lists
-/// overlaps in ascending start order. Interval counts per register are
-/// small (one per lifetime segment assigned to the register), so the O(n)
-/// insert shift beats the tree's pointer chasing.
+/// overlaps in ascending start order. Its users are the sweep allocators
+/// (two-pass binpacking and Poletto's scan, through
+/// `lsra_core::point::Occupancy`), which assign whole lifetimes in start
+/// order: an insert lands at or near the end of the vector, so the insert
+/// shift stays short. An allocator that lands intervals in arbitrary order
+/// (ion's priority queue) pays O(n) per insert here and keeps its own
+/// occupancy instead.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalMap {
     /// `(start, end, owner)`, sorted by `start` (unique). `None` owners are
@@ -363,21 +367,6 @@ impl IntervalMap {
         self.advance(cur, start);
         self.entries[..cur.hi].last().is_some_and(|e| e.1 >= start)
             || self.entries.get(cur.hi).is_some_and(|e| e.0 <= end)
-    }
-
-    /// Every interval overlapping `[start, end]` for a sweep whose query ends
-    /// never decrease, ascending by start; exactly
-    /// `overlapping_entries(start, end)`.
-    pub fn overlapping_entries_from(
-        &self,
-        cur: &mut IntervalCursor,
-        start: u32,
-        end: u32,
-    ) -> impl Iterator<Item = (u32, u32, Option<Temp>)> + '_ {
-        self.advance(cur, end);
-        let hi = cur.hi;
-        let lo = hi - self.entries[..hi].iter().rev().take_while(|e| e.1 >= start).count();
-        self.entries[lo..hi].iter().copied()
     }
 
     /// Re-anchors `cur` after intervals were removed behind it. Insertions
@@ -649,10 +638,6 @@ mod tests {
                 let start = end.saturating_sub(rng.below(5) as u32);
                 let want = map.overlapping_owner(start, end);
                 assert_eq!(map.overlapping_owner_from(&mut cur, start, end), want, "case {case}");
-                let want: Vec<_> = map.overlapping_entries(start, end).collect();
-                let mut again = cur;
-                let got: Vec<_> = map.overlapping_entries_from(&mut again, start, end).collect();
-                assert_eq!(got, want, "case {case} entries [{start}, {end}]");
                 if rng.below(10) == 0 {
                     map.remove_owner(Temp(rng.below(4) as u32));
                     map.reset_cursor(&mut cur);

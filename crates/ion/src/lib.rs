@@ -54,12 +54,10 @@
 #![warn(missing_debug_implementations)]
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Instant;
 
-use lsra_analysis::{
-    BitSet, IntervalCursor, IntervalMap, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec,
-};
+use lsra_analysis::{BitSet, Csr, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec};
 use lsra_core::{
     ensure_slot, sequentialize_into, AllocStats, EdgeOp, EdgeRepair, RegisterAllocator,
 };
@@ -130,14 +128,205 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
+/// Register occupancy, built for the two questions placement asks.
+///
+/// "Is register `d` free over `[s, e]`?" is answered by one row of point
+/// bits per dense register, covering blocked segments and placed ranges
+/// alike: a probe masks the first and last words of the span and tests
+/// the words between, and landing or lifting a range sets or clears the
+/// same words. "Who is there?" is asked only by the eviction search and
+/// the feasibility victim pick. A B-tree per register answers it for
+/// placed ranges; a blocked (precolored / call-clobber) segment is found
+/// in the register's blocked list from `Lifetimes`, which never changes,
+/// so set-up inserts nothing into the trees. Placed ranges enter and
+/// leave through [`RegFile::occupy`] and [`RegFile::vacate`] only.
+#[derive(Debug)]
+struct RegFile<'a> {
+    /// Words per register row.
+    words: usize,
+    /// Bit `p % 64` of `busy[d * words + p / 64]` is set while point `p` of
+    /// register `d` is occupied.
+    busy: Vec<u64>,
+    /// Per register: placed range start → `(end, bundle)`.
+    owners: Vec<BTreeMap<u32, (u32, u32)>>,
+    /// Per register: the blocked segments, ascending and disjoint.
+    blocked: Vec<&'a [Segment]>,
+}
+
+/// The word indices of `[start, end]` and the masks of its first and last
+/// word (one word: `lo & hi`).
+#[inline]
+fn word_span(start: u32, end: u32) -> (usize, usize, u64, u64) {
+    debug_assert!(start <= end);
+    ((start / 64) as usize, (end / 64) as usize, !0u64 << (start % 64), !0u64 >> (63 - end % 64))
+}
+
+impl<'a> RegFile<'a> {
+    /// A file for a function of `insts` instructions (every point is below
+    /// `4 * insts + 4`) whose register `d` is blocked over `blocked[d]`.
+    fn new(blocked: Vec<&'a [Segment]>, insts: u32) -> Self {
+        let words = (4 * insts as usize + 4).div_ceil(64);
+        let nregs = blocked.len();
+        let owners = vec![BTreeMap::new(); nregs];
+        let mut regs = RegFile { words, busy: vec![0; nregs * words], owners, blocked };
+        for d in 0..nregs {
+            let segs: &'a [Segment] = regs.blocked[d];
+            for &s in segs {
+                regs.claim(d, s);
+            }
+        }
+        regs
+    }
+
+    /// The first occupied point of `[start, end]` in register `d`.
+    #[inline]
+    fn first_busy(&self, d: usize, start: u32, end: u32) -> Option<u32> {
+        let row = &self.busy[d * self.words..(d + 1) * self.words];
+        let (ws, we, lo, hi) = word_span(start, end);
+        (ws..=we).find_map(|w| {
+            let mut m = row[w];
+            if w == ws {
+                m &= lo;
+            }
+            if w == we {
+                m &= hi;
+            }
+            (m != 0).then(|| w as u32 * 64 + m.trailing_zeros())
+        })
+    }
+
+    /// True if any point of `[start, end]` is occupied in register `d`.
+    #[inline]
+    fn is_busy(&self, d: usize, start: u32, end: u32) -> bool {
+        self.first_busy(d, start, end).is_some()
+    }
+
+    /// True if every segment avoids everything in register `d`.
+    #[inline]
+    fn fits(&self, d: usize, segs: impl IntoIterator<Item = Segment>) -> bool {
+        segs.into_iter().all(|s| !self.is_busy(d, s.start.0, s.end.0))
+    }
+
+    /// Sets (`on`) or clears the bits of `[start, end]` in register `d`.
+    fn mark(&mut self, d: usize, start: u32, end: u32, on: bool) {
+        let row = &mut self.busy[d * self.words..(d + 1) * self.words];
+        let (ws, we, lo, hi) = word_span(start, end);
+        for (w, word) in (ws..).zip(&mut row[ws..=we]) {
+            let mut m = !0u64;
+            if w == ws {
+                m &= lo;
+            }
+            if w == we {
+                m &= hi;
+            }
+            if on {
+                *word |= m;
+            } else {
+                *word &= !m;
+            }
+        }
+    }
+
+    /// Sets the bits of `s` in register `d`. The segment must be free
+    /// (debug-asserted): every query relies on disjoint intervals.
+    fn claim(&mut self, d: usize, s: Segment) {
+        let (start, end) = (s.start.0, s.end.0);
+        debug_assert!(
+            !self.is_busy(d, start, end),
+            "interval [{start}, {end}] overlaps an occupant of register {d}"
+        );
+        self.mark(d, start, end, true);
+    }
+
+    /// Parks bundle `bid` in register `d` over every segment.
+    fn occupy(&mut self, d: usize, segs: impl IntoIterator<Item = Segment>, bid: u32) {
+        for s in segs {
+            self.claim(d, s);
+            self.owners[d].insert(s.start.0, (s.end.0, bid));
+        }
+    }
+
+    /// Lifts every segment, each exactly as [`RegFile::occupy`] parked it,
+    /// out of register `d`.
+    fn vacate(&mut self, d: usize, segs: impl IntoIterator<Item = Segment>) {
+        for s in segs {
+            let (start, end) = (s.start.0, s.end.0);
+            let gone = self.owners[d].remove(&start);
+            debug_assert_eq!(gone.map(|(e, _)| e), Some(end), "vacating an interval never parked");
+            self.mark(d, start, end, false);
+        }
+    }
+
+    /// Every interval of register `d` overlapping `[start, end]`, ascending
+    /// by start, with its bundle (`None` for a blocked segment). The bits
+    /// find each next occupied point; the interval holding it is the last
+    /// placed range or, failing that, the last blocked segment starting at
+    /// or before it. A span with no occupant never touches either.
+    fn occupants(
+        &self,
+        d: usize,
+        start: u32,
+        end: u32,
+    ) -> impl Iterator<Item = (u32, u32, Option<u32>)> + '_ {
+        let mut from = start;
+        std::iter::from_fn(move || {
+            if from > end {
+                return None;
+            }
+            let p = self.first_busy(d, from, end)?;
+            let (s, e, owner) = match self.owners[d].range(..=p).next_back() {
+                Some((&s, &(e, bid))) if e >= p => (s, e, Some(bid)),
+                _ => {
+                    let blocked = self.blocked[d];
+                    let b = blocked[blocked.partition_point(|b| b.start.0 <= p).checked_sub(1)?];
+                    (b.start.0, b.end.0, None)
+                }
+            };
+            debug_assert!(e >= p, "occupied point {p} of register {d} has no interval");
+            from = e.max(p) + 1;
+            Some((s, e, owner))
+        })
+    }
+
+    /// The distinct bundles parked in register `d` that overlap any of
+    /// `segs`, and the greatest of their weights (0 for none). `None` when a
+    /// blocked segment overlaps (the register cannot be evicted free), or
+    /// as soon as a conflicting bundle weighs `bound` or more (the register
+    /// cannot win the caller's search, so the rest of its scan would be
+    /// thrown away).
+    fn conflicts(
+        &self,
+        d: usize,
+        segs: impl IntoIterator<Item = Segment>,
+        weight: impl Fn(u32) -> f64,
+        bound: f64,
+    ) -> Option<(f64, SmallVec<u32, 8>)> {
+        let mut out: SmallVec<u32, 8> = SmallVec::new();
+        let mut maxw = 0.0f64;
+        for s in segs {
+            for (_, _, owner) in self.occupants(d, s.start.0, s.end.0) {
+                let c = owner?;
+                if !out.contains(&c) {
+                    let w = weight(c);
+                    if w >= bound {
+                        return None;
+                    }
+                    maxw = maxw.max(w);
+                    out.push(c);
+                }
+            }
+        }
+        Some((maxw, out))
+    }
+}
+
 struct State<'a> {
     lt: &'a Lifetimes,
     spec: &'a MachineSpec,
     ranges: Vec<LiveRange>,
     bundles: Vec<Bundle>,
-    /// Occupancy per dense register; blocked (precolored / call-clobber)
-    /// segments are owned by `None`, assigned ranges by `Temp(bundle_id)`.
-    regs: Vec<IntervalMap>,
+    /// Occupancy per dense register: blocked segments and placed bundles.
+    regs: RegFile<'a>,
     /// `top(b).0` per block, ascending in linear order.
     block_tops: Vec<u32>,
 }
@@ -167,25 +356,28 @@ impl State<'_> {
         (len, refs / len.max(1) as f64)
     }
 
-    /// True if every range of the set avoids everything parked in register
-    /// `d` (blocked segments included).
-    fn fits(&self, range_ids: &[u32], d: usize) -> bool {
-        range_ids.iter().all(|&r| {
-            let s = self.ranges[r as usize].seg;
-            !self.regs[d].overlaps(s.start.0, s.end.0)
-        })
+    /// True if every range of bundle `bid` avoids everything parked in
+    /// register `d` (blocked segments included).
+    fn fits(&self, bid: u32, d: usize) -> bool {
+        let segs = self.bundles[bid as usize].ranges.iter().map(|&r| self.ranges[r as usize].seg);
+        self.regs.fits(d, segs)
     }
 
-    fn assign(&mut self, bid: u32, d: usize) {
-        let ranges = std::mem::take(&mut self.bundles[bid as usize].ranges);
-        for &r in &ranges {
-            let s = self.ranges[r as usize].seg;
-            self.regs[d].insert(s.start.0, s.end.0, Some(Temp(bid)));
-        }
-        let reg = self.spec.reg_at(d);
-        let b = &mut self.bundles[bid as usize];
-        b.ranges = ranges;
-        b.assignment = Some(reg);
+    /// Lands bundle `bid` in register `d`, which must be free over its
+    /// ranges.
+    fn place(&mut self, bid: u32, d: usize) {
+        let ranges = &self.ranges;
+        let segs = self.bundles[bid as usize].ranges.iter().map(|&r| ranges[r as usize].seg);
+        self.regs.occupy(d, segs, bid);
+        self.bundles[bid as usize].assignment = Some(self.spec.reg_at(d));
+    }
+
+    /// Lifts bundle `bid` out of register `d`, where it was placed.
+    fn unplace(&mut self, bid: u32, d: usize) {
+        let ranges = &self.ranges;
+        let segs = self.bundles[bid as usize].ranges.iter().map(|&r| ranges[r as usize].seg);
+        self.regs.vacate(d, segs);
+        self.bundles[bid as usize].assignment = None;
     }
 
     /// Where bundle `bid` may go by eviction, and whom it must evict: of
@@ -205,7 +397,7 @@ impl State<'_> {
             let bound = best.as_ref().map_or(half, |(bw, _, _)| bw.min(half));
             let segs = b.ranges.iter().map(|&r| self.ranges[r as usize].seg);
             let weight = |c: u32| self.bundles[c as usize].weight;
-            let Some((maxw, cs)) = conflicts(&self.regs[d], segs, weight, bound) else {
+            let Some((maxw, cs)) = self.regs.conflicts(d, segs, weight, bound) else {
                 continue;
             };
             if best.as_ref().is_none_or(|(bw, _, _)| maxw < *bw) {
@@ -220,35 +412,6 @@ impl State<'_> {
     fn block_of(&self, p: Point) -> usize {
         self.block_tops.partition_point(|&s| s <= p.0) - 1
     }
-}
-
-/// The distinct bundles parked in `map` that overlap any of `segs`, and the
-/// greatest of their weights (0 for none). `None` when a blocked segment
-/// overlaps (the register cannot be evicted free), or as soon as a
-/// conflicting bundle weighs `bound` or more (the register cannot win the
-/// caller's search, so the rest of its scan would be thrown away).
-fn conflicts(
-    map: &IntervalMap,
-    segs: impl IntoIterator<Item = Segment>,
-    weight: impl Fn(u32) -> f64,
-    bound: f64,
-) -> Option<(f64, SmallVec<u32, 8>)> {
-    let mut out: SmallVec<u32, 8> = SmallVec::new();
-    let mut maxw = 0.0f64;
-    for s in segs {
-        for (_, _, owner) in map.overlapping_entries(s.start.0, s.end.0) {
-            let c = owner?.0;
-            if !out.contains(&c) {
-                let w = weight(c);
-                if w >= bound {
-                    return None;
-                }
-                maxw = maxw.max(w);
-                out.push(c);
-            }
-        }
-    }
-    Some((maxw, out))
 }
 
 /// The span a point lifetime at instruction `gi` must have free (same model
@@ -356,14 +519,9 @@ fn allocate(
         spec,
         ranges: Vec::new(),
         bundles: Vec::new(),
-        regs: vec![IntervalMap::new(); nregs],
+        regs: RegFile::new((0..nregs).map(|d| lt.blocked(d)).collect(), lt.num_insts()),
         block_tops: (0..nb).map(|b| lt.top(BlockId(b as u32)).0).collect(),
     };
-    for d in 0..nregs {
-        for &s in lt.blocked(d) {
-            st.regs[d].insert(s.start.0, s.end.0, None);
-        }
-    }
     let mut bundle_of_temp: Vec<Option<u32>> = vec![None; nt];
     #[allow(clippy::needless_range_loop)] // `ti` is the temp id, not just an index
     for ti in 0..nt {
@@ -514,11 +672,11 @@ fn allocate(
         let order = hint_d.into_iter().chain(sibling.iter().copied()).chain(dense);
         let mut placed = false;
         for d in order {
-            if st.fits(&st.bundles[bid as usize].ranges, d) {
+            if st.fits(bid, d) {
                 if sink.enabled() {
                     sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: spec.reg_at(d) });
                 }
-                st.assign(bid, d);
+                st.place(bid, d);
                 for &r in &st.bundles[bid as usize].ranges {
                     let anchor = &mut temp_reg[st.ranges[r as usize].temp.index()];
                     if anchor.is_none() {
@@ -545,8 +703,7 @@ fn allocate(
         if let Some((d, cs)) = may_evict.then(|| st.eviction_target(bid)).flatten() {
             let at = st.ranges[st.bundles[bid as usize].ranges[0] as usize].seg.start;
             for &c in cs.iter() {
-                st.regs[d].remove_owner(Temp(c));
-                st.bundles[c as usize].assignment = None;
+                st.unplace(c, d);
                 if sink.enabled() {
                     sink.event(&TraceEvent::EvictBundle {
                         temp: st.repr(c),
@@ -561,7 +718,7 @@ fn allocate(
             if sink.enabled() {
                 sink.event(&TraceEvent::PackAssign { temp: st.repr(bid), reg: spec.reg_at(d) });
             }
-            st.assign(bid, d);
+            st.place(bid, d);
             for &r in &st.bundles[bid as usize].ranges {
                 let anchor = &mut temp_reg[st.ranges[r as usize].temp.index()];
                 if anchor.is_none() {
@@ -639,18 +796,33 @@ fn allocate(
     // matched seams and the register is free over all its ranges. Every
     // migration reduces the copy count, so the fixpoint is cheap; rounds
     // are capped for the pathological case of oscillating equal gains.
+    // The seams do not move between rounds, so their adjacency is built
+    // once: a counting sort, each row in the order its seams are met.
     let nbund = st.bundles.len();
+    let seams = || {
+        temp_pieces
+            .iter()
+            .flat_map(|pieces| pieces.windows(2).map(|w| (w[0].2, w[1].2)))
+            .filter(|(a, b)| a != b)
+    };
+    let mut offsets = vec![0u32; nbund + 1];
+    for (a, b) in seams() {
+        offsets[a as usize + 1] += 1;
+        offsets[b as usize + 1] += 1;
+    }
+    for i in 0..nbund {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut fill = offsets[..nbund].to_vec();
+    let mut data = vec![0u32; offsets[nbund] as usize];
+    for (a, b) in seams() {
+        data[fill[a as usize] as usize] = b;
+        fill[a as usize] += 1;
+        data[fill[b as usize] as usize] = a;
+        fill[b as usize] += 1;
+    }
+    let adj = Csr::from_parts(offsets, data);
     for _ in 0..4 {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nbund];
-        for pieces in &temp_pieces {
-            for w in pieces.windows(2) {
-                let (a, b) = (w[0].2, w[1].2);
-                if a != b {
-                    adj[a as usize].push(b);
-                    adj[b as usize].push(a);
-                }
-            }
-        }
         let mut changed = false;
         for bid in 0..nbund as u32 {
             let b = &st.bundles[bid as usize];
@@ -660,7 +832,7 @@ fn allocate(
             let Some(cur) = b.assignment else { continue };
             let class = b.class;
             let mut cands: SmallVec<PhysReg, 4> = SmallVec::new();
-            for &n in &adj[bid as usize] {
+            for &n in adj.row(bid as usize) {
                 if let Some(r) = st.bundles[n as usize].assignment {
                     if r != cur && r.class == class && !cands.contains(&r) {
                         cands.push(r);
@@ -669,7 +841,7 @@ fn allocate(
             }
             for &r in cands.iter() {
                 let (mut at_r, mut at_cur) = (0i32, 0i32);
-                for &n in &adj[bid as usize] {
+                for &n in adj.row(bid as usize) {
                     match st.bundles[n as usize].assignment {
                         Some(q) if q == r => at_r += 1,
                         Some(q) if q == cur => at_cur += 1,
@@ -680,13 +852,12 @@ fn allocate(
                     continue;
                 }
                 let (d_old, d_new) = (spec.reg_index(cur), spec.reg_index(r));
-                st.regs[d_old].remove_owner(Temp(bid));
-                if st.fits(&st.bundles[bid as usize].ranges, d_new) {
-                    st.assign(bid, d_new);
+                if st.fits(bid, d_new) {
+                    st.unplace(bid, d_old);
+                    st.place(bid, d_new);
                     changed = true;
                     break;
                 }
-                st.assign(bid, d_old);
             }
         }
         if !changed {
@@ -697,14 +868,10 @@ fn allocate(
     // Phase 4: point feasibility, mirroring the two-pass comparator —
     // every instruction touching memory-resident values needs enough free
     // registers for its scratch loads/stores; demote victims until it does.
-    // Instructions come in increasing order, so every register answers
-    // through a forward-only cursor, rewound each round.
-    let mut cursors = vec![IntervalCursor::default(); st.regs.len()];
     let mut rounds = 0u32;
     loop {
         rounds += 1;
         let mut changed = false;
-        cursors.fill(IntervalCursor::default());
         for b in f.block_ids() {
             let first = lt.first_inst(b);
             for (k, ins) in f.block(b).insts.iter().enumerate() {
@@ -742,17 +909,10 @@ fn allocate(
                     loop {
                         let free = spec
                             .reg_indices(class)
-                            .filter(|&d| {
-                                st.regs[d]
-                                    .overlapping_owner_from(
-                                        &mut cursors[d],
-                                        span.start.0,
-                                        span.end.0,
-                                    )
-                                    .is_none()
-                            })
+                            .filter(|&d| !st.regs.is_busy(d, span.start.0, span.end.0))
+                            .take(need)
                             .count();
-                        if free >= need {
+                        if free == need {
                             break;
                         }
                         // Victim: the overlapping bundle with the greatest
@@ -760,17 +920,13 @@ fn allocate(
                         // point to park in memory), lowest id on ties.
                         let mut victim: Option<(u64, u32, usize)> = None;
                         for d in spec.reg_indices(class) {
-                            for (_, _, owner) in st.regs[d].overlapping_entries_from(
-                                &mut cursors[d],
-                                span.start.0,
-                                span.end.0,
-                            ) {
+                            for (_, _, owner) in st.regs.occupants(d, span.start.0, span.end.0) {
                                 if let Some(t) = owner {
-                                    let prio = st.bundles[t.0 as usize].prio;
+                                    let prio = st.bundles[t as usize].prio;
                                     if victim
-                                        .is_none_or(|(p, v, _)| prio > p || (prio == p && t.0 < v))
+                                        .is_none_or(|(p, v, _)| prio > p || (prio == p && t < v))
                                     {
-                                        victim = Some((prio, t.0, d));
+                                        victim = Some((prio, t, d));
                                     }
                                 }
                             }
@@ -784,9 +940,7 @@ fn allocate(
                         if sink.enabled() {
                             sink.event(&TraceEvent::PackUnassign { temp: st.repr(v), gi });
                         }
-                        st.regs[d].remove_owner(Temp(v));
-                        st.regs[d].reset_cursor(&mut cursors[d]);
-                        st.bundles[v as usize].assignment = None;
+                        st.unplace(v, d);
                         st.bundles[v as usize].spilled = true;
                         changed = true;
                     }
@@ -840,11 +994,9 @@ fn allocate(
     let mut post: Vec<Ins> = Vec::new();
     let mut seq: Vec<(Inst, SpillTag)> = Vec::new();
     let mut conn_ops: Vec<EdgeOp> = Vec::new();
-    let mut free: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
     let mut scratch_of: SmallVec<(Temp, PhysReg), 8> = SmallVec::new();
     let mut src_temps: SmallVec<Temp, 8> = SmallVec::new();
     let mut conn_i = 0usize;
-    cursors.fill(IntervalCursor::default());
     for b in f.block_ids().collect::<Vec<_>>() {
         let first = lt.first_inst(b);
         if sink.enabled() {
@@ -885,23 +1037,20 @@ fn allocate(
                     pre.push(Ins::tagged(inst, tag));
                 }
             }
-            // A class's scratch list is built the first time this
-            // instruction needs a scratch register of it. Most instructions
-            // touch no memory-resident value and build none. Skipping queries
-            // changes no later answer: a cursor answers exactly for any
-            // non-decreasing sequence of queries.
-            let mut listed = [false; 2];
+            // Scratch registers are handed out from the top of each class:
+            // each call returns the highest register below the last one
+            // handed out that is free over the instruction's span. Most
+            // instructions touch no memory-resident value and probe none.
+            let mut below = RegClass::ALL.map(|c| spec.reg_indices(c).end);
             let mut scratch = |class: RegClass| {
-                let free = &mut free[class.index()];
-                if !std::mem::replace(&mut listed[class.index()], true) {
-                    free.clear();
-                    free.extend(spec.reg_indices(class).filter(|&d| {
-                        st.regs[d]
-                            .overlapping_owner_from(&mut cursors[d], span.start.0, span.end.0)
-                            .is_none()
-                    }));
+                let (lo, next) = (spec.reg_indices(class).start, &mut below[class.index()]);
+                while *next > lo {
+                    *next -= 1;
+                    if !st.regs.is_busy(*next, span.start.0, span.end.0) {
+                        return Some(*next);
+                    }
                 }
-                free.pop()
+                None
             };
             scratch_of.clear();
             src_temps.clear();
@@ -1254,22 +1403,142 @@ mod tests {
         mb.finish()
     }
 
+    fn seg(start: u32, end: u32) -> Segment {
+        Segment::new(Point(start), Point(end))
+    }
+
+    /// Every interval of register `d` overlapping `[start, end]`, ascending
+    /// by start, by a walk over the whole owner tree and blocked list.
+    fn brute_occupants(
+        regs: &RegFile,
+        d: usize,
+        start: u32,
+        end: u32,
+    ) -> Vec<(u32, u32, Option<u32>)> {
+        let placed = regs.owners[d].iter().map(|(&s, &(e, bid))| (s, e, Some(bid)));
+        let blocked = regs.blocked[d].iter().map(|b| (b.start.0, b.end.0, None));
+        let mut all: Vec<_> =
+            placed.chain(blocked).filter(|&(s, e, _)| s <= end && e >= start).collect();
+        all.sort_unstable_by_key(|&(s, _, _)| s);
+        all
+    }
+
+    /// A random span of `0..npoints` that often starts or ends on a word
+    /// edge (`% 64` of 0 or 63), or covers 1, 63, 64, 65 or 128 points.
+    fn edgy_span(rng: &mut lsra_workloads::Lcg, npoints: u32) -> (u32, u32) {
+        let words = u64::from(npoints / 64);
+        let start = match rng.below(4) {
+            0 => 64 * rng.below(words) as u32,
+            1 => 64 * rng.below(words) as u32 + 63,
+            _ => rng.below(u64::from(npoints)) as u32,
+        };
+        let len = match rng.below(9) {
+            0 => 1,
+            1 => 63,
+            2 => 64,
+            3 => 65,
+            4 => 128,
+            5 => 64 - start % 64,
+            6 => 65 - start % 64,
+            7 => 128 - start % 64,
+            _ => 1 + rng.below(40) as u32,
+        };
+        (start, (start + len - 1).min(npoints - 1))
+    }
+
+    /// Up to `n` random edgy spans as ascending disjoint segments.
+    fn edgy_segments(rng: &mut lsra_workloads::Lcg, npoints: u32, n: u64) -> Vec<Segment> {
+        let mut spans: Vec<(u32, u32)> = (0..n).map(|_| edgy_span(rng, npoints)).collect();
+        spans.sort_unstable();
+        let mut segs: Vec<Segment> = Vec::new();
+        for (s, e) in spans {
+            if segs.last().is_none_or(|l| l.end.0 < s) {
+                segs.push(seg(s, e));
+            }
+        }
+        segs
+    }
+
+    /// Random `occupy`/`vacate` sequences over three partly blocked
+    /// registers, against the owner tree and blocked list walked in full:
+    /// `is_busy`, `fits` and `occupants` agree with them, and every
+    /// register's set bits are exactly its intervals' points.
+    #[test]
+    fn reg_file_matches_brute_force() {
+        let mut rng = lsra_workloads::Lcg::new(1998);
+        let (nregs, insts) = (3usize, 100u32);
+        let npoints = 4 * insts + 4;
+        for case in 0..200 {
+            let blocked: Vec<Vec<Segment>> = (0..nregs)
+                .map(|_| {
+                    let n = rng.below(4);
+                    edgy_segments(&mut rng, npoints, n)
+                })
+                .collect();
+            let mut regs = RegFile::new(blocked.iter().map(Vec::as_slice).collect(), insts);
+            // The model: (register, segments) of every parked bundle.
+            let mut parked: Vec<(usize, Vec<Segment>)> = Vec::new();
+            for step in 0..80 {
+                if !parked.is_empty() && rng.below(3) == 0 {
+                    let (d, segs) = parked.swap_remove(rng.below(parked.len() as u64) as usize);
+                    regs.vacate(d, segs.iter().copied());
+                } else {
+                    let d = rng.below(nregs as u64) as usize;
+                    let n = 1 + rng.below(3);
+                    let segs = edgy_segments(&mut rng, npoints, n);
+                    let free = segs
+                        .iter()
+                        .all(|s| brute_occupants(&regs, d, s.start.0, s.end.0).is_empty());
+                    assert_eq!(regs.fits(d, segs.iter().copied()), free, "case {case} step {step}");
+                    if free {
+                        regs.occupy(d, segs.iter().copied(), step);
+                        parked.push((d, segs));
+                    }
+                }
+                for d in 0..nregs {
+                    let all = brute_occupants(&regs, d, 0, npoints - 1);
+                    let points: u32 = all.iter().map(|&(s, e, _)| e - s + 1).sum();
+                    let row = &regs.busy[d * regs.words..(d + 1) * regs.words];
+                    let bits: u32 = row.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(bits, points, "case {case} step {step}: stale bits in register {d}");
+                    for _ in 0..8 {
+                        let (s, e) = edgy_span(&mut rng, npoints);
+                        let want = brute_occupants(&regs, d, s, e);
+                        assert_eq!(
+                            regs.is_busy(d, s, e),
+                            !want.is_empty(),
+                            "case {case} [{s}, {e}]"
+                        );
+                        let got: Vec<_> = regs.occupants(d, s, e).collect();
+                        assert_eq!(got, want, "case {case} occupants [{s}, {e}]");
+                    }
+                }
+            }
+        }
+    }
+
     /// The bounded conflict scan against a brute-force walk over every
-    /// interval: random disjoint maps (owners bundles 0..6, or blocked),
-    /// random bundle weights with ties, random query segments.
+    /// interval: random disjoint occupancy (owners bundles 0..6, or
+    /// blocked), random bundle weights with ties, random query segments.
     #[test]
     fn bounded_conflict_scan_matches_brute_force() {
         let mut rng = lsra_workloads::Lcg::new(1998);
         for case in 0..2000 {
             let span = 10 + rng.below(120) as u32;
             let blocked_odds = 1 + rng.below(12);
-            let mut map = IntervalMap::new();
+            let (mut blocked, mut placed) = (Vec::new(), Vec::new());
             let mut at = rng.below(4) as u32;
             while at < span {
                 let end = at + rng.below(6) as u32;
-                let owner = (rng.below(blocked_odds) != 0).then(|| Temp(rng.below(6) as u32));
-                map.insert(at, end, owner);
+                match (rng.below(blocked_odds) != 0).then(|| rng.below(6) as u32) {
+                    Some(bid) => placed.push((seg(at, end), bid)),
+                    None => blocked.push(seg(at, end)),
+                }
                 at = end + 1 + rng.below(5) as u32;
+            }
+            let mut regs = RegFile::new(vec![&blocked], 64);
+            for &(s, bid) in &placed {
+                regs.occupy(0, [s], bid);
             }
             let weights: Vec<f64> = (0..6).map(|_| rng.below(8) as f64 * 0.5).collect();
             let weight = |c: u32| weights[c as usize];
@@ -1277,21 +1546,18 @@ mod tests {
             let mut at = rng.below(8) as u32;
             for _ in 0..1 + rng.below(4) {
                 let end = at + rng.below(12) as u32;
-                segs.push(Segment::new(Point(at), Point(end)));
+                segs.push(seg(at, end));
                 at = end + 1 + rng.below(10) as u32;
             }
 
-            // Brute force: every stored interval, in start order, per segment.
-            let all: Vec<_> = map.overlapping_entries(0, u32::MAX).collect();
+            // Brute force: every parked interval, in start order, per segment.
             let (mut want, mut blocked) = (Vec::new(), false);
             for s in &segs {
-                for &(a, e, owner) in &all {
-                    if a <= s.end.0 && e >= s.start.0 {
-                        match owner {
-                            None => blocked = true,
-                            Some(t) if !want.contains(&t.0) => want.push(t.0),
-                            Some(_) => {}
-                        }
+                for (_, _, owner) in brute_occupants(&regs, 0, s.start.0, s.end.0) {
+                    match owner {
+                        None => blocked = true,
+                        Some(c) if !want.contains(&c) => want.push(c),
+                        Some(_) => {}
                     }
                 }
             }
@@ -1299,7 +1565,7 @@ mod tests {
 
             let bounds = [f64::INFINITY, maxw, maxw + 0.25, rng.below(9) as f64 * 0.5];
             for bound in bounds {
-                let got = conflicts(&map, segs.iter().copied(), weight, bound);
+                let got = regs.conflicts(0, segs.iter().copied(), weight, bound);
                 if blocked {
                     assert!(got.is_none(), "case {case}: blocked segment missed");
                 } else if !want.is_empty() && maxw >= bound {
@@ -1311,6 +1577,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overlaps an occupant")]
+    fn reg_file_occupy_rejects_overlap() {
+        let blocked = [seg(10, 20)];
+        let mut regs = RegFile::new(vec![&blocked], 16);
+        regs.occupy(0, [seg(15, 30)], 1);
     }
 
     #[test]

@@ -256,6 +256,24 @@ fn scaling_pins_cover_the_ion_backtracking_paths() {
     assert!(sink.most_splits >= 2, "no split piece of the pinned medium shape splits again");
 }
 
+/// The golden pins must cover ion's point-feasibility demotion, where a
+/// placed bundle is lifted out of its register after phase 3: a traced ion
+/// allocation of the pinned workloads unassigns at least one victim.
+#[test]
+fn golden_pins_cover_ion_feasibility_demotion() {
+    let mut sink = UnassignCounter::default();
+    for w in lsra_workloads::all() {
+        for machine in ["alpha", "small"] {
+            let mut m = (w.build)();
+            allocator_by_name("ion", 1, false)
+                .unwrap()
+                .allocate_module_traced(&mut m, &machine_by_name(machine), &mut sink)
+                .expect("ion has a traced path");
+        }
+    }
+    assert!(sink.0 > 0, "no pinned workload demotes an ion bundle for point feasibility");
+}
+
 /// Binpacking's per-definition sweep probes only registers whose hole can
 /// still matter. A busy register is skipped until its occupant's segment
 /// ends, or, with a pending hole owner, until that owner can be live
