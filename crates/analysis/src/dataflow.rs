@@ -11,10 +11,10 @@
 //! point, reporting the iteration count (the paper's §2.6 leans on this
 //! being 2–3 in practice).
 
-use lsra_ir::{BlockId, Function};
+use lsra_ir::BlockId;
 
 use crate::bitset::BitSet;
-use crate::order::Order;
+use crate::cfg::Cfg;
 
 /// The result of a backward gen/kill solve.
 #[derive(Clone, Debug)]
@@ -27,20 +27,20 @@ pub struct BackwardSolution {
     pub iterations: u32,
 }
 
-/// Solves a backward gen/kill problem over `f`'s CFG.
+/// Solves a backward gen/kill problem over `cfg`.
 ///
-/// `order` should list blocks in an order that converges quickly for
-/// backward problems (reverse of a reverse postorder works well); blocks
-/// not listed are still correct but may cost extra iterations if listed
-/// orders skip them — pass every block of interest.
+/// Each sweep visits the blocks `order` yields, which should converge
+/// quickly for backward problems (reverse of a reverse postorder works
+/// well); blocks not listed are still correct but may cost extra
+/// iterations if listed orders skip them — pass every block of interest.
 pub fn solve_backward(
-    f: &Function,
+    cfg: &Cfg,
     universe: usize,
     gen: &[BitSet],
     kill: &[BitSet],
-    order: &[BlockId],
+    order: impl Iterator<Item = BlockId> + Clone,
 ) -> BackwardSolution {
-    let nb = f.num_blocks();
+    let nb = cfg.num_blocks();
     debug_assert_eq!(gen.len(), nb);
     debug_assert_eq!(kill.len(), nb);
     let mut live_in = vec![BitSet::new(universe); nb];
@@ -50,11 +50,11 @@ pub fn solve_backward(
     while changed {
         changed = false;
         iterations += 1;
-        for &b in order {
+        for b in order.clone() {
             let bi = b.index();
             let mut out = std::mem::replace(&mut live_out[bi], BitSet::new(0));
             out.clear();
-            for s in f.succs(b) {
+            for s in cfg.succs(b) {
                 out.union_with(&live_in[s.index()]);
             }
             let c = live_in[bi].assign_transfer(&gen[bi], &out, &kill[bi]);
@@ -113,14 +113,13 @@ pub struct MustSolution<S> {
 ///
 /// Returns the first error `transfer` returns.
 pub fn solve_must<S: MustState, E>(
-    f: &Function,
+    cfg: &Cfg,
     visit: &[BlockId],
     entry: &S,
     top: &S,
     mut transfer: impl FnMut(BlockId, &mut S) -> Result<(), E>,
 ) -> Result<MustSolution<S>, E> {
-    let nb = f.num_blocks();
-    let preds = f.compute_preds();
+    let nb = cfg.num_blocks();
     let mut ins: Vec<Option<S>> = vec![None; nb];
     let mut outs: Vec<Option<S>> = vec![None; nb];
     let mut iterations = 0;
@@ -128,11 +127,11 @@ pub fn solve_must<S: MustState, E>(
         iterations += 1;
         let mut changed = false;
         for &b in visit {
-            let inb = if b == f.entry() {
+            let inb = if b == cfg.entry() {
                 entry.clone()
             } else {
                 let mut acc: Option<S> = None;
-                for p in &preds[b.index()] {
+                for p in cfg.preds(b) {
                     if let Some(out) = &outs[p.index()] {
                         match &mut acc {
                             Some(a) => a.meet_with(out),
@@ -161,45 +160,39 @@ pub fn solve_must<S: MustState, E>(
 pub struct ForwardMustSolution {
     /// `in[b] = ∩ out[p]` over reachable predecessors at the fixed point
     /// (`entry_in` for the entry block). Unreachable blocks keep an empty
-    /// set — callers should consult [`Order::is_reachable`].
+    /// set — callers should consult [`Cfg::is_reachable`].
     pub must_in: Vec<BitSet>,
-    /// `out[b] = gen[b] ∪ (in[b] ∖ kill[b])`.
-    pub must_out: Vec<BitSet>,
     /// Iterations taken to converge.
     pub iterations: u32,
 }
 
 /// Solves a forward gen/kill problem with *intersection* as the meet
-/// ([`solve_must`] over `order.rpo`): here it backs must-be-defined
+/// ([`solve_must`] over `cfg.rpo`): here it backs must-be-defined
 /// analyses (use-before-def).
 pub fn solve_forward_must(
-    f: &Function,
+    cfg: &Cfg,
     universe: usize,
     gen: &[BitSet],
     kill: &[BitSet],
     entry_in: &BitSet,
-    order: &Order,
 ) -> ForwardMustSolution {
-    debug_assert_eq!(gen.len(), f.num_blocks());
-    debug_assert_eq!(kill.len(), f.num_blocks());
+    debug_assert_eq!(gen.len(), cfg.num_blocks());
+    debug_assert_eq!(kill.len(), cfg.num_blocks());
     let mut top = BitSet::new(universe);
     top.fill();
-    let sol = solve_must(f, &order.rpo, entry_in, &top, |b, s| {
+    let sol = solve_must(cfg, &cfg.rpo, entry_in, &top, |b, s| {
         s.difference_with(&kill[b.index()]);
         s.union_with(&gen[b.index()]);
         Ok::<(), std::convert::Infallible>(())
     });
-    let Ok(MustSolution { ins, outs, iterations }) = sol;
-    let unwrap = |v: Vec<Option<BitSet>>| {
-        v.into_iter().map(|s| s.unwrap_or_else(|| BitSet::new(universe))).collect()
-    };
-    ForwardMustSolution { must_in: unwrap(ins), must_out: unwrap(outs), iterations }
+    let Ok(MustSolution { ins, iterations, .. }) = sol;
+    let must_in = ins.into_iter().map(|s| s.unwrap_or_else(|| BitSet::new(universe))).collect();
+    ForwardMustSolution { must_in, iterations }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::Order;
     use lsra_ir::{Cond, FunctionBuilder, MachineSpec};
 
     /// A two-block loop: gen in the body propagates around the back edge.
@@ -222,9 +215,9 @@ mod tests {
         let mut gen = vec![BitSet::new(universe); f.num_blocks()];
         let kill = vec![BitSet::new(universe); f.num_blocks()];
         gen[1].insert(0); // "bit 0 used in the loop head"
-        let order = Order::compute(&f);
-        let rev: Vec<_> = order.rpo.iter().rev().copied().collect();
-        let sol = solve_backward(&f, universe, &gen, &kill, &rev);
+        let cfg = Cfg::compute(&f);
+        let rev = cfg.rpo.iter().rev().copied();
+        let sol = solve_backward(&cfg, universe, &gen, &kill, rev);
         assert!(sol.live_in[1].contains(0));
         assert!(sol.live_out[0].contains(0), "propagates to the entry's out");
         assert!(sol.live_out[1].contains(0), "propagates around the back edge");
@@ -257,8 +250,8 @@ mod tests {
         let kill = vec![BitSet::new(universe); f.num_blocks()];
         gen[0].insert(0); // defined before the branch
         gen[1].insert(1); // defined on the left arm only
-        let order = Order::compute(&f);
-        let sol = solve_forward_must(&f, universe, &gen, &kill, &BitSet::new(universe), &order);
+        let cfg = Cfg::compute(&f);
+        let sol = solve_forward_must(&cfg, universe, &gen, &kill, &BitSet::new(universe));
         assert!(sol.must_in[3].contains(0), "all-paths def reaches the join");
         assert!(!sol.must_in[3].contains(1), "one-arm def does not");
         assert!(sol.must_in[1].contains(0) && sol.must_in[2].contains(0));
@@ -288,8 +281,8 @@ mod tests {
         gen[0].insert(0);
         let mut entry_in = BitSet::new(universe);
         entry_in.insert(1);
-        let order = Order::compute(&f);
-        let sol = solve_forward_must(&f, universe, &gen, &kill, &entry_in, &order);
+        let cfg = Cfg::compute(&f);
+        let sol = solve_forward_must(&cfg, universe, &gen, &kill, &entry_in);
         assert_eq!(sol.must_in[0], entry_in);
         assert!(sol.must_in[1].contains(0), "survives the back-edge meet");
         assert!(sol.must_in[1].contains(1), "entry facts flow through");
@@ -314,9 +307,9 @@ mod tests {
         let mut kill = vec![BitSet::new(universe); 3];
         gen[2].insert(0);
         kill[1].insert(0); // b1 kills it
-        let order = Order::compute(&f);
-        let rev: Vec<_> = order.rpo.iter().rev().copied().collect();
-        let sol = solve_backward(&f, universe, &gen, &kill, &rev);
+        let cfg = Cfg::compute(&f);
+        let rev = cfg.rpo.iter().rev().copied();
+        let sol = solve_backward(&cfg, universe, &gen, &kill, rev);
         assert!(sol.live_in[2].contains(0));
         assert!(sol.live_out[1].contains(0));
         assert!(!sol.live_in[1].contains(0), "killed in b1");

@@ -9,6 +9,7 @@
 
 use lsra_ir::{Function, Inst, Reg};
 
+use crate::cfg::Cfg;
 use crate::liveness::Liveness;
 
 fn has_side_effects(inst: &Inst) -> bool {
@@ -29,9 +30,10 @@ fn has_side_effects(inst: &Inst) -> bool {
 /// An instruction is dead if it has no side effects and its only definition
 /// is a temporary that is dead immediately afterwards.
 pub fn eliminate_dead_code(f: &mut Function) -> usize {
+    let cfg = Cfg::compute(f); // terminators are never dead
     let mut removed_total = 0;
     loop {
-        let live = Liveness::compute(f);
+        let live = Liveness::compute_on(f, &cfg, 1);
         let mut removed = 0;
         for b in f.block_ids().collect::<Vec<_>>() {
             // Backward scan with a local live set (block-local temps are not

@@ -2,7 +2,7 @@
 
 use lsra_ir::{BlockId, Function};
 
-use crate::order::Order;
+use crate::cfg::Cfg;
 
 /// Immediate-dominator information for a function's CFG.
 #[derive(Clone, Debug)]
@@ -11,39 +11,38 @@ pub struct Dominators {
 }
 
 impl Dominators {
-    /// Computes dominators (unreachable blocks get no dominator).
-    pub fn compute(f: &Function, order: &Order) -> Self {
-        let n = f.num_blocks();
-        let preds = f.compute_preds();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        let entry = f.entry();
+    /// Computes dominators over `cfg`, built from `f` (unreachable blocks
+    /// get no dominator).
+    pub fn compute(f: &Function, cfg: &Cfg) -> Self {
+        debug_assert_eq!(cfg.num_blocks(), f.num_blocks());
+        let mut idom: Vec<Option<BlockId>> = vec![None; cfg.num_blocks()];
+        let entry = cfg.entry();
         idom[entry.index()] = Some(entry);
 
-        let intersect =
-            |idom: &[Option<BlockId>], order: &Order, mut a: BlockId, mut b: BlockId| {
-                while a != b {
-                    while order.rpo_pos[a.index()] > order.rpo_pos[b.index()] {
-                        a = idom[a.index()].expect("processed block has idom");
-                    }
-                    while order.rpo_pos[b.index()] > order.rpo_pos[a.index()] {
-                        b = idom[b.index()].expect("processed block has idom");
-                    }
+        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| {
+            while a != b {
+                while cfg.rpo_pos[a.index()] > cfg.rpo_pos[b.index()] {
+                    a = idom[a.index()].expect("processed block has idom");
                 }
-                a
-            };
+                while cfg.rpo_pos[b.index()] > cfg.rpo_pos[a.index()] {
+                    b = idom[b.index()].expect("processed block has idom");
+                }
+            }
+            a
+        };
 
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in order.rpo.iter().skip(1) {
+            for &b in cfg.rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
-                    if !order.is_reachable(p) || idom[p.index()].is_none() {
+                for &p in cfg.preds(b) {
+                    if !cfg.is_reachable(p) || idom[p.index()].is_none() {
                         continue;
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, order, cur, p),
+                        Some(cur) => intersect(&idom, cur, p),
                     });
                 }
                 if new_idom != idom[b.index()] {
@@ -110,8 +109,7 @@ mod tests {
     #[test]
     fn idoms_of_diamond() {
         let f = cfg();
-        let o = Order::compute(&f);
-        let d = Dominators::compute(&f, &o);
+        let d = Dominators::compute(&f, &Cfg::compute(&f));
         assert_eq!(d.idom(BlockId(0)), Some(BlockId(0)));
         assert_eq!(d.idom(BlockId(1)), Some(BlockId(0)));
         assert_eq!(d.idom(BlockId(2)), Some(BlockId(1)));
@@ -122,8 +120,7 @@ mod tests {
     #[test]
     fn dominates_is_reflexive_and_transitive() {
         let f = cfg();
-        let o = Order::compute(&f);
-        let d = Dominators::compute(&f, &o);
+        let d = Dominators::compute(&f, &Cfg::compute(&f));
         assert!(d.dominates(BlockId(2), BlockId(2)));
         assert!(d.dominates(BlockId(0), BlockId(4)));
         assert!(d.dominates(BlockId(1), BlockId(4)));

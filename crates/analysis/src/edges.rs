@@ -1,4 +1,4 @@
-//! CFG edge utilities: critical-edge splitting.
+//! CFG edge utilities: edge splitting and the critical-edge test.
 //!
 //! The resolution phase of the binpacking allocator (§2.4) places fix-up
 //! code at the top of a block with a unique predecessor, at the bottom of a
@@ -7,56 +7,33 @@
 
 use lsra_ir::{BlockId, Function, Inst};
 
-/// Retargets every occurrence of `from` in `b`'s terminator to `to`.
-pub fn retarget(f: &mut Function, b: BlockId, from: BlockId, to: BlockId) {
-    let term = &mut f.block_mut(b).insts.last_mut().expect("block has terminator").inst;
-    match term {
-        Inst::Jump { target } if *target == from => *target = to,
-        Inst::Jump { .. } => {}
-        Inst::Branch { then_tgt, else_tgt, .. } => {
-            if *then_tgt == from {
-                *then_tgt = to;
-            }
-            if *else_tgt == from {
-                *else_tgt = to;
-            }
-        }
-        _ => {}
-    }
-}
+use crate::cfg::Cfg;
 
 /// Splits the edge `pred -> succ` by inserting a fresh block containing only
-/// a jump to `succ`, and retargeting `pred`'s terminator. Returns the new
-/// block (appended at the end of the linear order).
+/// a jump to `succ`, and retargeting every occurrence of `succ` in `pred`'s
+/// terminator to it. Returns the new block (appended at the end of the
+/// linear order).
 pub fn split_edge(f: &mut Function, pred: BlockId, succ: BlockId) -> BlockId {
     let new = f.add_block();
     f.block_mut(new).insts.push(Inst::Jump { target: succ }.into());
-    retarget(f, pred, succ, new);
+    let term = &mut f.block_mut(pred).insts.last_mut().expect("block has terminator").inst;
+    if let Inst::Jump { target: t } | Inst::Branch { then_tgt: t, .. } = term {
+        if *t == succ {
+            *t = new;
+        }
+    }
+    if let Inst::Branch { else_tgt, .. } = term {
+        if *else_tgt == succ {
+            *else_tgt = new;
+        }
+    }
     new
 }
 
 /// True if `pred -> succ` is a critical edge (multi-successor predecessor
-/// into a multi-predecessor successor), given precomputed predecessor lists.
-pub fn is_critical(f: &Function, preds: &[Vec<BlockId>], pred: BlockId, succ: BlockId) -> bool {
-    f.succs(pred).len() > 1 && preds[succ.index()].len() > 1
-}
-
-/// Splits every critical edge in `f`; returns the number split.
-pub fn split_critical_edges(f: &mut Function) -> usize {
-    let preds = f.compute_preds();
-    let mut to_split = Vec::new();
-    for b in f.block_ids() {
-        for s in f.succs(b) {
-            if is_critical(f, &preds, b, s) {
-                to_split.push((b, s));
-            }
-        }
-    }
-    let n = to_split.len();
-    for (p, s) in to_split {
-        split_edge(f, p, s);
-    }
-    n
+/// into a multi-predecessor successor).
+pub fn is_critical(cfg: &Cfg, pred: BlockId, succ: BlockId) -> bool {
+    cfg.succs(pred).len() > 1 && cfg.preds(succ).len() > 1
 }
 
 #[cfg(test)]
@@ -81,31 +58,23 @@ mod tests {
     }
 
     #[test]
-    fn detects_and_splits_critical_edge() {
-        let mut f = with_critical_edge();
-        let preds = f.compute_preds();
-        assert!(is_critical(&f, &preds, BlockId(0), BlockId(2)));
-        assert!(!is_critical(&f, &preds, BlockId(0), BlockId(1)));
-        let n = split_critical_edges(&mut f);
-        assert_eq!(n, 1);
-        assert!(f.validate().is_ok());
-        // b0 no longer targets b2 directly.
-        assert!(!f.succs(BlockId(0)).contains(&BlockId(2)));
-        let preds = f.compute_preds();
-        for b in f.block_ids() {
-            for s in f.succs(b) {
-                assert!(!is_critical(&f, &preds, b, s), "no critical edges remain");
-            }
-        }
+    fn detects_critical_edge() {
+        let f = with_critical_edge();
+        let cfg = Cfg::compute(&f);
+        assert!(is_critical(&cfg, BlockId(0), BlockId(2)));
+        assert!(!is_critical(&cfg, BlockId(0), BlockId(1)));
+        assert!(!is_critical(&cfg, BlockId(1), BlockId(2)));
     }
 
     #[test]
     fn split_preserves_cfg_semantics() {
         let mut f = with_critical_edge();
         let new = split_edge(&mut f, BlockId(0), BlockId(2));
-        assert_eq!(f.succs(new), vec![BlockId(2)]);
-        assert!(f.succs(BlockId(0)).contains(&new));
         assert!(f.validate().is_ok());
+        let cfg = Cfg::compute(&f);
+        assert_eq!(cfg.succs(new), [BlockId(2)]);
+        assert_eq!(cfg.succs(BlockId(0)), [BlockId(1), new]);
+        assert!(!is_critical(&cfg, BlockId(0), new));
     }
 
     #[test]
@@ -120,6 +89,6 @@ mod tests {
         b.ret(None);
         let mut f = b.finish();
         let new = split_edge(&mut f, BlockId(0), b1);
-        assert_eq!(f.succs(BlockId(0)), vec![new]);
+        assert_eq!(Cfg::compute(&f).succs(BlockId(0)), [new]);
     }
 }

@@ -6,6 +6,8 @@
 //! dead-code elimination, and the peephole move-removal pass are common
 //! infrastructure. This crate is that infrastructure:
 //!
+//! * [`Cfg`] — one function's successor/predecessor rows and reverse
+//!   postorder, built once and shared by every consumer below;
 //! * [`BitSet`] — dense bit vectors for the iterative dataflow problems;
 //! * [`collections`] — flat hot-path containers (CSR rows, inline small
 //!   vectors, sorted-vec interval maps, epoch-stamped sets);
@@ -17,7 +19,7 @@
 //!   one reverse pass over the linear order;
 //! * [`eliminate_dead_code`], [`remove_identity_moves`] — the pre/post
 //!   passes of the paper's pipeline;
-//! * edge utilities (critical-edge splitting) used by the resolution phase.
+//! * edge utilities ([`split_edge`], [`is_critical`]) for resolution.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 mod bitset;
+mod cfg;
 pub mod collections;
 mod dataflow;
 mod dce;
@@ -51,10 +54,10 @@ mod edges;
 mod lifetimes;
 mod liveness;
 mod loops;
-mod order;
 mod peephole;
 
 pub use bitset::BitSet;
+pub use cfg::{Cfg, Order};
 pub use collections::{Csr, EpochSet, IntervalCursor, IntervalMap, SmallVec};
 pub use dataflow::{
     solve_backward, solve_forward_must, solve_must, BackwardSolution, ForwardMustSolution,
@@ -62,9 +65,8 @@ pub use dataflow::{
 };
 pub use dce::eliminate_dead_code;
 pub use dominators::Dominators;
-pub use edges::{is_critical, retarget, split_critical_edges, split_edge};
+pub use edges::{is_critical, split_edge};
 pub use lifetimes::{check_phys_block_local, AnalysisScratch, Lifetimes, Point, RefPoint, Segment};
 pub use liveness::Liveness;
 pub use loops::LoopInfo;
-pub use order::Order;
 pub use peephole::remove_identity_moves;

@@ -24,7 +24,9 @@
 use lsra_ir::{BlockId, Function, Inst, MachineSpec, Reg, RegClass, Temp};
 
 use crate::bitset::BitSet;
+use crate::cfg::Cfg;
 use crate::collections::Csr;
+use crate::dominators::Dominators;
 use crate::liveness::Liveness;
 use crate::loops::LoopInfo;
 
@@ -368,8 +370,9 @@ impl Lifetimes {
 
     /// Convenience constructor that runs the prerequisite analyses.
     pub fn of(f: &Function, spec: &MachineSpec) -> Self {
-        let live = Liveness::compute(f);
-        let loops = LoopInfo::of(f);
+        let cfg = Cfg::compute(f);
+        let live = Liveness::compute_on(f, &cfg, 1);
+        let loops = LoopInfo::compute(f, &cfg, &Dominators::compute(f, &cfg));
         Lifetimes::compute(f, &live, &loops, spec)
     }
 

@@ -9,7 +9,7 @@
 use lsra_ir::{BlockId, Function, Temp};
 
 use crate::bitset::BitSet;
-use crate::order::Order;
+use crate::cfg::Cfg;
 
 /// Per-block live-in/live-out sets over global temporaries.
 ///
@@ -118,19 +118,20 @@ fn gen_kill_blocks(
 }
 
 impl Liveness {
-    /// Computes liveness for `f`.
+    /// Computes liveness for `f`, building its [`Cfg`] first.
     pub fn compute(f: &Function) -> Self {
-        Liveness::compute_with_workers(f, 1)
+        Liveness::compute_on(f, &Cfg::compute(f), 1)
     }
 
-    /// Computes liveness for `f`, splitting the per-block passes
-    /// (classification and gen/kill construction) across up to `workers`
-    /// threads over contiguous block ranges. The result is identical to the
-    /// serial computation: classification merges are order-independent
-    /// (a temp referenced in two disjoint chunks is multi-block by
-    /// definition), global bit positions are assigned by temp index, and
-    /// the fixed-point solve stays serial.
-    pub fn compute_with_workers(f: &Function, workers: usize) -> Self {
+    /// Computes liveness for `f` over its `cfg`, splitting the per-block
+    /// passes (classification and gen/kill construction) across up to
+    /// `workers` threads over contiguous block ranges. The result is
+    /// identical to the serial computation: classification merges are
+    /// order-independent (a temp referenced in two disjoint chunks is
+    /// multi-block by definition), global bit positions are assigned by
+    /// temp index, and the fixed-point solve stays serial.
+    pub fn compute_on(f: &Function, cfg: &Cfg, workers: usize) -> Self {
+        debug_assert_eq!(cfg.num_blocks(), f.num_blocks());
         let nt = f.num_temps();
         let nb = f.num_blocks();
         let workers = workers.clamp(1, nb.max(1));
@@ -204,9 +205,8 @@ impl Liveness {
         // Pass 3: solve to the fixed point, visiting blocks in reverse
         // reverse-postorder (a good order for backward problems). Serial:
         // the propagation order is the algorithm.
-        let order = Order::compute(f);
-        let rev: Vec<_> = order.rpo.iter().rev().copied().collect();
-        let sol = crate::dataflow::solve_backward(f, ng, &gen, &kill, &rev);
+        let rev = cfg.rpo.iter().rev().copied();
+        let sol = crate::dataflow::solve_backward(cfg, ng, &gen, &kill, rev);
 
         Liveness {
             global_index,
@@ -360,8 +360,9 @@ mod tests {
     fn parallel_liveness_matches_serial() {
         let (f, _, _) = loop_func();
         let serial = Liveness::compute(&f);
+        let cfg = Cfg::compute(&f);
         for workers in [2, 3, 7] {
-            let par = Liveness::compute_with_workers(&f, workers);
+            let par = Liveness::compute_on(&f, &cfg, workers);
             assert_eq!(par.num_globals(), serial.num_globals(), "workers={workers}");
             for g in 0..serial.num_globals() {
                 assert_eq!(par.temp_of(g), serial.temp_of(g), "workers={workers}");

@@ -7,9 +7,9 @@
 
 use lsra_ir::{BlockId, Function};
 
+use crate::cfg::Cfg;
 use crate::collections::EpochSet;
 use crate::dominators::Dominators;
-use crate::order::Order;
 
 /// Loop-nesting information: the nesting depth of every block (0 = not in
 /// any loop).
@@ -20,51 +20,40 @@ pub struct LoopInfo {
 
 impl LoopInfo {
     /// Finds natural loops (back edges `t -> h` where `h` dominates `t`) and
-    /// accumulates nesting depth per block.
+    /// accumulates nesting depth per block. Each back edge counts as its
+    /// own loop, so a header with two latches nests its body twice.
     ///
     /// A dominator precedes every block it dominates in reverse postorder,
     /// so only retreating edges (`rpo_pos[h] <= rpo_pos[t]`) can be back
     /// edges, and only they pay for the dominance walk. Each natural loop
     /// costs its own size: the body is marked in one [`EpochSet`].
-    pub fn compute(f: &Function, order: &Order, doms: &Dominators) -> Self {
-        let n = f.num_blocks();
-        let preds = f.compute_preds();
-        let mut depth = vec![0u32; n];
-        let mut in_loop = EpochSet::new(n);
+    pub fn compute(f: &Function, cfg: &Cfg, doms: &Dominators) -> Self {
+        debug_assert_eq!(cfg.num_blocks(), f.num_blocks());
+        let mut depth = vec![0u32; cfg.num_blocks()];
+        let mut in_loop = EpochSet::new(cfg.num_blocks());
         let mut stack = Vec::new();
-        for b in f.block_ids() {
-            if !order.is_reachable(b) {
+        for (b, h) in cfg.edges() {
+            if !cfg.is_reachable(b)
+                || cfg.rpo_pos[h.index()] > cfg.rpo_pos[b.index()]
+                || !doms.dominates(h, b)
+            {
                 continue;
             }
-            for h in f.succs(b) {
-                if order.rpo_pos[h.index()] > order.rpo_pos[b.index()] || !doms.dominates(h, b) {
-                    continue;
+            // Natural loop of back edge b -> h: h plus all blocks that
+            // reach b without passing through h.
+            in_loop.advance();
+            in_loop.insert(h.index());
+            stack.push(b);
+            while let Some(x) = stack.pop() {
+                if in_loop.insert(x.index()) {
+                    stack.extend(cfg.preds(x).iter().filter(|p| !in_loop.contains(p.index())));
                 }
-                // Natural loop of back edge b -> h: h plus all blocks that
-                // reach b without passing through h.
-                in_loop.advance();
-                in_loop.insert(h.index());
-                stack.push(b);
-                while let Some(x) = stack.pop() {
-                    if in_loop.insert(x.index()) {
-                        stack.extend(
-                            preds[x.index()].iter().filter(|p| !in_loop.contains(p.index())),
-                        );
-                    }
-                }
-                for &i in in_loop.touched() {
-                    depth[i as usize] += 1;
-                }
+            }
+            for &i in in_loop.touched() {
+                depth[i as usize] += 1;
             }
         }
         LoopInfo { depth }
-    }
-
-    /// Convenience constructor running the prerequisite analyses.
-    pub fn of(f: &Function) -> Self {
-        let order = Order::compute(f);
-        let doms = Dominators::compute(f, &order);
-        LoopInfo::compute(f, &order, &doms)
     }
 
     /// Nesting depth of `b` (0 outside all loops).
@@ -84,6 +73,11 @@ impl LoopInfo {
 mod tests {
     use super::*;
     use lsra_ir::{Cond, FunctionBuilder, MachineSpec};
+
+    fn loops(f: &Function) -> LoopInfo {
+        let cfg = Cfg::compute(f);
+        LoopInfo::compute(f, &cfg, &Dominators::compute(f, &cfg))
+    }
 
     /// Two nested loops:
     /// ```text
@@ -113,7 +107,7 @@ mod tests {
     #[test]
     fn nested_loop_depths() {
         let f = nested();
-        let li = LoopInfo::of(&f);
+        let li = loops(&f);
         assert_eq!(li.depth(BlockId(0)), 0);
         assert_eq!(li.depth(BlockId(1)), 1);
         assert_eq!(li.depth(BlockId(2)), 2, "inner head is in both loops");
@@ -124,9 +118,40 @@ mod tests {
     #[test]
     fn weights_scale_by_ten() {
         let f = nested();
-        let li = LoopInfo::of(&f);
+        let li = loops(&f);
         assert_eq!(li.weight(BlockId(0)), 1.0);
         assert_eq!(li.weight(BlockId(2)), 100.0);
+    }
+
+    /// Pins today's semantics: each back edge is its own natural loop, so
+    /// a header with two latches (`b2 -> b1`, `b3 -> b1`) sits at depth 2
+    /// although the CFG has one loop. A loop forest would merge the two
+    /// latches and put every block of the loop at depth 1; ROADMAP's
+    /// "merge the latches of each header" item tracks that change.
+    #[test]
+    fn a_header_with_two_latches_counts_two_loops() {
+        let spec = MachineSpec::alpha_like();
+        let mut b = FunctionBuilder::new(&spec, "latches", &[]);
+        let t = b.int_temp("t");
+        b.movi(t, 1);
+        let b1 = b.block();
+        let b2 = b.block();
+        let b3 = b.block();
+        let b4 = b.block();
+        b.jump(b1);
+        b.switch_to(b1);
+        b.branch(Cond::Ne, t, b2, b3);
+        b.switch_to(b2);
+        b.jump(b1); // first latch
+        b.switch_to(b3);
+        b.branch(Cond::Ne, t, b1, b4); // second latch
+        b.switch_to(b4);
+        b.ret(None);
+        let f = b.finish();
+        let li = loops(&f);
+        let depths: Vec<u32> = f.block_ids().map(|b| li.depth(b)).collect();
+        assert_eq!(depths, [0, 2, 1, 1, 0]);
+        assert_eq!(li.weight(b1), 100.0);
     }
 
     #[test]
@@ -135,7 +160,7 @@ mod tests {
         let mut b = FunctionBuilder::new(&spec, "s", &[]);
         b.ret(None);
         let f = b.finish();
-        let li = LoopInfo::of(&f);
+        let li = loops(&f);
         assert_eq!(li.depth(BlockId(0)), 0);
     }
 }

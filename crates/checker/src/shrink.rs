@@ -11,7 +11,7 @@
 //! a well-formed minimal repro that can be printed as `.lsra` text
 //! (`format!("{module}")`) and re-read with `lsra_ir::parse_module`.
 
-use lsra_analysis::Order;
+use lsra_analysis::Cfg;
 use lsra_ir::{BlockId, Callee, FuncId, Inst, Module};
 
 /// Bookkeeping from one [`shrink_module`] run.
@@ -142,14 +142,14 @@ impl Shrinker<'_> {
         let mut progressed = false;
         for fi in 0..self.cur.funcs.len() {
             let f = &self.cur.funcs[fi];
-            let order = Order::compute(f);
-            if f.block_ids().all(|b| order.is_reachable(b)) {
+            let cfg = Cfg::compute(f);
+            if f.block_ids().all(|b| cfg.is_reachable(b)) {
                 continue;
             }
             let mut remap = vec![None; f.num_blocks()];
             let mut next = 0u32;
             for b in f.block_ids() {
-                if order.is_reachable(b) {
+                if cfg.is_reachable(b) {
                     remap[b.index()] = Some(BlockId(next));
                     next += 1;
                 }

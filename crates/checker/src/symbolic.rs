@@ -37,7 +37,7 @@
 //! instructions plus one untagged `Jump`. Run it *before*
 //! `remove_identity_moves`.
 
-use lsra_analysis::{solve_must, BitSet, Order};
+use lsra_analysis::{solve_must, BitSet, Cfg};
 use lsra_ir::{BlockId, Function, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, SlotId, Temp};
 
 /// A violation found by [`check_function`].
@@ -493,8 +493,8 @@ pub fn check_function(
         ntemps: orig.num_temps().max(alloc.num_temps()),
     };
     let ctx = Ctx { orig, alloc, spec, uni };
-    let order = Order::compute(alloc);
-    let visit: Vec<BlockId> = alloc.block_ids().filter(|&b| order.is_reachable(b)).collect();
+    let cfg = Cfg::compute(alloc);
+    let visit: Vec<BlockId> = alloc.block_ids().filter(|&b| cfg.is_reachable(b)).collect();
     let mut all = BitSet::new(ctx.uni.num_syms());
     all.fill();
     let top: State = vec![all; ctx.uni.num_locs()];
@@ -502,7 +502,7 @@ pub fn check_function(
     // optimism can only over-fill sets, never report false errors once
     // stable), then one reporting pass over the stable IN states.
     let sol =
-        solve_must(alloc, &visit, &ctx.entry_state(), &top, |b, st| ctx.step_block(b, st, false))?;
+        solve_must(&cfg, &visit, &ctx.entry_state(), &top, |b, st| ctx.step_block(b, st, false))?;
     for &b in &visit {
         let mut st = sol.ins[b.index()].clone().expect("visited block has an IN state");
         ctx.step_block(b, &mut st, true)?;

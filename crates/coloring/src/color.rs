@@ -644,8 +644,9 @@ mod tests {
 
     fn round_for<'a>(f: &'a Function, spec: &lsra_ir::MachineSpec, class: RegClass) -> Round<'a> {
         // Leak the liveness/loops to satisfy the borrow (test-only).
-        let live = Box::leak(Box::new(Liveness::compute(f)));
-        let loops = LoopInfo::of(f);
+        let cfg = lsra_analysis::Cfg::compute(f);
+        let live = Box::leak(Box::new(Liveness::compute_on(f, &cfg, 1)));
+        let loops = LoopInfo::compute(f, &cfg, &lsra_analysis::Dominators::compute(f, &cfg));
         let k = spec.num_regs(class) as usize;
         let excluded = vec![false; f.num_temps()];
         let marker = vec![false; f.num_temps()];

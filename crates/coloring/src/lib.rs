@@ -42,7 +42,7 @@ pub use matrix::TriangularBitMatrix;
 
 use std::time::Instant;
 
-use lsra_analysis::{Liveness, LoopInfo};
+use lsra_analysis::{Cfg, Dominators, Liveness, LoopInfo};
 use lsra_core::{AllocStats, RegisterAllocator};
 use lsra_ir::{Function, MachineSpec, PhysReg, Reg, RegClass, SpillTag};
 
@@ -65,7 +65,8 @@ impl RegisterAllocator for ColoringAllocator {
     fn allocate_function(&self, f: &mut Function, spec: &MachineSpec) -> AllocStats {
         let start = Instant::now();
         let mut stats = AllocStats { candidates: f.num_temps(), ..Default::default() };
-        let loops = LoopInfo::of(f);
+        let cfg = Cfg::compute(f); // spill rewriting adds no block
+        let loops = LoopInfo::compute(f, &cfg, &Dominators::compute(f, &cfg));
         let mut assignment: Vec<(lsra_ir::Temp, PhysReg)> = Vec::new();
         let mut coalesced = 0u64;
 
@@ -73,7 +74,7 @@ impl RegisterAllocator for ColoringAllocator {
             let k = spec.num_regs(class) as usize;
             // Liveness once per file; spill temporaries are block-local and
             // never enter the bit vectors (§3).
-            let live = Liveness::compute(f);
+            let live = Liveness::compute_on(f, &cfg, 1);
             let mut excluded = vec![false; f.num_temps()];
             let mut spill_marker = vec![false; f.num_temps()];
             loop {

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use lsra_analysis::{Lifetimes, Liveness, LoopInfo};
+use lsra_analysis::{Cfg, Dominators, Lifetimes, Liveness, LoopInfo};
 use lsra_ir::{Function, MachineSpec, Module};
 use lsra_trace::{NoopSink, TraceEvent, TraceSink};
 
@@ -110,11 +110,11 @@ impl BinpackAllocator {
             // the allocator's own first phase). On functions past the
             // parallel threshold, the per-block liveness passes split
             // across threads (byte-identical to serial).
-            let live =
-                Liveness::compute_with_workers(f, self.config.function_workers(f.num_insts()));
-            timer.mark_traced(&mut stats, Phase::Liveness, sink);
-            let loops = LoopInfo::of(f);
+            let graph = Cfg::compute(f);
+            let loops = LoopInfo::compute(f, &graph, &Dominators::compute(f, &graph));
             timer.mark_traced(&mut stats, Phase::Order, sink);
+            let live = Liveness::compute_on(f, &graph, self.config.function_workers(f.num_insts()));
+            timer.mark_traced(&mut stats, Phase::Liveness, sink);
             let lt = Lifetimes::compute_in(f, &live, &loops, spec, &mut scratch.analysis);
             timer.mark_traced(&mut stats, Phase::Lifetimes, sink);
             if sink.enabled() {
@@ -133,10 +133,11 @@ impl BinpackAllocator {
                 sink.event(&TraceEvent::LifetimesBuilt { live_temps, segments, holes });
             }
             let out =
-                Scanner::new(f, spec, &live, &lt, self.config, &mut stats, scratch, sink).run();
+                Scanner::new(f, spec, &graph, &live, &lt, self.config, &mut stats, scratch, sink)
+                    .run();
             timer.mark_traced(&mut stats, Phase::Scan, sink);
             // Resolution self-reports its Resolve and Consistency phases.
-            resolve::resolve(f, &live, &out, self.config, &mut stats, scratch, sink);
+            resolve::resolve(f, &graph, &live, &out, self.config, &mut stats, scratch, sink);
             // Hand the CSR backing of the lifetimes and the scan output
             // back to the arena for the next function.
             lt.recycle(&mut scratch.analysis);

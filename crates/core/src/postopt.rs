@@ -21,7 +21,7 @@
 //! left it as future work and reports numbers without it — but the
 //! evaluation harness exposes it as an ablation.
 
-use lsra_analysis::BitSet;
+use lsra_analysis::{BitSet, Cfg};
 use lsra_ir::{Function, Inst, MachineSpec, PhysReg, Reg, SlotId, SpillTag};
 
 /// What the cleanup removed or rewrote.
@@ -69,8 +69,9 @@ impl SlotMap {
 pub fn optimize_spill_code(f: &mut Function, spec: &MachineSpec) -> PostOptStats {
     assert!(f.allocated, "post-allocation cleanup requires an allocated function");
     let mut stats = PostOptStats::default();
-    forward_loads(f, spec, &mut stats);
-    remove_dead_stores(f, &mut stats);
+    let cfg = Cfg::compute(f); // neither pass touches a terminator
+    forward_loads(f, &cfg, spec, &mut stats);
+    remove_dead_stores(f, &cfg, &mut stats);
     stats
 }
 
@@ -78,12 +79,11 @@ fn slot_of(f: &Function, t: lsra_ir::Temp) -> SlotId {
     f.spill_slots[t.index()].expect("spill instruction references temp without slot")
 }
 
-fn forward_loads(f: &mut Function, spec: &MachineSpec, stats: &mut PostOptStats) {
-    let preds = f.compute_preds();
+fn forward_loads(f: &mut Function, cfg: &Cfg, spec: &MachineSpec, stats: &mut PostOptStats) {
     // Exit maps of already-processed blocks, used across single-pred edges.
     let mut exit_maps: Vec<Option<SlotMap>> = vec![None; f.num_blocks()];
     for b in f.block_ids().collect::<Vec<_>>() {
-        let mut map = match preds[b.index()].as_slice() {
+        let mut map = match cfg.preds(b) {
             // A unique, already-processed predecessor seeds the map (its
             // terminator writes no register).
             [p] if p.index() < b.index() => exit_maps[p.index()].clone().unwrap_or_default(),
@@ -144,7 +144,7 @@ fn forward_loads(f: &mut Function, spec: &MachineSpec, stats: &mut PostOptStats)
     }
 }
 
-fn remove_dead_stores(f: &mut Function, stats: &mut PostOptStats) {
+fn remove_dead_stores(f: &mut Function, cfg: &Cfg, stats: &mut PostOptStats) {
     let ns = f.num_slots as usize;
     if ns == 0 {
         return;
@@ -171,8 +171,8 @@ fn remove_dead_stores(f: &mut Function, stats: &mut PostOptStats) {
             }
         }
     }
-    let order: Vec<lsra_ir::BlockId> = (0..nb as u32).rev().map(lsra_ir::BlockId).collect();
-    let sol = lsra_analysis::solve_backward(f, ns, &gen, &kill, &order);
+    let order = (0..nb as u32).rev().map(lsra_ir::BlockId);
+    let sol = lsra_analysis::solve_backward(cfg, ns, &gen, &kill, order);
     let live_out = sol.live_out;
     // Backward sweep per block removing stores to dead slots.
     let slots = f.spill_slots.clone();

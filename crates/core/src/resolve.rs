@@ -16,7 +16,7 @@
 //! and edge-store omission during resolution itself; both contribute GEN
 //! bits here.
 
-use lsra_analysis::{BitSet, Liveness};
+use lsra_analysis::{BitSet, Cfg, Liveness};
 use lsra_ir::{BlockId, Function, Ins, Inst, PhysReg, SpillTag, Temp};
 use lsra_trace::{ResolveOp, TraceEvent, TraceSink};
 
@@ -52,15 +52,14 @@ fn terminator_is_placement_safe(f: &Function, b: BlockId) -> bool {
 /// worker so repairing allocates nothing per edge.
 #[derive(Debug, Default)]
 pub struct EdgeRepair {
-    edges: Vec<(BlockId, BlockId)>,
-    pred_count: Vec<u32>,
     ops: Vec<EdgeOp>,
     seq: Vec<(Inst, SpillTag)>,
     spilled: Vec<Temp>,
 }
 
 impl EdgeRepair {
-    /// Repairs every CFG edge `p → s` of `f`. `build(p, s, ops, sink)`
+    /// Repairs every edge `p → s` of `cfg`, built from `f` before any
+    /// split. `build(p, s, ops, sink)`
     /// pushes the location fixes the edge needs (tracing them as it likes);
     /// this routine does the rest:
     ///
@@ -73,27 +72,19 @@ impl EdgeRepair {
     ///   terminator reads no register, else in a new block splitting the
     ///   edge (footnote 1 of the paper).
     ///
-    /// Edges are taken from `f` before any split, in block order.
+    /// Edges come in `cfg`'s block order. A split only retargets `p`'s
+    /// terminator, so `p`'s successor count in `cfg` stays exact.
     pub fn run(
         &mut self,
         f: &mut Function,
+        cfg: &Cfg,
         stats: &mut AllocStats,
         sink: &mut dyn TraceSink,
         mut build: impl FnMut(BlockId, BlockId, &mut Vec<EdgeOp>, &mut dyn TraceSink),
     ) {
-        let EdgeRepair { edges, pred_count, ops, seq, spilled } = self;
-        // Placement only asks whether a successor has exactly one
-        // predecessor, so a count per block replaces predecessor lists.
-        edges.clear();
-        pred_count.clear();
-        pred_count.resize(f.num_blocks(), 0);
-        for p in f.block_ids() {
-            for s in f.succs(p) {
-                edges.push((p, s));
-                pred_count[s.index()] += 1;
-            }
-        }
-        for &(p, s) in edges.iter() {
+        debug_assert_eq!(cfg.num_blocks(), f.num_blocks());
+        let EdgeRepair { ops, seq, spilled } = self;
+        for (p, s) in cfg.edges() {
             ops.clear();
             build(p, s, ops, sink);
             if ops.is_empty() {
@@ -119,9 +110,9 @@ impl EdgeRepair {
                 stats.record_insert(*tag);
             }
             let insns = seq.drain(..).map(|(inst, tag)| Ins::tagged(inst, tag));
-            if pred_count[s.index()] == 1 {
+            if cfg.preds(s).len() == 1 {
                 f.block_mut(s).insts.splice(0..0, insns);
-            } else if f.succs(p).len() == 1 && terminator_is_placement_safe(f, p) {
+            } else if cfg.succs(p).len() == 1 && terminator_is_placement_safe(f, p) {
                 let blk = f.block_mut(p);
                 let at = blk.insts.len() - 1;
                 blk.insts.splice(at..at, insns);
@@ -133,8 +124,11 @@ impl EdgeRepair {
     }
 }
 
+// Like the scan, resolution borrows its context individually.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve(
     f: &mut Function,
+    graph: &Cfg,
     live: &Liveness,
     scan: &ScanOutput,
     cfg: BinpackConfig,
@@ -153,27 +147,25 @@ pub(crate) fn resolve(
     let mut used_c_in: Vec<BitSet> = scan.used_consistency.clone();
     timer.mark_traced(stats, Phase::Resolve, sink);
     if cfg.consistency == ConsistencyMode::Iterative {
-        for p in f.block_ids() {
-            for s in f.succs(p) {
-                for g in live.live_in(s).iter() {
-                    let t = live.temp_of(g);
-                    let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
-                    let loc_s = reg_of(scan.top_map.row(s.index()), t);
-                    if loc_p.is_some()
-                        && loc_s.is_none()
-                        && scan.consistent_bottom[p.index()].contains(g)
-                        && !scan.wrote_tr[p.index()].contains(g)
-                    {
-                        used_c_in[p.index()].insert(g);
-                    }
+        for (p, s) in graph.edges() {
+            for g in live.live_in(s).iter() {
+                let t = live.temp_of(g);
+                let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
+                let loc_s = reg_of(scan.top_map.row(s.index()), t);
+                if loc_p.is_some()
+                    && loc_s.is_none()
+                    && scan.consistent_bottom[p.index()].contains(g)
+                    && !scan.wrote_tr[p.index()].contains(g)
+                {
+                    used_c_in[p.index()].insert(g);
                 }
             }
         }
         // Solve USED_C_in(b) = GEN(b) ∪ (∪_s USED_C_in(s) ∖ WROTE_TR(b))
         // to a fixed point (backward problem).
         let gen = used_c_in.clone();
-        let order: Vec<BlockId> = (0..nb as u32).rev().map(BlockId).collect();
-        let sol = lsra_analysis::solve_backward(f, ng, &gen, &scan.wrote_tr, &order);
+        let order = (0..nb as u32).rev().map(BlockId);
+        let sol = lsra_analysis::solve_backward(graph, ng, &gen, &scan.wrote_tr, order);
         used_c_in = sol.live_in;
         stats.iterations = sol.iterations;
         if sink.enabled() {
@@ -182,7 +174,7 @@ pub(crate) fn resolve(
     }
     timer.mark_traced(stats, Phase::Consistency, sink);
 
-    scratch.edge.run(f, stats, sink, |p, s, ops, sink| {
+    scratch.edge.run(f, graph, stats, sink, |p, s, ops, sink| {
         for g in live.live_in(s).iter() {
             let t = live.temp_of(g);
             let loc_p = reg_of(scan.bottom_map.row(p.index()), t);

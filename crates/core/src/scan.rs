@@ -11,7 +11,7 @@
 //! The scan also records, per basic block, the location maps and consistency
 //! bit vectors that the resolution phase (§2.4) consumes.
 
-use lsra_analysis::{BitSet, Csr, EpochSet, Lifetimes, Liveness, Point};
+use lsra_analysis::{BitSet, Cfg, Csr, EpochSet, Lifetimes, Liveness, Point};
 use lsra_ir::{Function, Ins, Inst, MachineSpec, PhysReg, Reg, RegClass, SpillTag, Temp};
 use lsra_trace::{CoalesceOutcome, EvictAction, FitTier, SpillCandidate, TraceEvent, TraceSink};
 
@@ -73,9 +73,9 @@ pub(crate) struct Scanner<'a> {
     seg_cur: Vec<usize>,
     ref_cur: Vec<usize>,
     blk_cur: Vec<usize>,
-    /// Predecessor lists — only the conservative consistency mode consults
-    /// them, so they are only computed in that mode.
-    preds: Vec<Vec<lsra_ir::BlockId>>,
+    /// The function's CFG; the conservative consistency mode meets over
+    /// its predecessor rows.
+    graph: &'a Cfg,
     /// The register a temporary last occupied before being displaced while
     /// inside one of its lifetime holes (the binpacking model's "another
     /// temporary fits inside the hole", §2.1-§2.2). Used to restore the
@@ -160,6 +160,7 @@ impl<'a> Scanner<'a> {
     pub(crate) fn new(
         f: &'a mut Function,
         spec: &'a MachineSpec,
+        graph: &'a Cfg,
         live: &'a Liveness,
         lt: &'a Lifetimes,
         cfg: BinpackConfig,
@@ -171,11 +172,7 @@ impl<'a> Scanner<'a> {
         let nt = f.num_temps();
         let nb = f.num_blocks();
         let ng = live.num_globals();
-        let preds = if cfg.consistency == ConsistencyMode::Conservative {
-            f.compute_preds()
-        } else {
-            Vec::new()
-        };
+        debug_assert_eq!(graph.num_blocks(), nb);
         // Take the working vectors out of the scratch arena, sized for this
         // function (`reset` keeps capacity); `run` hands them back.
         let mut occupant = std::mem::take(&mut scratch.occupant);
@@ -245,7 +242,7 @@ impl<'a> Scanner<'a> {
             seg_cur,
             ref_cur,
             blk_cur,
-            preds,
+            graph,
             last_reg,
             cur_top: Point(0),
             pending_owner,
@@ -1171,24 +1168,17 @@ impl<'a> Scanner<'a> {
         self.used_local.advance();
         if self.cfg.consistency == ConsistencyMode::Conservative {
             // §2.6: meet of the saved ARE_CONSISTENT vectors of all
-            // predecessors; an unscanned predecessor clears everything.
+            // predecessors; no predecessor, or an unscanned one, clears
+            // everything.
             let mut meet = BitSet::new(self.live.num_globals());
-            let mut first = true;
-            let mut any_unscanned = false;
-            for &p in &self.preds[b.index()] {
-                if p.index() >= b.index() {
-                    any_unscanned = true;
-                    break;
+            let preds = self.graph.preds(b);
+            if let Some((first, rest)) = preds.split_first() {
+                if preds.iter().all(|p| p.index() < b.index()) {
+                    meet.union_with(&self.out.consistent_bottom[first.index()]);
+                    for p in rest {
+                        meet.intersect_with(&self.out.consistent_bottom[p.index()]);
+                    }
                 }
-                if first {
-                    meet.union_with(&self.out.consistent_bottom[p.index()]);
-                    first = false;
-                } else {
-                    meet.intersect_with(&self.out.consistent_bottom[p.index()]);
-                }
-            }
-            if any_unscanned || first {
-                meet.clear();
             }
             for g in 0..self.live.num_globals() {
                 let t = self.live.temp_of(g);

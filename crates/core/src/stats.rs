@@ -11,7 +11,7 @@ use crate::scratch::AllocScratch;
 /// [`BinpackConfig::time_phases`](crate::BinpackConfig) is on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Block ordering, dominators, and loop analysis (`LoopInfo`).
+    /// The function's `Cfg`, its dominators, and loop depths (`LoopInfo`).
     Order = 0,
     /// Global liveness dataflow.
     Liveness = 1,

@@ -10,7 +10,7 @@
 //! definition — with no store avoidance and no second chances, which is
 //! precisely the behaviour the paper contrasts against (wc's 38% slowdown).
 
-use lsra_analysis::{Lifetimes, Liveness, LoopInfo, Point};
+use lsra_analysis::{Cfg, Dominators, Lifetimes, Liveness, LoopInfo, Point};
 use lsra_ir::{Function, MachineSpec, Temp};
 use lsra_trace::{TraceEvent, TraceSink};
 
@@ -68,10 +68,11 @@ pub(crate) fn allocate(
     sink: &mut dyn TraceSink,
 ) {
     let mut timer = PhaseTimer::new(cfg.time_phases);
-    let live = Liveness::compute_with_workers(f, cfg.function_workers(f.num_insts()));
-    timer.mark_traced(stats, Phase::Liveness, sink);
-    let loops = LoopInfo::of(f);
+    let graph = Cfg::compute(f);
+    let loops = LoopInfo::compute(f, &graph, &Dominators::compute(f, &graph));
     timer.mark_traced(stats, Phase::Order, sink);
+    let live = Liveness::compute_on(f, &graph, cfg.function_workers(f.num_insts()));
+    timer.mark_traced(stats, Phase::Liveness, sink);
     let lt = Lifetimes::compute_in(f, &live, &loops, spec, &mut scratch.analysis);
     timer.mark_traced(stats, Phase::Lifetimes, sink);
     stats.candidates = f.num_temps();

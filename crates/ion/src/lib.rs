@@ -57,7 +57,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Instant;
 
-use lsra_analysis::{BitSet, Csr, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec};
+use lsra_analysis::{
+    BitSet, Cfg, Csr, Dominators, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec,
+};
 use lsra_core::{
     ensure_slot, sequentialize_into, AllocStats, EdgeOp, EdgeRepair, RegisterAllocator,
 };
@@ -504,8 +506,11 @@ fn allocate(
     // among them are cleaned up at the end of this function.
     lsra_ssa::to_ssa_and_back(f);
 
-    let live = Liveness::compute(f);
-    let loops = LoopInfo::of(f);
+    // Phi lowering split edges, so the graph is built after it. It holds
+    // until phase 7 splits edges of its own.
+    let cfg = Cfg::compute(f);
+    let live = Liveness::compute_on(f, &cfg, 1);
+    let loops = LoopInfo::compute(f, &cfg, &Dominators::compute(f, &cfg));
     let lt = Lifetimes::compute(f, &live, &loops, spec);
     stats.candidates = f.num_temps();
 
@@ -1143,7 +1148,7 @@ fn allocate(
     // its successor expects — the linear scan's §2.4 repair (`EdgeRepair`),
     // fed piece locations. Ion keeps no cross-edge consistency facts, so a
     // register-to-memory transition always stores.
-    EdgeRepair::default().run(f, stats, sink, |p, s, ops, sink| {
+    EdgeRepair::default().run(f, &cfg, stats, sink, |p, s, ops, sink| {
         for g in live.live_in(s).iter() {
             let t = live.temp_of(g);
             // Bottom of p = the write slot of its last instruction (the
@@ -1197,21 +1202,15 @@ fn allocate(
     // (older copies hold the superseded value).
     let mut avail: Vec<(Temp, PhysReg, bool)> = Vec::new();
     let mut avail_out: Vec<Option<Vec<(Temp, PhysReg, bool)>>> = vec![None; f.blocks.len()];
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); f.blocks.len()];
-    for bi in 0..f.blocks.len() {
-        for s in f.succs(BlockId(bi as u32)) {
-            preds[s.index()].push(bi as u32);
-        }
-    }
+    let cfg = Cfg::compute(f); // after phase 7's splits
     for bi in 0..f.blocks.len() {
         avail.clear();
         // A single-predecessor block inherits the predecessor's facts when
-        // that block has already been scanned (its code is final).
-        if let [p] = preds[bi][..] {
-            if (p as usize) < bi {
-                if let Some(out) = avail_out[p as usize].as_deref() {
-                    avail.extend_from_slice(out);
-                }
+        // that block has already been scanned (its code is final; only a
+        // scanned block has an `avail_out`).
+        if let [p] = *cfg.preds(BlockId(bi as u32)) {
+            if let Some(out) = avail_out[p.index()].as_deref() {
+                avail.extend_from_slice(out);
             }
         }
         let blk = &mut f.blocks[bi];

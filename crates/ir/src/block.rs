@@ -49,11 +49,6 @@ impl Block {
         last
     }
 
-    /// Successor blocks of this block.
-    pub fn succs(&self) -> Vec<BlockId> {
-        self.terminator().branch_targets()
-    }
-
     /// True if the block ends with a well-formed terminator and contains no
     /// interior terminators.
     pub fn is_well_formed(&self) -> bool {
@@ -77,7 +72,6 @@ mod tests {
         assert!(!b.is_well_formed());
         b.insts.push(Inst::Jump { target: BlockId(1) }.into());
         assert!(b.is_well_formed());
-        assert_eq!(b.succs(), vec![BlockId(1)]);
         b.insts.push(Inst::Ret { ret_regs: vec![] }.into());
         assert!(!b.is_well_formed(), "interior terminator must be rejected");
     }

@@ -149,22 +149,6 @@ impl Function {
         (0..self.blocks.len() as u32).map(BlockId)
     }
 
-    /// Successors of `b`.
-    pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
-        self.block(b).succs()
-    }
-
-    /// Predecessor lists for every block, indexed by block.
-    pub fn compute_preds(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in self.block_ids() {
-            for s in self.succs(b) {
-                preds[s.index()].push(b);
-            }
-        }
-        preds
-    }
-
     /// Checks structural and type well-formedness.
     ///
     /// # Errors
@@ -479,22 +463,5 @@ mod tests {
              but small:2,1 has 1 float register(s)"
         );
         assert_eq!(f.check_fits(&MachineSpec::small(2, 2)), Ok(()));
-    }
-
-    #[test]
-    fn preds_are_computed() {
-        let mut f = Function::new("t");
-        let b0 = f.add_block();
-        let b1 = f.add_block();
-        let b2 = f.add_block();
-        let t = f.new_temp(RegClass::Int, None);
-        f.block_mut(b0).insts.push(
-            Inst::Branch { cond: Cond::Ne, src: Reg::Temp(t), then_tgt: b1, else_tgt: b2 }.into(),
-        );
-        f.block_mut(b1).insts.push(Inst::Jump { target: b2 }.into());
-        f.block_mut(b2).insts.push(Inst::Ret { ret_regs: vec![] }.into());
-        let preds = f.compute_preds();
-        assert_eq!(preds[b2.index()], vec![b0, b1]);
-        assert_eq!(preds[b0.index()], Vec::<BlockId>::new());
     }
 }

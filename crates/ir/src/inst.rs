@@ -381,20 +381,18 @@ impl Inst {
         matches!(self, Inst::Call { .. })
     }
 
-    /// Successor blocks if this is a terminator (empty for `Ret`).
-    pub fn branch_targets(&self) -> Vec<BlockId> {
-        match self {
-            Inst::Jump { target } => vec![*target],
+    /// Successor blocks of a terminator: then-target first, equal branch
+    /// arms once, none for `Ret`.
+    pub fn branch_targets(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Inst::Jump { target } => (Some(target), None),
             Inst::Branch { then_tgt, else_tgt, .. } => {
-                if then_tgt == else_tgt {
-                    vec![*then_tgt]
-                } else {
-                    vec![*then_tgt, *else_tgt]
-                }
+                (Some(then_tgt), (else_tgt != then_tgt).then_some(else_tgt))
             }
-            Inst::Ret { .. } => vec![],
+            Inst::Ret { .. } => (None, None),
             _ => panic!("branch_targets on non-terminator {self:?}"),
-        }
+        };
+        first.into_iter().chain(second)
     }
 
     /// Invokes `f` on every register *use* (source operand).
@@ -579,7 +577,7 @@ mod tests {
             then_tgt: BlockId(3),
             else_tgt: BlockId(3),
         };
-        assert_eq!(b.branch_targets(), vec![BlockId(3)]);
+        assert_eq!(b.branch_targets().collect::<Vec<_>>(), [BlockId(3)]);
     }
 
     #[test]

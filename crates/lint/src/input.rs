@@ -12,7 +12,7 @@
 //! structurally broken function still gets its full set of structural and
 //! per-instruction class diagnostics.
 
-use lsra_analysis::{is_critical, solve_forward_must, BitSet, Order};
+use lsra_analysis::{is_critical, solve_forward_must, BitSet, Cfg};
 use lsra_ir::{Function, FunctionLines, Inst, Module, ModuleLines, Reg, RegClass};
 
 use crate::{class_of, Emitter, LintCode, LintReport};
@@ -202,9 +202,9 @@ fn class_lints(f: &Function, em: &mut Emitter<'_>) {
 /// soundly defined at a use only if a definition reaches it along *every*
 /// path from the entry).
 fn cfg_lints(f: &Function, em: &mut Emitter<'_>) {
-    let order = Order::compute(f);
+    let cfg = Cfg::compute(f);
     for b in f.block_ids() {
-        if !order.is_reachable(b) {
+        if !cfg.is_reachable(b) {
             em.emit(
                 LintCode::UnreachableBlock,
                 Some(b),
@@ -214,11 +214,10 @@ fn cfg_lints(f: &Function, em: &mut Emitter<'_>) {
         }
     }
 
-    let preds = f.compute_preds();
-    for &b in &order.rpo {
+    for &b in &cfg.rpo {
         let term = f.block(b).insts.len() - 1;
-        for s in f.succs(b) {
-            if is_critical(f, &preds, b, s) {
+        for &s in cfg.succs(b) {
+            if is_critical(&cfg, b, s) {
                 em.emit(
                     LintCode::CriticalEdge,
                     Some(b),
@@ -254,12 +253,12 @@ fn cfg_lints(f: &Function, em: &mut Emitter<'_>) {
             entry_in.insert(t.index());
         }
     }
-    let sol = solve_forward_must(f, nt, &gen, &kill, &entry_in, &order);
+    let sol = solve_forward_must(&cfg, nt, &gen, &kill, &entry_in);
 
     // Reporting walk: re-run the per-instruction transfer with the block
     // in-sets, flagging each temp once (at its first dubious use in RPO).
     let mut reported = BitSet::new(nt);
-    for &b in &order.rpo {
+    for &b in &cfg.rpo {
         let mut defined = sol.must_in[b.index()].clone();
         for (i, ins) in f.block(b).insts.iter().enumerate() {
             ins.inst.for_each_use(|r| {

@@ -22,7 +22,7 @@
 //!   (the spill decision was forced elsewhere; a lifetime-hole split could
 //!   have avoided touching this block).
 
-use lsra_analysis::{solve_backward, solve_must, BitSet, Order};
+use lsra_analysis::{solve_backward, solve_must, BitSet, Cfg};
 use lsra_ir::{Function, Inst, MachineSpec, Module, Reg, RegClass, Temp};
 
 use crate::{Emitter, LintCode, LintReport};
@@ -40,16 +40,16 @@ pub fn lint_quality_function(f: &Function, spec: &MachineSpec) -> LintReport {
     // Defensive: allocator output is structurally valid by construction, but
     // these lints also run on fuzzer-corrupted modules — never panic.
     let well_formed = !f.blocks.is_empty()
-        && f.block_ids().all(|b| {
-            let blk = f.block(b);
-            blk.is_well_formed() && blk.succs().iter().all(|s| s.index() < f.num_blocks())
+        && f.blocks.iter().all(|blk| {
+            blk.is_well_formed()
+                && blk.terminator().branch_targets().all(|s| s.index() < f.num_blocks())
         });
     if well_formed {
-        let order = Order::compute(f);
+        let cfg = Cfg::compute(f);
         move_lints(f, &mut em);
-        dead_store_lint(f, &order, &mut em);
-        redundant_reload_lint(f, spec, &order, &mut em);
-        low_pressure_lint(f, spec, &order, &mut em);
+        dead_store_lint(f, &cfg, &mut em);
+        redundant_reload_lint(f, spec, &cfg, &mut em);
+        low_pressure_lint(f, spec, &cfg, &mut em);
     }
     let mut report = LintReport { diags: em.diags };
     report.sort();
@@ -109,7 +109,7 @@ fn move_lints(f: &Function, em: &mut Emitter<'_>) {
 /// `Q101`: backward liveness over spill slots. `SpillLoad` is the only
 /// reader of a slot, `SpillStore` the only writer; a store whose slot is
 /// dead immediately after it can never be observed.
-fn dead_store_lint(f: &Function, order: &Order, em: &mut Emitter<'_>) {
+fn dead_store_lint(f: &Function, cfg: &Cfg, em: &mut Emitter<'_>) {
     let ns = f.num_slots as usize;
     if ns == 0 {
         return;
@@ -137,10 +137,9 @@ fn dead_store_lint(f: &Function, order: &Order, em: &mut Emitter<'_>) {
             }
         }
     }
-    let rev: Vec<_> = order.rpo.iter().rev().copied().collect();
-    let sol = solve_backward(f, ns, &gen, &kill, &rev);
+    let sol = solve_backward(cfg, ns, &gen, &kill, cfg.rpo.iter().rev().copied());
 
-    for &b in &order.rpo {
+    for &b in &cfg.rpo {
         let mut live = sol.live_out[b.index()].clone();
         for (i, ins) in f.block(b).insts.iter().enumerate().rev() {
             match &ins.inst {
@@ -175,7 +174,7 @@ fn dead_store_lint(f: &Function, order: &Order, em: &mut Emitter<'_>) {
 /// of spill slots whose *current* value it provably holds. Not a gen/kill
 /// problem (moves copy whole sets between locations), so it runs on the
 /// general [`solve_must`] fixpoint, like the symbolic checker.
-fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut Emitter<'_>) {
+fn redundant_reload_lint(f: &Function, spec: &MachineSpec, cfg: &Cfg, em: &mut Emitter<'_>) {
     let ns = f.num_slots as usize;
     if ns == 0 {
         return;
@@ -253,14 +252,14 @@ fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &m
     let mut all = BitSet::new(ns);
     all.fill();
     let sol =
-        solve_must(f, &order.rpo, &vec![BitSet::new(ns); nlocs], &vec![all; nlocs], |b, st| {
+        solve_must(cfg, &cfg.rpo, &vec![BitSet::new(ns); nlocs], &vec![all; nlocs], |b, st| {
             for ins in &f.block(b).insts {
                 step(f, spec, st, ins, None);
             }
             Ok::<(), std::convert::Infallible>(())
         });
     let Ok(sol) = sol;
-    for &b in &order.rpo {
+    for &b in &cfg.rpo {
         let mut st = sol.ins[b.index()].clone().expect("visited block has an IN state");
         for (i, ins) in f.block(b).insts.iter().enumerate() {
             step(f, spec, &mut st, ins, Some((&mut *em, b, i)));
@@ -272,7 +271,7 @@ fn redundant_reload_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &m
 /// spill code of class `c` but the class's live count never reaches
 /// `num_regs(c)` anywhere in the block, a free register existed at every
 /// point in it.
-fn low_pressure_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut Emitter<'_>) {
+fn low_pressure_lint(f: &Function, spec: &MachineSpec, cfg: &Cfg, em: &mut Emitter<'_>) {
     let has_spill = f.block_ids().any(|b| f.block(b).insts.iter().any(|ins| ins.tag.is_spill()));
     if !has_spill {
         return;
@@ -307,10 +306,9 @@ fn low_pressure_lint(f: &Function, spec: &MachineSpec, order: &Order, em: &mut E
             }
         }
     }
-    let rev: Vec<_> = order.rpo.iter().rev().copied().collect();
-    let sol = solve_backward(f, nlocs, &gen, &kill, &rev);
+    let sol = solve_backward(cfg, nlocs, &gen, &kill, cfg.rpo.iter().rev().copied());
 
-    for &b in &order.rpo {
+    for &b in &cfg.rpo {
         let insts = &f.block(b).insts;
         // First spill instruction per class, for the diagnostic's span.
         let mut spill_at: [Option<usize>; 2] = [None, None];

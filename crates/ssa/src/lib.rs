@@ -51,7 +51,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use lsra_analysis::{Dominators, Liveness, Order};
+use lsra_analysis::{Cfg, Dominators, Liveness};
 use lsra_core::{sequentialize_into, EdgeOp};
 use lsra_ir::{BlockId, Function, Ins, Inst, PhysReg, Reg, SpillTag, Temp};
 
@@ -109,20 +109,15 @@ pub struct SsaStats {
 /// Dominance frontier of every block (Cooper–Harvey–Kennedy: for each block
 /// with two or more predecessors, walk each predecessor up the idom chain).
 /// Unreachable blocks get empty frontiers.
-pub fn dominance_frontiers(
-    f: &Function,
-    preds: &[Vec<BlockId>],
-    order: &Order,
-    doms: &Dominators,
-) -> Vec<Vec<BlockId>> {
-    let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); f.num_blocks()];
-    for b in f.block_ids() {
-        if !order.is_reachable(b) || preds[b.index()].len() < 2 {
+pub fn dominance_frontiers(cfg: &Cfg, doms: &Dominators) -> Vec<Vec<BlockId>> {
+    let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); cfg.num_blocks()];
+    for b in (0..cfg.num_blocks() as u32).map(BlockId) {
+        if !cfg.is_reachable(b) || cfg.preds(b).len() < 2 {
             continue;
         }
         let Some(idom) = doms.idom(b) else { continue };
-        for &p in &preds[b.index()] {
-            if !order.is_reachable(p) {
+        for &p in cfg.preds(b) {
+            if !cfg.is_reachable(p) {
                 continue;
             }
             let mut runner = p;
@@ -143,19 +138,18 @@ pub fn dominance_frontiers(
 /// Puts `f` into pruned SSA form: phi nodes (side table) wherever a liveness
 /// merge requires one, and every definition renamed to a fresh temporary.
 /// Instruction *count and order* are untouched — only operands change — so
-/// positional pairing against the original program survives.
-pub fn construct(f: &mut Function) -> SsaForm {
-    let order = Order::compute(f);
-    let doms = Dominators::compute(f, &order);
-    let preds = f.compute_preds();
-    let df = dominance_frontiers(f, &preds, &order, &doms);
-    let live = Liveness::compute(f);
+/// positional pairing against the original program survives, and `cfg`
+/// (built from `f`) still describes the result.
+pub fn construct(f: &mut Function, cfg: &Cfg) -> SsaForm {
+    let doms = Dominators::compute(f, cfg);
+    let df = dominance_frontiers(cfg, &doms);
+    let live = Liveness::compute_on(f, cfg, 1);
     let num_orig = f.num_temps();
 
     // Blocks containing a definition of each temp (reachable only).
     let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); num_orig];
     for b in f.block_ids() {
-        if !order.is_reachable(b) {
+        if !cfg.is_reachable(b) {
             continue;
         }
         for ins in &f.block(b).insts {
@@ -275,15 +269,13 @@ pub fn construct(f: &mut Function) -> SsaForm {
                         });
                     }
                 }
-                // Feed successor phis the names current at this bottom. A
-                // Branch with both targets equal yields one successor (and
-                // one edge), matching `compute_preds`.
-                for s in f.succs(b) {
+                // Feed successor phis the names current at this bottom. Each
+                // block is entered once and lists a successor once (a Branch
+                // with both targets equal is one edge), so a phi gets at most
+                // one source per predecessor.
+                for &s in cfg.succs(b) {
                     for &pi in &phi_at[s.index()] {
                         let phi = &mut phis[pi as usize];
-                        if phi.srcs.iter().any(|&(p, _)| p == b) {
-                            continue;
-                        }
                         if let Some(&cur) = stack[phi.orig.index()].last() {
                             phi.srcs.push((b, cur));
                         }
@@ -390,7 +382,10 @@ fn sequence_copy(f: &mut Function, moves: &[(Temp, Temp)], stats: &mut SsaStats)
 /// Lowers the phi side table back to executable copies: one parallel copy
 /// per (phi block, predecessor) edge, placed at the predecessor's bottom
 /// when it has a single successor and on a freshly split edge otherwise.
-pub fn lower(f: &mut Function, form: &SsaForm, stats: &mut SsaStats) {
+/// `cfg` is the graph [`construct`] ran on; a split only retargets the
+/// predecessor, so its successor count there stays exact.
+pub fn lower(f: &mut Function, cfg: &Cfg, form: &SsaForm, stats: &mut SsaStats) {
+    debug_assert_eq!(cfg.num_blocks(), f.num_blocks());
     // Group phi sources by (join block, predecessor) edge, preserving block
     // order for determinism.
     type EdgeMoves = (BlockId, BlockId, Vec<(Temp, Temp)>);
@@ -408,7 +403,7 @@ pub fn lower(f: &mut Function, form: &SsaForm, stats: &mut SsaStats) {
         if seq.is_empty() {
             continue;
         }
-        let at_block = if f.succs(pred).len() == 1 {
+        let at_block = if cfg.succs(pred).len() == 1 {
             pred
         } else {
             // Critical edge: the predecessor branches, so the copy needs its
@@ -428,13 +423,14 @@ pub fn lower(f: &mut Function, form: &SsaForm, stats: &mut SsaStats) {
 /// parallel copy. This is ion's live-range pre-splitting phase; it is also
 /// a complete round-trip test vehicle for the SSA machinery.
 pub fn to_ssa_and_back(f: &mut Function) -> SsaStats {
-    let form = construct(f);
+    let cfg = Cfg::compute(f);
+    let form = construct(f, &cfg);
     let mut stats = SsaStats {
         phis: form.phis.len(),
         renamed: f.num_temps() - form.num_orig,
         ..SsaStats::default()
     };
-    lower(f, &form, &mut stats);
+    lower(f, &cfg, &form, &mut stats);
     stats
 }
 
@@ -496,7 +492,8 @@ mod tests {
     fn renaming_leaves_instruction_count_in_place() {
         let (_, mut f) = diamond();
         let before: usize = f.num_insts();
-        let form = construct(&mut f);
+        let cfg = Cfg::compute(&f);
+        let form = construct(&mut f, &cfg);
         assert_eq!(f.num_insts(), before, "construct only renames");
         // Every fresh temp maps back to an original.
         for (i, &o) in form.orig_of.iter().enumerate() {

@@ -1,13 +1,14 @@
-//! Property tests over the analysis layer: lifetime/hole invariants, loop
-//! depths and parallel-move sequencing on random inputs.
+//! Property tests over the analysis layer: lifetime/hole invariants, the
+//! `Cfg` with its dominators and loop depths, and parallel-move sequencing
+//! on random inputs.
 //!
 //! Cases are driven by the repo's own seeded [`Lcg`] generator (no external
 //! property-testing dependency); failures report the seed that reproduces
 //! them.
 
-use second_chance_regalloc::analysis::{Dominators, Lifetimes, Liveness, LoopInfo, Order, Point};
+use second_chance_regalloc::analysis::{Cfg, Dominators, Lifetimes, Liveness, LoopInfo, Point};
 use second_chance_regalloc::binpack::{sequentialize, EdgeOp};
-use second_chance_regalloc::ir::BlockId;
+use second_chance_regalloc::ir::{BlockId, Inst};
 use second_chance_regalloc::prelude::*;
 use second_chance_regalloc::workloads::random::{RandomConfig, RandomProgram};
 use second_chance_regalloc::workloads::Lcg;
@@ -183,20 +184,59 @@ fn point_scale_is_coherent() {
     }
 }
 
-/// The quadratic algorithm `compute` replaced: a dominance walk on every
-/// CFG edge and an O(blocks) marking vector per back edge.
-fn reference_depths(f: &Function) -> Vec<u32> {
-    let order = Order::compute(f);
-    let doms = Dominators::compute(f, &order);
-    let n = f.num_blocks();
-    let preds = f.compute_preds();
-    let mut depth = vec![0u32; n];
-    for b in f.block_ids() {
-        if !order.is_reachable(b) {
+/// A block's successors read straight off its terminator: then-target
+/// first, equal branch arms once.
+fn targets(f: &Function, b: BlockId) -> Vec<BlockId> {
+    match f.block(b).insts.last().map(|i| &i.inst) {
+        Some(Inst::Jump { target }) => vec![*target],
+        Some(Inst::Branch { then_tgt, else_tgt, .. }) if then_tgt == else_tgt => vec![*then_tgt],
+        Some(Inst::Branch { then_tgt, else_tgt, .. }) => vec![*then_tgt, *else_tgt],
+        _ => vec![],
+    }
+}
+
+/// Blocks reachable from the entry without passing through `removed`.
+fn reachable_without(f: &Function, removed: Option<BlockId>) -> Vec<bool> {
+    let mut seen = vec![false; f.num_blocks()];
+    let mut stack = vec![f.entry()];
+    while let Some(b) = stack.pop() {
+        if Some(b) == removed || seen[b.index()] {
             continue;
         }
-        for h in f.succs(b) {
-            if doms.dominates(h, b) {
+        seen[b.index()] = true;
+        stack.extend(targets(f, b));
+    }
+    seen
+}
+
+/// `dom[d][b]`: among reachable blocks, `d` dominates `b` iff `b` is
+/// unreachable from the entry once `d` is removed (or `d == b`).
+fn brute_dominance(f: &Function) -> Vec<Vec<bool>> {
+    let reach = reachable_without(f, None);
+    f.block_ids()
+        .map(|d| {
+            let without = reachable_without(f, Some(d));
+            f.block_ids().map(|b| reach[b.index()] && (d == b || !without[b.index()])).collect()
+        })
+        .collect()
+}
+
+/// The quadratic algorithm `LoopInfo::compute` replaced, on the
+/// terminators and brute-force dominance: every back edge `b -> h` (`h`
+/// dominates `b`) marks its natural loop with an O(blocks) vector.
+fn reference_depths(f: &Function) -> Vec<u32> {
+    let n = f.num_blocks();
+    let dom = brute_dominance(f);
+    let mut preds = vec![Vec::new(); n];
+    for b in f.block_ids() {
+        for s in targets(f, b) {
+            preds[s.index()].push(b);
+        }
+    }
+    let mut depth = vec![0u32; n];
+    for b in f.block_ids() {
+        for h in targets(f, b) {
+            if dom[h.index()][b.index()] {
                 let mut in_loop = vec![false; n];
                 in_loop[h.index()] = true;
                 let mut stack = vec![b];
@@ -216,10 +256,114 @@ fn reference_depths(f: &Function) -> Vec<u32> {
     depth
 }
 
+fn loop_info(f: &Function, cfg: &Cfg) -> LoopInfo {
+    LoopInfo::compute(f, cfg, &Dominators::compute(f, cfg))
+}
+
 fn assert_matches_reference(f: &Function, what: &str) {
-    let li = LoopInfo::of(f);
+    let li = loop_info(f, &Cfg::compute(f));
     let got: Vec<u32> = f.block_ids().map(|b| li.depth(b)).collect();
     assert_eq!(got, reference_depths(f), "{what}");
+}
+
+/// Reverse postorder of a recursive DFS from the entry that visits
+/// successors in terminator order.
+fn reference_rpo(f: &Function) -> Vec<BlockId> {
+    fn visit(f: &Function, b: BlockId, seen: &mut [bool], post: &mut Vec<BlockId>) {
+        seen[b.index()] = true;
+        for s in targets(f, b) {
+            if !seen[s.index()] {
+                visit(f, s, seen, post);
+            }
+        }
+        post.push(b);
+    }
+    let mut post = Vec::new();
+    visit(f, f.entry(), &mut vec![false; f.num_blocks()], &mut post);
+    post.reverse();
+    post
+}
+
+/// Checks every fact of `f`'s `Cfg`, its dominators and its loop depths
+/// against brute force.
+fn assert_cfg_matches_brute_force(f: &Function, what: &str) {
+    let cfg = Cfg::compute(f);
+    assert_eq!(cfg.num_blocks(), f.num_blocks(), "{what}");
+    for b in f.block_ids() {
+        assert_eq!(cfg.succs(b), targets(f, b), "{what}: succs of {b}");
+        let preds: Vec<BlockId> = f.block_ids().filter(|&p| targets(f, p).contains(&b)).collect();
+        assert_eq!(cfg.preds(b), preds, "{what}: preds of {b}");
+    }
+    let rpo = reference_rpo(f);
+    assert_eq!(cfg.rpo, rpo, "{what}: rpo");
+    let reach = reachable_without(f, None);
+    for b in f.block_ids() {
+        assert_eq!(cfg.is_reachable(b), reach[b.index()], "{what}: reachability of {b}");
+        if let Some(i) = rpo.iter().position(|&x| x == b) {
+            assert_eq!(cfg.rpo_pos[b.index()], i, "{what}: rpo_pos of {b}");
+        }
+    }
+
+    let dom = brute_dominance(f);
+    let doms = Dominators::compute(f, &cfg);
+    for b in f.block_ids().filter(|b| reach[b.index()]) {
+        for d in f.block_ids().filter(|d| reach[d.index()]) {
+            assert_eq!(doms.dominates(d, b), dom[d.index()][b.index()], "{what}: {d} dom {b}");
+        }
+        let idom = doms.idom(b).expect("a reachable block has an idom");
+        if b == f.entry() {
+            assert_eq!(idom, b, "{what}");
+            continue;
+        }
+        // The immediate dominator is the strict dominator every other
+        // strict dominator dominates.
+        assert!(idom != b && dom[idom.index()][b.index()], "{what}: idom of {b}");
+        for d in f.block_ids().filter(|&d| d != b && dom[d.index()][b.index()]) {
+            assert!(
+                dom[d.index()][idom.index()],
+                "{what}: {d} strictly dominates {b} above {idom}"
+            );
+        }
+    }
+    for b in f.block_ids().filter(|b| !reach[b.index()]) {
+        assert_eq!(doms.idom(b), None, "{what}: unreachable {b}");
+    }
+
+    let li = loop_info(f, &cfg);
+    let got: Vec<u32> = f.block_ids().map(|b| li.depth(b)).collect();
+    assert_eq!(got, reference_depths(f), "{what}: loop depths");
+}
+
+/// `Cfg`'s rows and reverse postorder, the dominators and the loop depths
+/// built on it agree with brute force on every workload, on random
+/// programs, and on random CFGs (self-loops, duplicate branch targets and
+/// unreachable blocks included).
+#[test]
+fn cfg_matches_brute_force() {
+    for w in second_chance_regalloc::workloads::all() {
+        let m = (w.build)();
+        for id in m.func_ids() {
+            assert_cfg_matches_brute_force(m.func(id), &format!("{} {id:?}", w.name));
+        }
+    }
+    let mut rng = Lcg::new(0xCF6);
+    for _ in 0..CASES {
+        let seed = rng.below(1_000_000);
+        let config = RandomConfig {
+            blocks: 2 + rng.below(30) as usize,
+            diamond_percent: rng.below(50),
+            critical_edge_percent: rng.below(50),
+            ..Default::default()
+        };
+        let m = RandomProgram::new(seed, config).build(&MachineSpec::alpha_like());
+        for id in m.func_ids() {
+            assert_cfg_matches_brute_force(m.func(id), &format!("random program {seed} {id:?}"));
+        }
+    }
+    for case in 0..100 {
+        let n = 1 + rng.below(24) as usize;
+        assert_cfg_matches_brute_force(&random_cfg(&mut rng, n), &format!("random cfg {case}"));
+    }
 }
 
 /// A random CFG over `n` blocks: every block returns, jumps or branches
