@@ -15,7 +15,7 @@ use lsra_ir::{Function, MachineSpec, Temp};
 use lsra_trace::{TraceEvent, TraceSink};
 
 use crate::config::BinpackConfig;
-use crate::point::Occupancy;
+use crate::point::{self, Occupancy};
 use crate::scratch::AllocScratch;
 use crate::stats::{AllocStats, Phase, PhaseTimer};
 
@@ -81,13 +81,13 @@ pub(crate) fn allocate(
     pack(&mut occ, f, spec, &lt, sink);
     // Pass 1.5: free enough registers at every instruction for the point
     // lifetimes of its spilled references.
-    occ.ensure_point_feasibility(f, &lt, sink);
-    stats.spilled_temps = occ.spilled_count();
+    point::ensure_point_feasibility(&mut occ, f, &lt, spec, sink);
     timer.mark_traced(stats, Phase::Scan, sink);
 
     // Pass 2: rewrite. Spilled references go through scratch registers free
     // at the instruction's span.
-    occ.rewrite(f, &lt, stats, &mut scratch.point, sink);
+    point::rewrite(&mut occ, f, &lt, spec, stats, &mut scratch.point, sink);
+    occ.recycle(&mut scratch.point);
     lt.recycle(&mut scratch.analysis);
     timer.mark_traced(stats, Phase::Resolve, sink);
 }

@@ -19,9 +19,10 @@
 //!    smaller bundles at block boundaries or at the widest gap between its
 //!    references, or — as the second-chance fallback that guarantees
 //!    termination — spill to memory for good;
-//! 5. a feasibility pass mirrors the two-pass comparator's point-lifetime
-//!    repair, the rewrite installs spill code and split-connection copies,
-//!    a resolution pass repairs locations across CFG edges with the
+//! 5. the point-lifetime feasibility fixpoint and rewrite shared with the
+//!    whole-lifetime allocators ([`lsra_core::point`]) install spill code,
+//!    with split-connection copies entering through its hook; a
+//!    resolution pass repairs locations across CFG edges with the
 //!    shared parallel-move sequencer, and a final availability scan
 //!    deletes reloads (and slot-refreshing stores) whose value provably
 //!    already sits where it is wanted.
@@ -60,6 +61,7 @@ use std::time::Instant;
 use lsra_analysis::{
     BitSet, Cfg, Csr, Dominators, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec,
 };
+use lsra_core::point::{self, point_span, PointAlloc, PointScratch};
 use lsra_core::{
     ensure_slot, sequentialize_into, AllocStats, EdgeOp, EdgeRepair, RegisterAllocator,
 };
@@ -416,12 +418,6 @@ impl State<'_> {
     }
 }
 
-/// The span a point lifetime at instruction `gi` must have free (same model
-/// as the two-pass comparator).
-fn point_span(gi: u32) -> Segment {
-    Segment::new(Point::before(gi), Point::before(gi + 1))
-}
-
 /// Location lookup: the piece of `t` containing `p`, through its bundle's
 /// *current* assignment — so feasibility demotions propagate to every later
 /// consumer without rebuilding the table.
@@ -438,6 +434,94 @@ fn loc_at(
         return None;
     }
     bundles[bid as usize].assignment
+}
+
+/// Ion's side of the shared point-lifetime pass ([`lsra_core::point`]):
+/// piece locations through their bundles' current assignments, freedom from
+/// the register file's bits, its own victim rule, and phase 5's connection
+/// copies ahead of each instruction's scratch loads.
+struct Points<'s, 'a> {
+    st: &'s mut State<'a>,
+    temp_pieces: &'s [Vec<(u32, u32, u32)>],
+    /// Connection copies, ascending by instruction, and the next to emit.
+    connections: Vec<(u32, EdgeOp)>,
+    next_conn: usize,
+    ops: Vec<EdgeOp>,
+    seq: Vec<(Inst, SpillTag)>,
+}
+
+impl PointAlloc for Points<'_, '_> {
+    fn loc(&self, t: Temp, p: Point) -> Option<PhysReg> {
+        loc_at(self.temp_pieces, &self.st.bundles, t, p)
+    }
+
+    fn is_free(&mut self, d: usize, gi: u32) -> bool {
+        let span = point_span(gi);
+        !self.st.regs.is_busy(d, span.start.0, span.end.0)
+    }
+
+    /// Victim: the overlapping bundle with the greatest priority (longest
+    /// total life — the cheapest per point to park in memory), lowest id on
+    /// ties. It leaves its register and lives in memory for good.
+    fn demote(&mut self, _: &Lifetimes, class: RegClass, gi: u32) -> Option<Temp> {
+        let span = point_span(gi);
+        let st = &mut *self.st;
+        let mut victim: Option<(u64, u32, usize)> = None;
+        for d in st.spec.reg_indices(class) {
+            for (_, _, owner) in st.regs.occupants(d, span.start.0, span.end.0) {
+                if let Some(t) = owner {
+                    let prio = st.bundles[t as usize].prio;
+                    if victim.is_none_or(|(p, v, _)| prio > p || (prio == p && t < v)) {
+                        victim = Some((prio, t, d));
+                    }
+                }
+            }
+        }
+        let (_, v, d) = victim?;
+        st.unplace(v, d);
+        st.bundles[v as usize].spilled = true;
+        Some(st.repr(v))
+    }
+
+    /// The connection copies at `gi`. Their sources die at the cut, so they
+    /// go before any scratch load could clobber them. All movement at one
+    /// cut is a parallel copy (two bundles can swap registers at the same
+    /// point), so it runs through the shared sequencer, with tags remapped
+    /// to the eviction family — these are in-block spill decisions, not CFG
+    /// repairs.
+    fn before(&mut self, gi: u32, f: &mut Function, stats: &mut AllocStats, out: &mut Vec<Ins>) {
+        self.ops.clear();
+        while let Some(&(at, op)) = self.connections.get(self.next_conn) {
+            if at != gi {
+                break;
+            }
+            self.ops.push(op);
+            self.next_conn += 1;
+        }
+        if self.ops.is_empty() {
+            return;
+        }
+        let mut cycle_spilled: SmallVec<Temp, 8> = SmallVec::new();
+        sequentialize_into(&self.ops, &mut self.seq, |t| cycle_spilled.push(t));
+        for op in &self.ops {
+            if let EdgeOp::Store { temp, .. } | EdgeOp::Load { temp, .. } = *op {
+                ensure_slot(f, temp, stats);
+            }
+        }
+        for &t in cycle_spilled.iter() {
+            ensure_slot(f, t, stats);
+        }
+        for (inst, tag) in self.seq.drain(..) {
+            let tag = match tag {
+                SpillTag::ResolveStore => SpillTag::EvictStore,
+                SpillTag::ResolveLoad => SpillTag::EvictLoad,
+                SpillTag::ResolveMove => SpillTag::EvictMove,
+                other => other,
+            };
+            stats.record_insert(tag);
+            out.push(Ins::tagged(inst, tag));
+        }
+    }
 }
 
 impl IonAllocator {
@@ -870,278 +954,54 @@ fn allocate(
         }
     }
 
-    // Phase 4: point feasibility, mirroring the two-pass comparator —
-    // every instruction touching memory-resident values needs enough free
-    // registers for its scratch loads/stores; demote victims until it does.
-    let mut rounds = 0u32;
-    loop {
-        rounds += 1;
-        let mut changed = false;
-        for b in f.block_ids() {
-            let first = lt.first_inst(b);
-            for (k, ins) in f.block(b).insts.iter().enumerate() {
-                let gi = first + k as u32;
-                let span = point_span(gi);
-                for class in RegClass::ALL {
-                    let mut src_spilled: SmallVec<Temp, 8> = SmallVec::new();
-                    ins.inst.for_each_use(|r| {
-                        if let Reg::Temp(t) = r {
-                            if f.temp_class(t) == class
-                                && loc_at(&temp_pieces, &st.bundles, t, Point::read(gi)).is_none()
-                                && !src_spilled.contains(&t)
-                            {
-                                src_spilled.push(t);
-                            }
-                        }
-                    });
-                    let mut need = src_spilled.len();
-                    let mut dst_extra = false;
-                    ins.inst.for_each_def(|r| {
-                        if let Reg::Temp(t) = r {
-                            if f.temp_class(t) == class
-                                && loc_at(&temp_pieces, &st.bundles, t, Point::write(gi)).is_none()
-                            {
-                                dst_extra = src_spilled.is_empty();
-                            }
-                        }
-                    });
-                    if dst_extra {
-                        need += 1;
-                    }
-                    if need == 0 {
-                        continue;
-                    }
-                    loop {
-                        let free = spec
-                            .reg_indices(class)
-                            .filter(|&d| !st.regs.is_busy(d, span.start.0, span.end.0))
-                            .take(need)
-                            .count();
-                        if free == need {
-                            break;
-                        }
-                        // Victim: the overlapping bundle with the greatest
-                        // priority (longest total life — the cheapest per
-                        // point to park in memory), lowest id on ties.
-                        let mut victim: Option<(u64, u32, usize)> = None;
-                        for d in spec.reg_indices(class) {
-                            for (_, _, owner) in st.regs.occupants(d, span.start.0, span.end.0) {
-                                if let Some(t) = owner {
-                                    let prio = st.bundles[t as usize].prio;
-                                    if victim
-                                        .is_none_or(|(p, v, _)| prio > p || (prio == p && t < v))
-                                    {
-                                        victim = Some((prio, t, d));
-                                    }
-                                }
-                            }
-                        }
-                        let (_, v, d) = victim.unwrap_or_else(|| {
-                            panic!(
-                                "ion cannot satisfy point lifetimes at instruction {gi} \
-                                 (class {class})"
-                            )
-                        });
-                        if sink.enabled() {
-                            sink.event(&TraceEvent::PackUnassign { temp: st.repr(v), gi });
-                        }
-                        st.unplace(v, d);
-                        st.bundles[v as usize].spilled = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    stats.iterations = rounds;
-    stats.spilled_temps = (0..nt)
-        .filter(|&ti| {
-            temp_pieces[ti].iter().any(|&(_, _, bid)| st.bundles[bid as usize].assignment.is_none())
-        })
-        .count();
+    // Phase 4: point feasibility, the shared fixpoint of `lsra_core::point`
+    // — every instruction touching memory-resident values needs enough free
+    // registers for its scratch loads and stores; ion demotes its own
+    // victims (see `Points::demote`) until it does.
+    let mut points = Points {
+        st: &mut st,
+        temp_pieces: &temp_pieces,
+        connections: Vec::new(),
+        next_conn: 0,
+        ops: Vec::new(),
+        seq: Vec::new(),
+    };
+    stats.iterations = point::ensure_point_feasibility(&mut points, f, &lt, spec, sink);
 
     // Phase 5: connection copies between adjacent pieces cut mid-block by a
     // use-gap split. Block-top cuts are repaired by edge resolution instead.
-    // All movement at one cut is a parallel copy (two bundles can swap
-    // registers at the same point), so it runs through the shared
-    // sequencer, with tags remapped to the eviction family — these are
-    // in-block spill decisions, not CFG repairs.
-    let mut connections: Vec<(u32, EdgeOp)> = Vec::new();
-    for (ti, pieces) in temp_pieces.iter().enumerate() {
-        let t = Temp(ti as u32);
-        for w in pieces.windows(2) {
-            let ((_, e1, b1), (s2, _, b2)) = (w[0], w[1]);
-            if e1 + 1 != s2 || st.block_tops.binary_search(&s2).is_ok() {
-                continue;
-            }
-            let gi = (s2 - 3) / 4;
-            let from = st.bundles[b1 as usize].assignment;
-            let to = st.bundles[b2 as usize].assignment;
-            match (from, to) {
-                (Some(r1), Some(r2)) if r1 != r2 => {
-                    connections.push((gi, EdgeOp::Move { temp: t, src: r1, dst: r2 }));
+    points.connections = {
+        let st = &*points.st;
+        let mut connections: Vec<(u32, EdgeOp)> = Vec::new();
+        for (ti, pieces) in temp_pieces.iter().enumerate() {
+            let t = Temp(ti as u32);
+            for w in pieces.windows(2) {
+                let ((_, e1, b1), (s2, _, b2)) = (w[0], w[1]);
+                if e1 + 1 != s2 || st.block_tops.binary_search(&s2).is_ok() {
+                    continue;
                 }
-                (Some(r1), None) => connections.push((gi, EdgeOp::Store { temp: t, src: r1 })),
-                (None, Some(r2)) => connections.push((gi, EdgeOp::Load { temp: t, dst: r2 })),
-                _ => {}
+                let gi = (s2 - 3) / 4;
+                let from = st.bundles[b1 as usize].assignment;
+                let to = st.bundles[b2 as usize].assignment;
+                match (from, to) {
+                    (Some(r1), Some(r2)) if r1 != r2 => {
+                        connections.push((gi, EdgeOp::Move { temp: t, src: r1, dst: r2 }));
+                    }
+                    (Some(r1), None) => connections.push((gi, EdgeOp::Store { temp: t, src: r1 })),
+                    (None, Some(r2)) => connections.push((gi, EdgeOp::Load { temp: t, dst: r2 })),
+                    _ => {}
+                }
             }
         }
-    }
-    connections.sort_by_key(|&(gi, _)| gi);
+        connections.sort_by_key(|&(gi, _)| gi);
+        connections
+    };
 
-    // Phase 6: rewrite. Every temp operand becomes its piece's register, or
-    // a scratch register free over the instruction's span when the piece
-    // lives in memory.
-    let mut pre: Vec<Ins> = Vec::new();
-    let mut post: Vec<Ins> = Vec::new();
-    let mut seq: Vec<(Inst, SpillTag)> = Vec::new();
-    let mut conn_ops: Vec<EdgeOp> = Vec::new();
-    let mut scratch_of: SmallVec<(Temp, PhysReg), 8> = SmallVec::new();
-    let mut src_temps: SmallVec<Temp, 8> = SmallVec::new();
-    let mut conn_i = 0usize;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let first = lt.first_inst(b);
-        if sink.enabled() {
-            sink.event(&TraceEvent::BlockTop { block: b, first_gi: first });
-        }
-        let insts = std::mem::take(&mut f.block_mut(b).insts);
-        let mut out: Vec<Ins> = Vec::with_capacity(insts.len());
-        for (k, mut ins) in insts.into_iter().enumerate() {
-            let gi = first + k as u32;
-            let span = point_span(gi);
-            // Connection copies first: their sources die at the cut, before
-            // any scratch load below could clobber them.
-            conn_ops.clear();
-            while conn_i < connections.len() && connections[conn_i].0 == gi {
-                conn_ops.push(connections[conn_i].1);
-                conn_i += 1;
-            }
-            if !conn_ops.is_empty() {
-                seq.clear();
-                let mut cycle_spilled: SmallVec<Temp, 8> = SmallVec::new();
-                sequentialize_into(&conn_ops, &mut seq, |t| cycle_spilled.push(t));
-                for op in &conn_ops {
-                    if let EdgeOp::Store { temp, .. } | EdgeOp::Load { temp, .. } = *op {
-                        ensure_slot(f, temp, stats);
-                    }
-                }
-                for &t in cycle_spilled.iter() {
-                    ensure_slot(f, t, stats);
-                }
-                for (inst, tag) in seq.drain(..) {
-                    let tag = match tag {
-                        SpillTag::ResolveStore => SpillTag::EvictStore,
-                        SpillTag::ResolveLoad => SpillTag::EvictLoad,
-                        SpillTag::ResolveMove => SpillTag::EvictMove,
-                        other => other,
-                    };
-                    stats.record_insert(tag);
-                    pre.push(Ins::tagged(inst, tag));
-                }
-            }
-            // Scratch registers are handed out from the top of each class:
-            // each call returns the highest register below the last one
-            // handed out that is free over the instruction's span. Most
-            // instructions touch no memory-resident value and probe none.
-            let mut below = RegClass::ALL.map(|c| spec.reg_indices(c).end);
-            let mut scratch = |class: RegClass| {
-                let (lo, next) = (spec.reg_indices(class).start, &mut below[class.index()]);
-                while *next > lo {
-                    *next -= 1;
-                    if !st.regs.is_busy(*next, span.start.0, span.end.0) {
-                        return Some(*next);
-                    }
-                }
-                None
-            };
-            scratch_of.clear();
-            src_temps.clear();
-            ins.inst.for_each_use(|r| {
-                if let Reg::Temp(t) = r {
-                    if !src_temps.contains(&t) {
-                        src_temps.push(t);
-                    }
-                }
-            });
-            for &t in src_temps.iter() {
-                if loc_at(&temp_pieces, &st.bundles, t, Point::read(gi)).is_none() {
-                    let class = f.temp_class(t);
-                    let d = scratch(class).unwrap_or_else(|| {
-                        panic!("no scratch register at instruction {gi} for {t}")
-                    });
-                    let r = spec.reg_at(d);
-                    ensure_slot(f, t, stats);
-                    pre.push(Ins::tagged(
-                        Inst::SpillLoad { dst: Reg::Phys(r), temp: t },
-                        SpillTag::EvictLoad,
-                    ));
-                    stats.record_insert(SpillTag::EvictLoad);
-                    scratch_of.push((t, r));
-                }
-            }
-            ins.inst.for_each_use_mut(|r| {
-                if let Reg::Temp(t) = *r {
-                    *r = match loc_at(&temp_pieces, &st.bundles, t, Point::read(gi)) {
-                        Some(p) => Reg::Phys(p),
-                        None => {
-                            let (_, p) =
-                                scratch_of.iter().find(|(u, _)| *u == t).expect("scratch mapped");
-                            Reg::Phys(*p)
-                        }
-                    };
-                }
-            });
-            let mut def_temp = None;
-            ins.inst.for_each_def(|r| {
-                if let Reg::Temp(t) = r {
-                    def_temp = Some(t);
-                }
-            });
-            if let Some(t) = def_temp {
-                let r = match loc_at(&temp_pieces, &st.bundles, t, Point::write(gi)) {
-                    Some(p) => p,
-                    None => {
-                        let class = f.temp_class(t);
-                        let r = scratch_of
-                            .iter()
-                            .find(|(_, p)| p.class == class)
-                            .map(|(_, p)| *p)
-                            .unwrap_or_else(|| {
-                                let d = scratch(class).unwrap_or_else(|| {
-                                    panic!("no scratch register at instruction {gi} for def {t}")
-                                });
-                                spec.reg_at(d)
-                            });
-                        ensure_slot(f, t, stats);
-                        post.push(Ins::tagged(
-                            Inst::SpillStore { src: Reg::Phys(r), temp: t },
-                            SpillTag::EvictStore,
-                        ));
-                        stats.record_insert(SpillTag::EvictStore);
-                        r
-                    }
-                };
-                ins.inst.for_each_def_mut(|d| {
-                    if matches!(*d, Reg::Temp(_)) {
-                        *d = Reg::Phys(r);
-                    }
-                });
-            }
-            let is_terminator = ins.inst.is_terminator();
-            out.append(&mut pre);
-            if is_terminator {
-                debug_assert!(post.is_empty(), "terminators define no temporaries");
-                out.push(ins);
-            } else {
-                out.push(ins);
-                out.append(&mut post);
-            }
-        }
-        f.block_mut(b).insts = out;
-    }
+    // Phase 6: the shared rewrite. Every temp operand becomes its piece's
+    // register, or a scratch register free over the instruction's span when
+    // the piece lives in memory; each instruction's connection copies go
+    // first (`Points::before`).
+    point::rewrite(&mut points, f, &lt, spec, stats, &mut PointScratch::default(), sink);
 
     // Phase 7: edge resolution. The split bundles make locations per-piece,
     // so a temp's register leaving a predecessor can differ from the one

@@ -5,7 +5,7 @@ use std::fmt;
 use crate::block::{Block, BlockId};
 use crate::inst::{Inst, OpCode};
 use crate::machine::MachineSpec;
-use crate::reg::{Reg, RegClass, Temp};
+use crate::reg::{PhysReg, Reg, RegClass, Temp};
 
 /// Per-temporary metadata.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -269,34 +269,58 @@ impl Function {
     /// Checks that `spec` has room for every instruction: all of an
     /// instruction's sources sit in registers at once, so none may read more
     /// distinct temporaries of one class than `spec` has registers of that
-    /// class. Every allocator would fail on such an instruction (panic or
-    /// spin), so callers reject it up front. Assumes [`Function::validate`]
+    /// class; and every physical register the function names must exist in
+    /// its class on `spec` (dense numbering would otherwise alias `r2` of a
+    /// two-register file to `f0`, or run past the last register). Every
+    /// allocator would fail on such an instruction (panic, spin or wrong
+    /// code), so callers reject it up front. Assumes [`Function::validate`]
     /// passed.
     ///
     /// # Errors
     ///
     /// Returns a [`ValidateError`] naming the first instruction that does
-    /// not fit and its class.
+    /// not fit and its class, or else the first that names the
+    /// highest-numbered register `spec` lacks, and that register.
     pub fn check_fits(&self, spec: &MachineSpec) -> Result<(), ValidateError> {
+        self.fits(spec)?.map_or(Ok(()), |(_, e)| Err(e))
+    }
+
+    /// [`Function::check_fits`]'s one pass: `Err` for the first instruction
+    /// reading too many temporaries of a class; else the highest-numbered
+    /// physical register the function names that `spec` lacks, with the
+    /// refusal naming it at the first instruction that names it. Naming the
+    /// highest says how large the class would have to be.
+    pub(crate) fn fits(
+        &self,
+        spec: &MachineSpec,
+    ) -> Result<Option<(u8, ValidateError)>, ValidateError> {
         let mut reads: Vec<Temp> = Vec::new();
+        let mut worst: Option<(PhysReg, BlockId, usize)> = None;
         for b in self.block_ids() {
             for (i, ins) in self.block(b).insts.iter().enumerate() {
+                let mut name = |p: PhysReg| {
+                    if p.index >= spec.num_regs(p.class)
+                        && worst.is_none_or(|(w, _, _)| p.index > w.index)
+                    {
+                        worst = Some((p, b, i));
+                    }
+                };
                 reads.clear();
-                ins.inst.for_each_use(|r| {
-                    if let Reg::Temp(t) = r {
-                        if !reads.contains(&t) {
-                            reads.push(t);
-                        }
+                ins.inst.for_each_use(|r| match r {
+                    Reg::Temp(t) if !reads.contains(&t) => reads.push(t),
+                    Reg::Phys(p) => name(p),
+                    Reg::Temp(_) => {}
+                });
+                ins.inst.for_each_def(|r| {
+                    if let Reg::Phys(p) = r {
+                        name(p);
                     }
                 });
                 for class in RegClass::ALL {
                     let n = reads.iter().filter(|&&t| self.temp_class(t) == class).count();
                     let have = spec.num_regs(class) as usize;
                     if n > have {
-                        let word = match class {
-                            RegClass::Int => "int",
-                            RegClass::Float => "float",
-                        };
+                        let word = class_word(class);
                         let msg = format!(
                             "does not fit the machine: reads {n} distinct {word} temporaries, \
                              but {} has {have} {word} register(s)",
@@ -312,7 +336,10 @@ impl Function {
                 }
             }
         }
-        Ok(())
+        let Some((p, block, inst)) = worst else { return Ok(None) };
+        let (have, word) = (spec.num_regs(p.class), class_word(p.class));
+        let msg = format!("names {p}, but {} has {have} {word} register(s)", spec.selector());
+        Ok(Some((p.index, ValidateError { func: self.name.clone(), block, inst, msg })))
     }
 
     /// Counts the move instructions sourced from `op` (used by tests and the
@@ -339,6 +366,14 @@ impl Function {
     /// Static count of ALU operations using `op` (handy in tests).
     pub fn count_opcode(&self, op: OpCode) -> usize {
         self.count_insts(|i| matches!(i, Inst::Op { op: o, .. } if *o == op))
+    }
+}
+
+/// The word messages use for `class`.
+fn class_word(class: RegClass) -> &'static str {
+    match class {
+        RegClass::Int => "int",
+        RegClass::Float => "float",
     }
 }
 
@@ -463,5 +498,31 @@ mod tests {
              but small:2,1 has 1 float register(s)"
         );
         assert_eq!(f.check_fits(&MachineSpec::small(2, 2)), Ok(()));
+    }
+
+    #[test]
+    fn check_fits_refuses_registers_the_machine_lacks() {
+        let mut f = skeleton();
+        let x = f.new_temp(RegClass::Int, None);
+        let arg = |i| Inst::Mov { dst: Reg::Temp(x), src: Reg::Phys(PhysReg::int(i)) }.into();
+        f.block_mut(BlockId(0)).insts.insert(0, arg(2));
+        f.block_mut(BlockId(0)).insts.insert(1, arg(3));
+        f.block_mut(BlockId(0)).insts.insert(2, arg(1));
+        // r3 lies past the end of a three-register class.
+        let e = f.check_fits(&MachineSpec::small(3, 2)).unwrap_err();
+        assert_eq!(e.to_string(), "in t, b0 inst 1: names r3, but small:3,2 has 3 int register(s)");
+        // Dense numbering would alias r2 of a two-register class to f0; both
+        // r2 and r3 are missing, and the highest is named, not the first.
+        let e = f.check_fits(&MachineSpec::small(2, 1)).unwrap_err();
+        assert_eq!(e.to_string(), "in t, b0 inst 1: names r3, but small:2,1 has 2 int register(s)");
+        assert_eq!(f.check_fits(&MachineSpec::small(4, 2)), Ok(()));
+        // A float register past the end of its class, named by a return.
+        let ret = Inst::Ret { ret_regs: vec![PhysReg::float(1)] }.into();
+        *f.block_mut(BlockId(0)).insts.last_mut().unwrap() = ret;
+        let e = f.check_fits(&MachineSpec::small(4, 1)).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "in t, b0 inst 3: names f1, but small:4,1 has 1 float register(s)"
+        );
     }
 }

@@ -114,9 +114,19 @@ impl Module {
     /// # Errors
     ///
     /// Returns the first instruction that reads more distinct temporaries
-    /// of one class than `spec` has registers of that class.
+    /// of one class than `spec` has registers of that class, or else the
+    /// highest-numbered register the module names that `spec` lacks (see
+    /// [`crate::Function::check_fits`]).
     pub fn check_fits(&self, spec: &crate::MachineSpec) -> Result<(), crate::ValidateError> {
-        self.funcs.iter().try_for_each(|f| f.check_fits(spec))
+        let mut worst: Option<(u8, crate::ValidateError)> = None;
+        for f in &self.funcs {
+            if let Some(m) = f.fits(spec)? {
+                if worst.as_ref().is_none_or(|w| m.0 > w.0) {
+                    worst = Some(m);
+                }
+            }
+        }
+        worst.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     /// Total instruction count over all functions (static size).

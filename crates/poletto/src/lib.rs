@@ -39,7 +39,7 @@
 use std::time::Instant;
 
 use lsra_analysis::{Lifetimes, Point, Segment};
-use lsra_core::point::{Occupancy, PointScratch};
+use lsra_core::point::{self, Occupancy, PointScratch};
 use lsra_core::{AllocStats, NoopSink, RegisterAllocator};
 use lsra_ir::{Function, MachineSpec, Temp};
 
@@ -113,9 +113,8 @@ impl RegisterAllocator for PolettoAllocator {
         scan(&mut occ, f, spec, &lt);
         // Spilled references must always find scratch registers; the shared
         // fixpoint spills further victims if not.
-        occ.ensure_point_feasibility(f, &lt, &mut NoopSink);
-        stats.spilled_temps = occ.spilled_count();
-        occ.rewrite(f, &lt, &mut stats, &mut scratch, &mut NoopSink);
+        point::ensure_point_feasibility(&mut occ, f, &lt, spec, &mut NoopSink);
+        point::rewrite(&mut occ, f, &lt, spec, &mut stats, &mut scratch, &mut NoopSink);
         f.allocated = true;
         stats.alloc_seconds = start.elapsed().as_secs_f64();
         stats

@@ -315,6 +315,26 @@ fn allocated_output_is_pinned() {
     }
 }
 
+/// `spilled_temps` counts the temporaries that own a spill slot, once each,
+/// under every allocator: summed over a module's functions, it equals the
+/// number of slots handed out.
+#[test]
+fn spilled_temps_counts_spill_slots() {
+    for w in lsra_workloads::all() {
+        for a in ALLOCATOR_NAMES {
+            for machine in ["alpha", "small"] {
+                let mut m = (w.build)();
+                let stats = allocator_by_name(a, 1, false)
+                    .unwrap()
+                    .allocate_module(&mut m, &machine_by_name(machine));
+                let slots: usize =
+                    m.funcs.iter().map(|f| f.spill_slots.iter().flatten().count()).sum();
+                assert_eq!(stats.spilled_temps, slots, "{} under {a} on {machine}", w.name);
+            }
+        }
+    }
+}
+
 /// Parallel dispatch must be byte-identical to serial at any worker count,
 /// including worker counts that exceed the core count and configurations
 /// where the minimum-work threshold disables parallelism entirely.

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use second_chance_regalloc::fuzz::reformat_program;
 use second_chance_regalloc::ir::fnv64;
 use second_chance_regalloc::server::json_in::{self, JsonValue};
+use second_chance_regalloc::server::protocol::ALLOCATOR_NAMES;
 use second_chance_regalloc::server::{
     expected_response_line, parse_request, serve_tcp, ParsedLine, ServeConfig, Service,
     STATS_FIELDS,
@@ -196,6 +197,51 @@ fn a_program_the_machine_cannot_hold_is_refused_and_the_worker_stays_free() {
     assert!(t1.elapsed() < bound, "the request behind it took {:?}", t1.elapsed());
     let snap = s.counters();
     assert_eq!((snap.errors, snap.ok, snap.timeouts), (1, 1, 0));
+    assert_eq!((snap.in_flight, snap.queue_depth), (0, 0));
+    assert_eq!(snap.requests, snap.accounted(), "{snap:?}");
+}
+
+/// No shape panics: every built-in workload under every allocator on the
+/// two smallest machines answers `ok` or a structured refusal, never a
+/// caught panic, each within a fixed bound (coloring once spun on `sort`
+/// here), and the counters balance. `li` and `sort` read `r3`, which
+/// neither machine has, and their refusals say so.
+#[test]
+fn every_workload_on_the_smallest_machines_is_answered_or_refused() {
+    let s = service(small_cfg());
+    let bound = std::time::Duration::from_secs(20);
+    let mut sent = 0;
+    for w in workloads::all() {
+        for a in ALLOCATOR_NAMES {
+            for m in ["small:2,1", "small:3,2"] {
+                let case = format!("{} under {a} on {m}", w.name);
+                let line = format!(
+                    r#"{{"id": "x", "workload": "{}", "allocator": "{a}", "machine": "{m}"}}"#,
+                    w.name
+                );
+                let t0 = std::time::Instant::now();
+                let resp = call(&s, &line);
+                sent += 1;
+                assert!(t0.elapsed() < bound, "{case} took {:?}", t0.elapsed());
+                let v = json_in::parse(&resp).unwrap();
+                let status = v.get("status").and_then(JsonValue::as_str);
+                let error = v.get("error").and_then(JsonValue::as_str);
+                match (status, error) {
+                    (Some("ok"), _) => assert!(!matches!(w.name, "li" | "sort"), "{case}: {resp}"),
+                    (Some("error"), Some(msg)) => {
+                        assert!(!msg.starts_with("panic"), "{case}: {msg}");
+                        if matches!(w.name, "li" | "sort") {
+                            assert!(msg.contains(": names r3, but "), "{case}: {msg}");
+                        }
+                    }
+                    _ => panic!("{case}: {resp}"),
+                }
+            }
+        }
+    }
+    let snap = s.counters();
+    assert_eq!(snap.ok + snap.errors, sent, "{snap:?}");
+    assert_eq!((snap.timeouts, snap.panics), (0, 0), "{snap:?}");
     assert_eq!((snap.in_flight, snap.queue_depth), (0, 0));
     assert_eq!(snap.requests, snap.accounted(), "{snap:?}");
 }
