@@ -28,7 +28,7 @@
 //!
 //! let stats = ColoringAllocator::default().allocate_function(&mut f, &spec);
 //! assert!(f.allocated);
-//! assert!(!f.has_virtual_operands());
+//! assert!(f.validate().is_ok(), "no virtual operand is left");
 //! assert_eq!(stats.candidates, 2);
 //! ```
 
@@ -133,7 +133,7 @@ impl RegisterAllocator for ColoringAllocator {
             }
         }
         f.allocated = true;
-        debug_assert!(!f.has_virtual_operands());
+        debug_assert_eq!(f.validate(), Ok(()), "allocation left an invalid function");
         stats.alloc_seconds = start.elapsed().as_secs_f64();
         stats
     }

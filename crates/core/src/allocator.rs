@@ -42,7 +42,7 @@ use crate::{resolve, two_pass};
 ///
 /// let stats = BinpackAllocator::default().allocate_function(&mut f, &spec);
 /// assert!(f.allocated);
-/// assert!(!f.has_virtual_operands());
+/// assert!(f.validate().is_ok(), "no virtual operand is left");
 /// assert_eq!(stats.candidates, 2);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -146,7 +146,7 @@ impl BinpackAllocator {
             two_pass::allocate(f, spec, self.config, &mut stats, scratch, sink);
         }
         f.allocated = true;
-        debug_assert!(!f.has_virtual_operands(), "allocation left virtual operands");
+        debug_assert_eq!(f.validate(), Ok(()), "allocation left an invalid function");
         stats.alloc_seconds = start.elapsed().as_secs_f64();
         if sink.enabled() {
             sink.event(&TraceEvent::FunctionEnd { name: f.name.clone() });

@@ -28,10 +28,10 @@ use crate::scan::Loc;
 /// Reusable working memory for allocating one function at a time.
 ///
 /// Create one per worker thread and pass it to
-/// [`BinpackAllocator::allocate_function_reusing`]
-/// (crate::BinpackAllocator::allocate_function_reusing) for every function
-/// the worker processes. `Default::default()` is an empty scratch; buffers
-/// grow to the largest function seen and stay allocated.
+/// [`BinpackAllocator::allocate_function_reusing`](crate::BinpackAllocator::allocate_function_reusing)
+/// for every function the worker processes. `Default::default()` is an
+/// empty scratch; buffers grow to the largest function seen and stay
+/// allocated.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     // ---- analysis: lifetime event lists and CSR backing ----

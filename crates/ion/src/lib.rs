@@ -546,7 +546,7 @@ impl IonAllocator {
         }
         allocate(f, spec, &mut stats, sink);
         f.allocated = true;
-        debug_assert!(!f.has_virtual_operands(), "allocation left virtual operands");
+        debug_assert_eq!(f.validate(), Ok(()), "allocation left an invalid function");
         stats.alloc_seconds = start.elapsed().as_secs_f64();
         if sink.enabled() {
             sink.event(&TraceEvent::FunctionEnd { name: f.name.clone() });

@@ -48,33 +48,11 @@ impl Block {
         assert!(last.is_terminator(), "block does not end in a terminator: {last:?}");
         last
     }
-
-    /// True if the block ends with a well-formed terminator and contains no
-    /// interior terminators.
-    pub fn is_well_formed(&self) -> bool {
-        match self.insts.split_last() {
-            Some((last, body)) => {
-                last.inst.is_terminator() && body.iter().all(|i| !i.inst.is_terminator())
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Inst;
-
-    #[test]
-    fn well_formedness() {
-        let mut b = Block::new();
-        assert!(!b.is_well_formed());
-        b.insts.push(Inst::Jump { target: BlockId(1) }.into());
-        assert!(b.is_well_formed());
-        b.insts.push(Inst::Ret { ret_regs: vec![] }.into());
-        assert!(!b.is_well_formed(), "interior terminator must be rejected");
-    }
 
     #[test]
     fn block_id_display() {

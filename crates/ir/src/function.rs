@@ -149,123 +149,6 @@ impl Function {
         (0..self.blocks.len() as u32).map(BlockId)
     }
 
-    /// Checks structural and type well-formedness.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ValidateError`] describing the first violation found:
-    /// malformed blocks, out-of-range block or temporary references, operand
-    /// class mismatches, or leftover virtual operands in an `allocated`
-    /// function.
-    pub fn validate(&self) -> Result<(), ValidateError> {
-        let err = |b: BlockId, i: usize, msg: String| {
-            Err(ValidateError { func: self.name.clone(), block: b, inst: i, msg })
-        };
-        if self.blocks.is_empty() {
-            return Err(ValidateError {
-                func: self.name.clone(),
-                block: BlockId(0),
-                inst: 0,
-                msg: "function has no blocks".into(),
-            });
-        }
-        for b in self.block_ids() {
-            let blk = self.block(b);
-            if !blk.is_well_formed() {
-                return err(b, blk.insts.len().saturating_sub(1), "malformed block".into());
-            }
-            for (i, ins) in blk.insts.iter().enumerate() {
-                let inst = &ins.inst;
-                // Check temp indices and collect class constraints.
-                let mut bad: Option<String> = None;
-                let mut check = |r: Reg, want: Option<RegClass>| {
-                    if bad.is_some() {
-                        return;
-                    }
-                    if let Reg::Temp(t) = r {
-                        if t.index() >= self.temps.len() {
-                            bad = Some(format!("unknown temp {t}"));
-                            return;
-                        }
-                        if self.allocated {
-                            bad = Some(format!("virtual operand {t} in allocated function"));
-                            return;
-                        }
-                    }
-                    if let Some(w) = want {
-                        if self.reg_class(r) != w {
-                            bad = Some(format!("operand {r} must be class {w}"));
-                        }
-                    }
-                };
-                match inst {
-                    Inst::Op { op, dst, srcs } => {
-                        if srcs.len() != op.arity() {
-                            return err(
-                                b,
-                                i,
-                                format!("{} expects {} sources", op.mnemonic(), op.arity()),
-                            );
-                        }
-                        let (sc, dc) = op.sig();
-                        for &s in srcs {
-                            check(s, Some(sc));
-                        }
-                        check(*dst, Some(dc));
-                    }
-                    Inst::MovI { dst, .. } => check(*dst, Some(RegClass::Int)),
-                    Inst::MovF { dst, .. } => check(*dst, Some(RegClass::Float)),
-                    Inst::Mov { dst, src } => {
-                        check(*src, None);
-                        check(*dst, None);
-                        if bad.is_none() && self.reg_class(*dst) != self.reg_class(*src) {
-                            bad = Some("move between register classes".into());
-                        }
-                    }
-                    Inst::Load { dst, base, .. } => {
-                        check(*base, Some(RegClass::Int));
-                        check(*dst, None);
-                    }
-                    Inst::Store { src, base, .. } => {
-                        check(*base, Some(RegClass::Int));
-                        check(*src, None);
-                    }
-                    Inst::SpillLoad { dst, temp } => {
-                        if temp.index() >= self.temps.len() {
-                            return err(b, i, format!("unknown spilled temp {temp}"));
-                        }
-                        check(*dst, Some(self.temp_class(*temp)));
-                    }
-                    Inst::SpillStore { src, temp } => {
-                        if temp.index() >= self.temps.len() {
-                            return err(b, i, format!("unknown spilled temp {temp}"));
-                        }
-                        check(*src, Some(self.temp_class(*temp)));
-                    }
-                    Inst::Call { .. } => {}
-                    Inst::Jump { target } => {
-                        if target.index() >= self.blocks.len() {
-                            return err(b, i, format!("jump to unknown block {target}"));
-                        }
-                    }
-                    Inst::Branch { src, then_tgt, else_tgt, .. } => {
-                        check(*src, Some(RegClass::Int));
-                        for t in [then_tgt, else_tgt] {
-                            if t.index() >= self.blocks.len() {
-                                return err(b, i, format!("branch to unknown block {t}"));
-                            }
-                        }
-                    }
-                    Inst::Ret { .. } => {}
-                }
-                if let Some(msg) = bad {
-                    return err(b, i, msg);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Checks that `spec` has room for every instruction: all of an
     /// instruction's sources sit in registers at once, so none may read more
     /// distinct temporaries of one class than `spec` has registers of that
@@ -346,21 +229,6 @@ impl Function {
     /// move-optimization statistics).
     pub fn count_insts(&self, mut pred: impl FnMut(&Inst) -> bool) -> usize {
         self.blocks.iter().flat_map(|b| &b.insts).filter(|i| pred(&i.inst)).count()
-    }
-
-    /// True if any instruction still references a virtual temporary.
-    pub fn has_virtual_operands(&self) -> bool {
-        for b in &self.blocks {
-            for ins in &b.insts {
-                let mut found = false;
-                ins.inst.for_each_use(|r| found |= r.is_temp());
-                ins.inst.for_each_def(|r| found |= r.is_temp());
-                if found {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Static count of ALU operations using `op` (handy in tests).

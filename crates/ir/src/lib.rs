@@ -51,6 +51,7 @@ mod machine;
 mod module;
 pub mod parse;
 mod reg;
+mod rules;
 
 pub use block::{Block, BlockId};
 pub use builder::{FunctionBuilder, ModuleBuilder};
@@ -60,7 +61,8 @@ pub use inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag};
 pub use machine::MachineSpec;
 pub use module::Module;
 pub use parse::{
-    parse_function, parse_function_with_lines, parse_module, parse_module_with_lines,
-    FunctionLines, ModuleLines, ParseError,
+    parse_function, parse_function_with_lines, parse_module, parse_module_syntax,
+    parse_module_with_lines, validate_with_lines, FunctionLines, ModuleLines, ParseError,
 };
 pub use reg::{PhysReg, Reg, RegClass, Temp};
+pub use rules::{Finding, FindingKind};

@@ -73,41 +73,6 @@ impl Module {
         addr as i64
     }
 
-    /// Validates every function in the module.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`crate::ValidateError`] found, plus checks that
-    /// every `Call` names a function that exists.
-    pub fn validate(&self) -> Result<(), crate::ValidateError> {
-        for f in &self.funcs {
-            f.validate()?;
-            for b in f.block_ids() {
-                for (i, ins) in f.block(b).insts.iter().enumerate() {
-                    if let crate::Inst::Call { callee: crate::Callee::Func(id), .. } = ins.inst {
-                        if id.index() >= self.funcs.len() {
-                            return Err(crate::ValidateError {
-                                func: f.name.clone(),
-                                block: b,
-                                inst: i,
-                                msg: format!("call to unknown function {id:?}"),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        if self.entry.index() >= self.funcs.len() {
-            return Err(crate::ValidateError {
-                func: "<module>".into(),
-                block: crate::BlockId(0),
-                inst: 0,
-                msg: "entry function does not exist".into(),
-            });
-        }
-        Ok(())
-    }
-
     /// Checks that every function fits `spec` (see
     /// [`crate::Function::check_fits`]). Assumes [`Module::validate`] passed.
     ///

@@ -3,9 +3,10 @@
 //! text. Useful for hand-written test inputs, golden files, and the CLI.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use crate::block::BlockId;
-use crate::function::{Function, SlotId};
+use crate::function::{Function, SlotId, ValidateError};
 use crate::inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag};
 use crate::module::Module;
 use crate::reg::{PhysReg, Reg, RegClass, Temp};
@@ -251,14 +252,14 @@ impl FuncParser {
             let id: u32 = s
                 .parse()
                 .map_err(|_| ParseError { line: lineno, msg: format!("bad slot `{s}`") })?;
-            if t.index() >= self.func.spill_slots.len() {
-                return err(lineno, format!("slot for unknown temp {t}"));
+            if let Some(slot) = self.func.spill_slots.get_mut(t.index()) {
+                *slot = Some(SlotId(id));
+                self.func.num_slots = self.func.num_slots.max(id + 1);
             }
-            self.func.spill_slots[t.index()] = Some(SlotId(id));
-            self.func.num_slots = self.func.num_slots.max(id + 1);
-        } else {
+        } else if t.index() < self.func.num_temps() {
             self.func.slot_for(t);
         }
+        // An unknown temp is left to the rule walk.
         Ok(())
     }
 
@@ -377,12 +378,6 @@ impl FuncParser {
                 for tok in &rhs[1..] {
                     srcs.push(parse_reg(tok, lineno)?);
                 }
-                if srcs.len() != op.arity() {
-                    return err(
-                        lineno,
-                        format!("{} expects {} operands", op.mnemonic(), op.arity()),
-                    );
-                }
                 Ok(Inst::Op { op, dst, srcs })
             }
             single if rhs.len() == 1 => {
@@ -421,13 +416,26 @@ pub fn parse_function(text: &str) -> Result<Function> {
 }
 
 /// [`parse_function`] plus the [`FunctionLines`] source map; validation
-/// errors point at the offending instruction's line rather than the closing
-/// brace.
+/// errors point at the offending instruction's line, or else at the
+/// function header.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line.
 pub fn parse_function_with_lines(text: &str) -> Result<(Function, FunctionLines)> {
+    let (f, map) = function_syntax(text)?;
+    f.validate().map_err(|e| located(e, &map))?;
+    Ok((f, map))
+}
+
+/// A [`ValidateError`] as a [`ParseError`] at the offending instruction's
+/// line, or else at the function header.
+fn located(e: ValidateError, map: &FunctionLines) -> ParseError {
+    ParseError { line: map.line_of(e.block, e.inst).unwrap_or(map.header), msg: e.to_string() }
+}
+
+/// Parses one function's syntax; the IR rules are left to the caller.
+fn function_syntax(text: &str) -> Result<(Function, FunctionLines)> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
     let (lineno, header) = lines
         .by_ref()
@@ -443,12 +451,7 @@ pub fn parse_function_with_lines(text: &str) -> Result<(Function, FunctionLines)
             continue;
         }
         if line == "}" {
-            let f = p.func;
-            f.validate().map_err(|e| ParseError {
-                line: map.line_of(e.block, e.inst).unwrap_or(lineno),
-                msg: e.to_string(),
-            })?;
-            return Ok((f, map));
+            return Ok((p.func, map));
         }
         if let Some(rest) = line.strip_prefix("temps ") {
             p.temps_line(rest, lineno)?;
@@ -484,9 +487,40 @@ pub fn parse_module(text: &str) -> Result<Module> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`]; the module is validated before returning, and
-/// validation errors are mapped back to the offending instruction's line.
+/// Returns a [`ParseError`]; the module is validated once before
+/// returning, and validation errors are mapped back to the offending
+/// instruction's line (or its function's header).
 pub fn parse_module_with_lines(text: &str) -> Result<(Module, ModuleLines)> {
+    let (m, lines) = parse_module_syntax(text)?;
+    validate_with_lines(&m, &lines)?;
+    Ok((m, lines))
+}
+
+/// [`Module::validate`] with the error at its source line: the offending
+/// instruction's, or else its function header's (line 0 for a missing
+/// entry, which no line holds).
+///
+/// # Errors
+///
+/// Returns the first finding as a [`ParseError`].
+pub fn validate_with_lines(m: &Module, lines: &ModuleLines) -> Result<()> {
+    let walk = m.for_each_finding(|func, finding| ControlFlow::Break((func, finding)));
+    let Some((func, finding)) = walk.break_value() else { return Ok(()) };
+    let e = ValidateError::from(finding);
+    Err(match func.and_then(|i| lines.funcs.get(i)) {
+        Some(map) => located(e, map),
+        None => ParseError { line: 0, msg: e.to_string() },
+    })
+}
+
+/// [`parse_module_with_lines`] without the IR rules: the syntax only, so a
+/// module with broken rules reaches the input lints, which report every
+/// finding (see [`Module::for_each_finding`]).
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] naming the offending line.
+pub fn parse_module_syntax(text: &str) -> Result<(Module, ModuleLines)> {
     let mut module: Option<Module> = None;
     let mut mlines = ModuleLines::default();
     let mut func_start: Option<usize> = None;
@@ -503,7 +537,7 @@ pub fn parse_module_with_lines(text: &str) -> Result<(Module, ModuleLines)> {
                     let ftext = all_lines[start..=i].join("\n");
                     // Line 1 of `ftext` is file line `start + 1`: offset both
                     // error lines and the recorded source map by `start`.
-                    let (f, mut fl) = parse_function_with_lines(&ftext)
+                    let (f, mut fl) = function_syntax(&ftext)
                         .map_err(|e| ParseError { line: e.line + start, msg: e.msg })?;
                     fl.offset(start);
                     mlines.funcs.push(fl);
@@ -560,17 +594,6 @@ pub fn parse_module_with_lines(text: &str) -> Result<(Module, ModuleLines)> {
         }
     }
     let m = module.ok_or_else(|| ParseError { line: 1, msg: "no module header".into() })?;
-    m.validate().map_err(|e| {
-        // Map the (function, block, inst) coordinates back to a source line;
-        // fall back to the function header for errors without one.
-        let idx = m.funcs.iter().position(|f| f.name == e.func);
-        let line = idx
-            .and_then(|fi| {
-                mlines.line_of(fi, e.block, e.inst).or(mlines.funcs.get(fi).map(|fl| fl.header))
-            })
-            .unwrap_or(0);
-        ParseError { line, msg: e.to_string() }
-    })?;
     Ok((m, mlines))
 }
 
@@ -690,6 +713,24 @@ mod tests {
         let text = "func @cls() {\n  temps t0:i t1:f\nb0:\n  t0 = 1\n  t1 = add t0, t0\n  ret\n}\n";
         let e = parse_function(text).unwrap_err();
         assert_eq!(e.line, 5, "{e}");
+    }
+
+    #[test]
+    fn rule_breaks_parse_as_syntax_and_fail_validation_at_their_line() {
+        // A reload of an undeclared temp (which once panicked the parser)
+        // and a short `add` are rule findings, not syntax errors.
+        let text = "module m (0 words data)\nentry @0\nfunc @f() {\n  temps t0:i\nb0:\n  r0 = reload t9\n  t0 = add t0\n  ret\n}\n";
+        let (m, lines) = parse_module_syntax(text).unwrap();
+        let e = validate_with_lines(&m, &lines).unwrap_err();
+        assert_eq!(e.to_string(), "line 6: in f, b0 inst 0: unknown temp t9");
+        assert_eq!(parse_module(text).unwrap_err(), e);
+        let mut found = Vec::new();
+        let _ = m.funcs[0].for_each_finding(|x| {
+            found.push((x.inst, x.msg));
+            ControlFlow::<()>::Continue(())
+        });
+        let short = "add expects 2 sources, got 1".to_string();
+        assert_eq!(found, [(Some(0), "unknown temp t9".to_string()), (Some(1), short)]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A minimal x86-64 instruction encoder.
 //!
-//! Emits exactly the subset of x86-64 the lowering in [`crate::lower`]
-//! needs: 64-bit ALU operations, scalar-double SSE2, memory operands with a
-//! 32-bit displacement (plus one scaled-index form for data memory), byte
-//! condition sets, and rel32 control flow with label fixups. There is no
+//! Emits exactly the subset of x86-64 the lowering (the private `lower`
+//! module) needs: 64-bit ALU operations, scalar-double SSE2, memory
+//! operands with a 32-bit displacement (plus one scaled-index form for data
+//! memory), byte condition sets, and rel32 control flow with label fixups. There is no
 //! disassembler; tests compare emitted bytes against hand-assembled
 //! patterns, which is the crate's `encoding` test surface.
 //!

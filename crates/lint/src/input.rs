@@ -1,197 +1,102 @@
 //! Family A — input-IR validation lints (`L0xx`).
 //!
 //! These run *before* allocation on arbitrary (possibly hostile) input IR.
-//! [`lsra_ir::Function::validate`] stops at the first structural error; this
-//! pass keeps going, collects every finding, and adds the properties the
-//! validator deliberately leaves to dataflow analysis: use-before-def,
-//! unreachability, and critical-edge advisories.
+//! The IR rules live in one walk in `lsra_ir` ([`Module::for_each_finding`]),
+//! whose first finding `validate` returns; this pass reports every finding
+//! (`L006` malformed block, `L003` missing block, callee or entry, `L005`
+//! operand) and adds what the rules leave to analysis: use-before-def,
+//! unreachability, duplicate branch targets, and critical-edge advisories.
 //!
-//! Ordering matters: the CFG analyses ([`Order`], predecessor lists, the
-//! must-dataflow) index blocks through terminators, so they only run once
-//! the structural lints (`L003`, `L006`) report the function clean. A
-//! structurally broken function still gets its full set of structural and
-//! per-instruction class diagnostics.
+//! Ordering matters: the CFG analyses ([`Cfg`], the must-dataflow) index
+//! blocks through terminators, so they only run once the function's own
+//! walk finds no malformed block and no missing block target.
+
+use std::ops::ControlFlow;
 
 use lsra_analysis::{is_critical, solve_forward_must, BitSet, Cfg};
-use lsra_ir::{Function, FunctionLines, Inst, Module, ModuleLines, Reg, RegClass};
+use lsra_ir::{Finding, FindingKind, Function, FunctionLines, Inst, Module, ModuleLines, Reg};
 
-use crate::{class_of, Emitter, LintCode, LintReport};
+use crate::{cfg_is_sound, Emitter, LintCode, LintReport};
 
-/// Runs every Family A lint over one function.
+/// Runs every Family A lint over one function (calls are not checked).
 ///
 /// `lines` (from [`lsra_ir::parse_function_with_lines`]) lets diagnostics
 /// carry source lines; pass `None` for programmatically built IR.
 pub fn lint_input_function(f: &Function, lines: Option<&FunctionLines>) -> LintReport {
+    let mut findings = Vec::new();
+    let _ = f.for_each_finding(|x| {
+        findings.push(x);
+        ControlFlow::<()>::Continue(())
+    });
+    lint_function(f, lines, findings)
+}
+
+/// Runs every Family A lint over a module, function by function, then the
+/// module's missing entry.
+pub fn lint_input(m: &Module, lines: Option<&ModuleLines>) -> LintReport {
+    let mut per_func: Vec<Vec<Finding<'_>>> = m.funcs.iter().map(|_| Vec::new()).collect();
+    let mut module_rules = Vec::new();
+    let _ = m.for_each_finding(|func, x| {
+        match func {
+            Some(i) => per_func[i].push(x),
+            None => module_rules.push(x),
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    let mut report = LintReport::new();
+    for (i, (f, findings)) in m.funcs.iter().zip(per_func).enumerate() {
+        report.merge(lint_function(f, lines.and_then(|l| l.funcs.get(i)), findings));
+    }
+    for x in module_rules {
+        let mut em = Emitter { func: x.func, lines: None, diags: Vec::new() };
+        emit_finding(&mut em, x);
+        report.merge(LintReport { diags: em.diags });
+    }
+    report
+}
+
+/// The rule findings of one function as diagnostics, then the lints the
+/// rules leave to analysis.
+fn lint_function(
+    f: &Function,
+    lines: Option<&FunctionLines>,
+    findings: Vec<Finding<'_>>,
+) -> LintReport {
     let mut em = Emitter { func: &f.name, lines, diags: Vec::new() };
-    if f.blocks.is_empty() {
-        em.emit(LintCode::MalformedBlock, None, None, "function has no blocks".to_string());
-        return LintReport { diags: em.diags };
+    for x in findings {
+        emit_finding(&mut em, x);
     }
-
-    // Structural pass: every CFG lint below depends on well-formed blocks
-    // (terminators exist) and in-range targets (successor lists index the
-    // block table).
-    let mut structural_ok = true;
-    for b in f.block_ids() {
-        let blk = f.block(b);
-        if blk.insts.is_empty() {
-            em.emit(LintCode::MalformedBlock, Some(b), None, "empty block".to_string());
-            structural_ok = false;
-            continue;
-        }
-        let last = blk.insts.len() - 1;
-        for (i, ins) in blk.insts.iter().enumerate() {
-            if i < last && ins.inst.is_terminator() {
-                em.emit(
-                    LintCode::MalformedBlock,
-                    Some(b),
-                    Some(i),
-                    "terminator in the middle of a block".to_string(),
-                );
-                structural_ok = false;
-            }
-        }
-        if !blk.insts[last].inst.is_terminator() {
-            em.emit(
-                LintCode::MalformedBlock,
-                Some(b),
-                Some(last),
-                "block does not end in a terminator".to_string(),
-            );
-            structural_ok = false;
-        }
-        for (i, ins) in blk.insts.iter().enumerate() {
-            match &ins.inst {
-                Inst::Jump { target } if target.index() >= f.num_blocks() => {
-                    em.emit(
-                        LintCode::BadBlockTarget,
-                        Some(b),
-                        Some(i),
-                        format!("jump to undefined block {target}"),
-                    );
-                    structural_ok = false;
-                }
-                Inst::Branch { then_tgt, else_tgt, .. } => {
-                    for t in [then_tgt, else_tgt] {
-                        if t.index() >= f.num_blocks() {
-                            em.emit(
-                                LintCode::BadBlockTarget,
-                                Some(b),
-                                Some(i),
-                                format!("branch to undefined block {t}"),
-                            );
-                            structural_ok = false;
-                        }
-                    }
-                    if then_tgt == else_tgt {
-                        em.emit(
-                            LintCode::DuplicateBranchTarget,
-                            Some(b),
-                            Some(i),
-                            format!("both branch arms target {then_tgt} (should be a jump)"),
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    class_lints(f, &mut em);
-
-    if structural_ok {
+    duplicate_target_lint(f, &mut em);
+    if cfg_is_sound(f) {
         cfg_lints(f, &mut em);
     }
-
     let mut report = LintReport { diags: em.diags };
     report.sort();
     report
 }
 
-/// Runs every Family A lint over a module, function by function.
-pub fn lint_input(m: &Module, lines: Option<&ModuleLines>) -> LintReport {
-    let mut report = LintReport::new();
-    for (i, f) in m.funcs.iter().enumerate() {
-        let fl = lines.and_then(|l| l.funcs.get(i));
-        report.merge(lint_input_function(f, fl));
-    }
-    report
+fn emit_finding(em: &mut Emitter<'_>, x: Finding<'_>) {
+    let code = match x.kind {
+        FindingKind::MalformedBlock => LintCode::MalformedBlock,
+        FindingKind::BadTarget => LintCode::BadBlockTarget,
+        FindingKind::Operand => LintCode::ClassMismatch,
+    };
+    em.emit(code, x.block, x.inst, x.msg);
 }
 
-/// `L005`: per-instruction register-class and shape checks. Mirrors
-/// `Function::validate`'s class rules but reports *all* findings instead of
-/// stopping at the first, and never panics on out-of-range temps.
-fn class_lints(f: &Function, em: &mut Emitter<'_>) {
-    fn check(f: &Function, bad: &mut Vec<String>, r: Reg, want: Option<RegClass>) {
-        match class_of(f, r) {
-            None => bad.push(format!("reference to undeclared temp {r}")),
-            Some(c) => {
-                if let Some(w) = want {
-                    if c != w {
-                        bad.push(format!("operand {r} must be class {w}"));
-                    }
-                }
-            }
-        }
-    }
+/// `L004`: both arms of a branch target the same block (should be a jump).
+fn duplicate_target_lint(f: &Function, em: &mut Emitter<'_>) {
     for b in f.block_ids() {
         for (i, ins) in f.block(b).insts.iter().enumerate() {
-            let mut bad: Vec<String> = Vec::new();
-            match &ins.inst {
-                Inst::Op { op, dst, srcs } => {
-                    if srcs.len() != op.arity() {
-                        bad.push(format!(
-                            "{} expects {} sources, got {}",
-                            op.mnemonic(),
-                            op.arity(),
-                            srcs.len()
-                        ));
-                    }
-                    let (sc, dc) = op.sig();
-                    for &s in srcs {
-                        check(f, &mut bad, s, Some(sc));
-                    }
-                    check(f, &mut bad, *dst, Some(dc));
+            if let Inst::Branch { then_tgt, else_tgt, .. } = ins.inst {
+                if then_tgt == else_tgt {
+                    em.emit(
+                        LintCode::DuplicateBranchTarget,
+                        Some(b),
+                        Some(i),
+                        format!("both branch arms target {then_tgt} (should be a jump)"),
+                    );
                 }
-                Inst::MovI { dst, .. } => check(f, &mut bad, *dst, Some(RegClass::Int)),
-                Inst::MovF { dst, .. } => check(f, &mut bad, *dst, Some(RegClass::Float)),
-                Inst::Mov { dst, src } => {
-                    let (dc, sc) = (class_of(f, *dst), class_of(f, *src));
-                    check(f, &mut bad, *src, None);
-                    check(f, &mut bad, *dst, None);
-                    if let (Some(dc), Some(sc)) = (dc, sc) {
-                        if dc != sc {
-                            bad.push("move between register classes".to_string());
-                        }
-                    }
-                }
-                Inst::Load { dst, base, .. } => {
-                    check(f, &mut bad, *base, Some(RegClass::Int));
-                    check(f, &mut bad, *dst, None);
-                }
-                Inst::Store { src, base, .. } => {
-                    check(f, &mut bad, *base, Some(RegClass::Int));
-                    check(f, &mut bad, *src, None);
-                }
-                Inst::SpillLoad { dst, temp } => {
-                    if temp.index() >= f.num_temps() {
-                        bad.push(format!("reference to undeclared temp {temp}"));
-                    } else {
-                        check(f, &mut bad, *dst, Some(f.temp_class(*temp)));
-                    }
-                }
-                Inst::SpillStore { src, temp } => {
-                    if temp.index() >= f.num_temps() {
-                        bad.push(format!("reference to undeclared temp {temp}"));
-                    } else {
-                        check(f, &mut bad, *src, Some(f.temp_class(*temp)));
-                    }
-                }
-                Inst::Branch { src, .. } => check(f, &mut bad, *src, Some(RegClass::Int)),
-                Inst::Call { .. } | Inst::Jump { .. } | Inst::Ret { .. } => {}
-            }
-            for msg in bad {
-                em.emit(LintCode::ClassMismatch, Some(b), Some(i), msg);
             }
         }
     }

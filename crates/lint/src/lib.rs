@@ -2,11 +2,12 @@
 //! engine plus two lint families.
 //!
 //! * **Family A — input-IR validation** ([`lint_input`], codes `L0xx`): runs
-//!   *before* allocation on user-supplied IR and reports everything
-//!   [`Function::validate`] deliberately leaves to analysis — use-before-def
-//!   (a forward must-dataflow over temporaries), unreachable blocks,
-//!   undefined or duplicate branch targets, register-class misuse, malformed
-//!   terminators, and critical-edge advisories.
+//!   *before* allocation on user-supplied IR. It reports every finding of
+//!   the IR rule walk whose first finding [`Function::validate`] returns —
+//!   malformed blocks, missing blocks, callees or entry, register-class
+//!   misuse — and what the rules leave to analysis: use-before-def (a
+//!   forward must-dataflow over temporaries), unreachable blocks, duplicate
+//!   branch targets, and critical-edge advisories.
 //! * **Family B — allocation-quality lints** ([`lint_quality`], codes
 //!   `Q1xx`): runs on *allocated* output, **before** identity-move removal,
 //!   and flags the residues the paper's machinery exists to avoid: dead
@@ -37,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use lsra_ir::{BlockId, Function};
 use lsra_trace::json::JsonWriter;
@@ -503,13 +505,14 @@ impl Emitter<'_> {
     }
 }
 
-/// Returns the register class of `r` if it can be determined without
-/// panicking (an out-of-range temp has no class).
-pub(crate) fn class_of(f: &Function, r: lsra_ir::Reg) -> Option<lsra_ir::RegClass> {
-    match r {
-        lsra_ir::Reg::Phys(p) => Some(p.class),
-        lsra_ir::Reg::Temp(t) => f.temps.get(t.index()).map(|ti| ti.class),
-    }
+/// True when the CFG analyses can run on `f`: its own rule walk finds no
+/// malformed block and no jump or branch to a missing block.
+pub(crate) fn cfg_is_sound(f: &Function) -> bool {
+    f.for_each_finding(|x| match x.kind {
+        lsra_ir::FindingKind::Operand => ControlFlow::Continue(()),
+        _ => ControlFlow::Break(()),
+    })
+    .is_continue()
 }
 
 #[cfg(test)]

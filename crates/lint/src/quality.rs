@@ -25,7 +25,7 @@
 use lsra_analysis::{solve_backward, solve_must, BitSet, Cfg};
 use lsra_ir::{Function, Inst, MachineSpec, Module, Reg, RegClass, Temp};
 
-use crate::{Emitter, LintCode, LintReport};
+use crate::{cfg_is_sound, Emitter, LintCode, LintReport};
 
 /// Runs every Family B lint over one allocated function.
 ///
@@ -39,12 +39,7 @@ pub fn lint_quality_function(f: &Function, spec: &MachineSpec) -> LintReport {
     let mut em = Emitter { func: &f.name, lines: None, diags: Vec::new() };
     // Defensive: allocator output is structurally valid by construction, but
     // these lints also run on fuzzer-corrupted modules — never panic.
-    let well_formed = !f.blocks.is_empty()
-        && f.blocks.iter().all(|blk| {
-            blk.is_well_formed()
-                && blk.terminator().branch_targets().all(|s| s.index() < f.num_blocks())
-        });
-    if well_formed {
+    if cfg_is_sound(f) {
         let cfg = Cfg::compute(f);
         move_lints(f, &mut em);
         dead_store_lint(f, &cfg, &mut em);

@@ -48,8 +48,8 @@
 //! or `program:<len>:<canonical text>` — so a workload and an inline copy
 //! of its text (which runs on different input) never share an entry.
 //! [`probe_key`] is the same key over the inline text as received: the
-//! service probes with it first and materialises the program (parse,
-//! validate, print: [`materialize`]) only when it misses. Printed text is
+//! service probes with it first and materialises the program (parse and
+//! validate once, print: [`materialize`]) only when it misses. Printed text is
 //! a fixpoint of parse-then-print, so this first probe can only hit an
 //! entry the canonical key would have hit.
 //!
@@ -401,8 +401,7 @@ pub fn materialize(req: &Request) -> Result<(Module, Vec<u8>, String), String> {
     match &req.source {
         Source::Program(text) => {
             let m = lsra_ir::parse_module(text).map_err(|e| format!("program:{e}"))?;
-            m.validate().map_err(|e| format!("program: {e}"))?;
-            m.check_fits(&req.machine).map_err(|e| format!("program: {e}"))?;
+            check_fits(&req.source, &m, &req.machine)?;
             let canonical = format!("{m}");
             Ok((m, Vec::new(), canonical))
         }
@@ -410,10 +409,18 @@ pub fn materialize(req: &Request) -> Result<(Module, Vec<u8>, String), String> {
             let w = lsra_workloads::by_name(name)
                 .ok_or_else(|| format!("unknown workload `{name}`"))?;
             let m = (w.build)();
-            m.check_fits(&req.machine).map_err(|e| format!("workload `{name}`: {e}"))?;
+            check_fits(&req.source, &m, &req.machine)?;
             Ok((m, (w.input)(), String::new()))
         }
     }
+}
+
+/// [`Module::check_fits`], its refusal naming the request's source.
+fn check_fits(source: &Source, m: &Module, machine: &MachineSpec) -> Result<(), String> {
+    m.check_fits(machine).map_err(|e| match source {
+        Source::Program(_) => format!("program: {e}"),
+        Source::Workload(name) => format!("workload `{name}`: {e}"),
+    })
 }
 
 /// The full cache-key string for `req` given its canonical program text:
@@ -544,19 +551,22 @@ pub fn render_ok(id: &str, outcome: &Outcome, emit_module: bool) -> String {
 }
 
 /// Runs the `lint` op: the Family A input lints, then — when the input has
-/// no errors and validates — the Family B quality lints over the requested
-/// allocator's output *before* identity-move removal. Inline programs are
-/// parsed with a source-line map so diagnostics carry the offending line.
+/// no errors — the Family B quality lints over the requested allocator's
+/// output *before* identity-move removal. Inline programs are parsed for
+/// syntax only, with a source-line map, so the input lints report every
+/// IR rule a program breaks at its line.
 ///
 /// # Errors
 ///
-/// Returns a message for unparseable inline programs and unknown workloads
-/// (diagnostics are not errors — a program that parses always lints).
+/// Returns a message for unparseable inline programs, unknown workloads,
+/// and error-free input with an instruction the requested machine cannot
+/// hold (refused as the `alloc` op refuses it). Diagnostics are not
+/// errors: a program that parses always lints.
 pub fn run_lint(req: &Request) -> Result<String, String> {
     let (m, lines) = match &req.source {
         Source::Program(text) => {
             let (m, lines) =
-                lsra_ir::parse_module_with_lines(text).map_err(|e| format!("program:{e}"))?;
+                lsra_ir::parse_module_syntax(text).map_err(|e| format!("program:{e}"))?;
             (m, Some(lines))
         }
         Source::Workload(name) => {
@@ -566,12 +576,12 @@ pub fn run_lint(req: &Request) -> Result<String, String> {
         }
     };
     let mut report = lsra_lint::lint_input(&m, lines.as_ref());
-    // Quality lints need a sound allocation; `validate` additionally rules
-    // out the module-level breakage (bad call targets, bad entry) that the
-    // per-function lints don't model.
-    if report.count_severity(lsra_lint::Severity::Error) == 0 && m.validate().is_ok() {
-        let mut allocated = m;
+    // Quality lints need a sound allocation. The input lints cover every
+    // IR rule, so input without errors validates.
+    if report.count_severity(lsra_lint::Severity::Error) == 0 {
         let spec = &req.machine;
+        check_fits(&req.source, &m, spec)?;
+        let mut allocated = m;
         allocator_by_name(&req.allocator, 1, false)
             .ok_or_else(|| unknown_allocator(&req.allocator))?
             .allocate_module(&mut allocated, spec);

@@ -95,8 +95,8 @@ pub struct ServerTelemetry {
     pub serialize_ns: Arc<Histogram>,
     /// Transport write time (TCP/stdio connections only).
     pub write_ns: Arc<Histogram>,
-    /// Per-phase allocation breakdown, index-aligned with [`PHASE_NAMES`]
-    /// (recorded only when the allocator timed its phases).
+    /// Per-phase allocation breakdown, index-aligned with
+    /// [`PHASE_NAMES`](lsra_core::PHASE_NAMES) (recorded only when the allocator timed its phases).
     pub phase_ns: Vec<Arc<Histogram>>,
 }
 

@@ -1,7 +1,7 @@
 //! Log-linear latency histograms with exact mergeability.
 //!
 //! The bucket layout is HDR-style log-linear over `u64` values (by
-//! convention nanoseconds): values below [`SUB`] (32) get one bucket each
+//! convention nanoseconds): values below `SUB` (32) get one bucket each
 //! (exact), and every power-of-two octave above that is split into 32
 //! linear sub-buckets, so the relative bucket width never exceeds
 //! 1/32 ≈ 3.1 %. With 64-bit values that is `32 + 59·32 = 1920` buckets

@@ -13,7 +13,7 @@
 //! - [`LogSink`]: human-readable decision log.
 //! - [`JsonlSink`]: one JSON object per event per line, machine-parseable.
 //! - [`ChromeSink`]: Chrome `trace_event` JSON, loadable in Perfetto.
-//! - [`RecordSink`] + [`annotate`]: the allocated IR with decisions
+//! - [`RecordSink`] + [`annotate()`]: the allocated IR with decisions
 //!   interleaved as comments (regalloc2-style).
 //! - [`MetricsSink`]: counters and fixed-bucket histograms per function
 //!   (register pressure, hole-fit rate, spill reasons, resolution op mix).

@@ -64,10 +64,11 @@
 //! dynamic spill counts.
 //!
 //! `lint` runs the static diagnostics engine: the input-IR validation lints
-//! (`L0xx` — use-before-def, unreachable blocks, bad branch targets,
-//! register-class misuse, malformed blocks, critical-edge advisories) and,
-//! when the input has no errors, the allocation-quality lints (`Q1xx` —
-//! dead spill stores, redundant reloads, identity moves and move chains,
+//! (`L0xx` — every IR rule the input breaks, each at its source line since
+//! a `.lsra` file is parsed for syntax only, then use-before-def,
+//! unreachable blocks, duplicate branch targets, critical-edge advisories)
+//! and, when the input has no errors, the allocation-quality lints (`Q1xx`
+//! — dead spill stores, redundant reloads, identity moves and move chains,
 //! low-pressure spills) over the chosen allocator's output *before*
 //! identity-move removal. `--format json` emits one JSON object per
 //! diagnostic (JSONL, byte-deterministic); `--deny CODE` (repeatable, code
@@ -446,13 +447,20 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     Ok(o)
 }
 
+/// [`load_module_with_lines`], with a text file checked by the IR rules
+/// (errors name the offending source line).
 fn load_module(path: &str) -> Result<Module, String> {
-    load_module_with_lines(path).map(|(m, _)| m)
+    let (m, lines) = load_module_with_lines(path)?;
+    if let Some(lines) = lines {
+        lsra_ir::validate_with_lines(&m, &lines).map_err(|e| format!("{path}:{e}"))?;
+    }
+    Ok(m)
 }
 
-/// Like [`load_module`], but text files also return the source-line map so
-/// lint diagnostics can point at the offending line (built-in workloads are
-/// programmatic IR and have no lines).
+/// Loads a built-in workload or `scale:` spec, or parses a text file's
+/// syntax only, returning its source-line map so lint diagnostics can
+/// point at the offending line (built-in workloads are programmatic IR and
+/// have no lines).
 fn load_module_with_lines(path: &str) -> Result<(Module, Option<lsra_ir::ModuleLines>), String> {
     // A non-existent path that names a built-in workload loads the
     // workload, so `lsra alloc fpppp --trace ...` works without a file.
@@ -477,7 +485,7 @@ fn load_module_with_lines(path: &str) -> Result<(Module, Option<lsra_ir::ModuleL
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("reading {path}: {e} (and it is not a built-in workload name)"))?;
-    let (m, lines) = lsra_ir::parse_module_with_lines(&text).map_err(|e| format!("{path}:{e}"))?;
+    let (m, lines) = lsra_ir::parse_module_syntax(&text).map_err(|e| format!("{path}:{e}"))?;
     Ok((m, Some(lines)))
 }
 
@@ -744,6 +752,7 @@ fn cmd_report(o: &Opts) -> Result<(), String> {
 fn cmd_lint(o: &Opts) -> Result<(), String> {
     use second_chance_regalloc::lint::{lint_input, lint_quality, Severity};
     let path = o.positional.first().ok_or("missing file")?;
+    // A text file reaches the input lints with every IR rule it breaks.
     let (m, lines) = load_module_with_lines(path)?;
     let spec = o.machine();
     let mut report = lint_input(&m, lines.as_ref());

@@ -5,7 +5,7 @@
 //! diagnostics cleared by the postopt pass, corrupted store suppression
 //! caught); and every rendering is byte-deterministic.
 
-use second_chance_regalloc::ir::{BlockId, Ins};
+use second_chance_regalloc::ir::{BlockId, Callee, FuncId, Ins};
 use second_chance_regalloc::lint::{
     lint_input_function, lint_quality, lint_quality_function, LintCode, LintReport,
 };
@@ -453,8 +453,134 @@ fn lint_jsonl_is_deterministic_across_runs_and_workers() {
     assert_eq!(serial, render(4), "worker count must not change the diagnostics");
 }
 
+/// Fixed rule-breaking corruptions of `m`, each in its last function (or,
+/// for the entry, the module): every one breaks exactly one IR rule.
+fn rule_corruptions(m: &Module) -> Vec<(&'static str, Module)> {
+    let fi = m.funcs.len() - 1;
+    let f = &m.funcs[fi];
+    let bi = f.blocks.len() / 2;
+    let first = |pick: &dyn Fn(&Inst) -> bool| {
+        f.block_ids()
+            .flat_map(|b| (0..f.block(b).insts.len()).map(move |i| (b.index(), i)))
+            .find(|&(b, i)| pick(&f.blocks[b].insts[i].inst))
+    };
+    let mut out = Vec::new();
+    let mut edit = |label, change: &dyn Fn(&mut Function)| {
+        let mut c = m.clone();
+        change(&mut c.funcs[fi]);
+        out.push((label, c));
+    };
+    edit("drop a terminator", &|f| drop(f.blocks[bi].insts.pop()));
+    edit("interior ret", &|f| {
+        f.blocks[bi].insts.insert(0, Ins::new(Inst::Ret { ret_regs: vec![] }))
+    });
+    let call = Inst::Call { callee: Callee::Func(FuncId(99)), arg_regs: vec![], ret_regs: vec![] };
+    edit("call @99", &|f| f.blocks[bi].insts.insert(0, Ins::new(call.clone())));
+    if let Some((b, i)) = first(&|inst| matches!(inst, Inst::Jump { .. } | Inst::Branch { .. })) {
+        edit("jump past the last block", &|f| {
+            let past = BlockId(f.blocks.len() as u32);
+            match &mut f.blocks[b].insts[i].inst {
+                Inst::Jump { target } | Inst::Branch { then_tgt: target, .. } => *target = past,
+                _ => unreachable!(),
+            }
+        });
+    }
+    if let Some((b, i)) = first(&|inst| matches!(inst, Inst::MovI { dst: Reg::Temp(_), .. })) {
+        edit("float MovI", &|f| {
+            let x = f.new_temp(RegClass::Float, None);
+            if let Inst::MovI { dst, .. } = &mut f.blocks[b].insts[i].inst {
+                *dst = x.into();
+            }
+        });
+    }
+    if let Some((b, i)) = first(&|inst| matches!(inst, Inst::Op { .. })) {
+        edit("short Op", &|f| {
+            if let Inst::Op { srcs, .. } = &mut f.blocks[b].insts[i].inst {
+                srcs.pop();
+            }
+        });
+        edit("temp past temps", &|f| {
+            let past = Temp(f.temps.len() as u32);
+            if let Inst::Op { dst, .. } = &mut f.blocks[b].insts[i].inst {
+                *dst = past.into();
+            }
+        });
+    }
+    let mut c = m.clone();
+    c.entry = FuncId(99);
+    out.push(("missing entry", c));
+    out
+}
+
+/// `Module::validate` and the input lint share one rule walk: on fixed
+/// corruptions of every workload, `validate` fails exactly when the lint
+/// reports an L003/L005/L006, its error sits where the first such finding
+/// does, and neither panics.
+#[test]
+fn validate_and_the_input_lint_agree_on_every_rule() {
+    use second_chance_regalloc::lint::lint_input;
+    let is_rule = |c: LintCode| {
+        matches!(c, LintCode::BadBlockTarget | LintCode::ClassMismatch | LintCode::MalformedBlock)
+    };
+    let mut cases = 0;
+    for w in second_chance_regalloc::workloads::all() {
+        let clean = (w.build)();
+        let corrupted = rule_corruptions(&clean);
+        assert_eq!(corrupted.len(), 8, "{}: every corruption applies", w.name);
+        for (label, m) in std::iter::once(("clean", clean)).chain(corrupted) {
+            let case = format!("{} / {label}", w.name);
+            let verdict = m.validate();
+            let report = lint_input(&m, None);
+            assert_eq!(verdict.is_err(), label != "clean", "{case}: {verdict:?}");
+            // Findings without a block or instruction point at 0, as
+            // `ValidateError` does; `<module>` comes after every function.
+            let func = |name: &str| m.funcs.iter().position(|f| f.name == name);
+            let first = report.diags.iter().filter(|d| is_rule(d.code)).min_by_key(|d| {
+                (func(&d.func).unwrap_or(usize::MAX), d.block.unwrap_or(BlockId(0)), d.inst)
+            });
+            match (verdict, first) {
+                (Ok(()), None) => {}
+                (Err(e), Some(d)) => {
+                    let at = (d.func.as_str(), d.block.unwrap_or(BlockId(0)), d.inst.unwrap_or(0));
+                    assert_eq!(at, (e.func.as_str(), e.block, e.inst), "{case}: {e}");
+                    assert_eq!(d.message, e.msg, "{case}");
+                }
+                (v, d) => panic!("{case}: validate {v:?}, lint {d:?}"),
+            }
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 11 * 9);
+}
+
+/// The same agreement through the text parser: the syntax-only parse
+/// reaches the lint, which names the line `parse_module` refuses.
+#[test]
+fn text_input_reaches_the_rule_lints_at_the_parse_error_line() {
+    use second_chance_regalloc::ir::{parse_module, parse_module_syntax};
+    use second_chance_regalloc::lint::lint_input;
+    let text = (second_chance_regalloc::workloads::by_name("wc").unwrap().build)().to_string();
+    let jump = text.find("jmp b").expect("wc has a jump");
+    let end = jump + text[jump..].find('\n').unwrap();
+    let broken = format!("{}jmp b999{}", &text[..jump], &text[end..]);
+    let e = parse_module(&broken).unwrap_err();
+    let (m, lines) = parse_module_syntax(&broken).unwrap();
+    let report = lint_input(&m, Some(&lines));
+    assert_eq!(report.count(LintCode::BadBlockTarget), 1, "{}", report.render_human());
+    let d = report.diags.iter().find(|d| d.code == LintCode::BadBlockTarget).unwrap();
+    assert_eq!(d.line, Some(e.line), "{e}");
+    assert!(e.msg.ends_with(&d.message), "{e} vs {}", d.message);
+    assert_eq!(d.message, "jump to unknown block b999");
+}
+
+/// A module whose `main` breaks two IR rules: `t1` is a float written by an
+/// integer add (line 7), and `b7` does not exist (line 8).
+const RULES_PROGRAM: &str = "module m (0 words data)\nentry @0\nfunc @main() {\n  temps t0:i t1:f\nb0:\n  t0 = 1\n  t1 = add t0, t0\n  jmp b7\n}\n";
+
 mod cli {
     use std::process::Command;
+
+    use super::RULES_PROGRAM;
 
     fn lsra() -> Command {
         Command::new(env!("CARGO_BIN_EXE_lsra"))
@@ -500,6 +626,37 @@ mod cli {
         let out = lsra().args(["lint", path.to_str().unwrap()]).output().unwrap();
         assert!(out.status.success());
         assert!(String::from_utf8_lossy(&out.stdout).contains("L001"));
+    }
+
+    /// Text reaches the rule lints: `lsra lint` reports a class mismatch
+    /// (L005) and a jump to a missing block (L003) at their source lines
+    /// instead of failing at the parse, `--deny L005` fails the run, and
+    /// without `--deny` it exits 0.
+    #[test]
+    fn lint_reports_rule_findings_of_text_at_their_lines() {
+        let path = write_temp("lsra_lint_subsystem_rules.lsra", RULES_PROGRAM);
+        let out = lsra()
+            .args(["lint", path.to_str().unwrap(), "--deny", "L005", "--format", "json"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--deny L005 must fail the run");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 2, "{stdout}");
+        assert!(lines[0].contains(r#""code": "L005""#) && lines[0].contains(r#""line": 7"#));
+        assert!(lines[1].contains(r#""code": "L003""#) && lines[1].contains(r#""line": 8"#));
+        let out = lsra().args(["lint", path.to_str().unwrap()]).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("L005") && stdout.contains("L003"), "{stdout}");
+        // `alloc` still refuses the program at the first rule it breaks.
+        let out = lsra().args(["alloc", path.to_str().unwrap()]).output().unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("line 7: in main, b0 inst 1: operand t1 must be class i"),
+            "{stderr}"
+        );
     }
 
     /// A clean workload passes `--deny` on the quality warnings, and the

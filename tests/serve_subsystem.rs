@@ -204,8 +204,10 @@ fn a_program_the_machine_cannot_hold_is_refused_and_the_worker_stays_free() {
 /// No shape panics: every built-in workload under every allocator on the
 /// two smallest machines answers `ok` or a structured refusal, never a
 /// caught panic, each within a fixed bound (coloring once spun on `sort`
-/// here), and the counters balance. `li` and `sort` read `r3`, which
-/// neither machine has, and their refusals say so.
+/// here), for both the `alloc` and the `lint` op, and the counters
+/// balance. `li` and `sort` read `r3`, which neither machine has, and
+/// their refusals say so (the `lint` op once allocated them anyway and
+/// panicked).
 #[test]
 fn every_workload_on_the_smallest_machines_is_answered_or_refused() {
     let s = service(small_cfg());
@@ -213,10 +215,13 @@ fn every_workload_on_the_smallest_machines_is_answered_or_refused() {
     let mut sent = 0;
     for w in workloads::all() {
         for a in ALLOCATOR_NAMES {
-            for m in ["small:2,1", "small:3,2"] {
-                let case = format!("{} under {a} on {m}", w.name);
+            for (m, op) in ["small:2,1", "small:3,2"]
+                .into_iter()
+                .flat_map(|m| ["alloc", "lint"].map(|op| (m, op)))
+            {
+                let case = format!("{op} of {} under {a} on {m}", w.name);
                 let line = format!(
-                    r#"{{"id": "x", "workload": "{}", "allocator": "{a}", "machine": "{m}"}}"#,
+                    r#"{{"id": "x", "op": "{op}", "workload": "{}", "allocator": "{a}", "machine": "{m}"}}"#,
                     w.name
                 );
                 let t0 = std::time::Instant::now();
@@ -244,6 +249,27 @@ fn every_workload_on_the_smallest_machines_is_answered_or_refused() {
     assert_eq!((snap.timeouts, snap.panics), (0, 0), "{snap:?}");
     assert_eq!((snap.in_flight, snap.queue_depth), (0, 0));
     assert_eq!(snap.requests, snap.accounted(), "{snap:?}");
+}
+
+/// An inline program that parses reaches the rule lints through the `lint`
+/// op: a class mismatch and a jump to a missing block are two errors of an
+/// `ok` reply, each at its source line, not a parse error.
+#[test]
+fn lint_op_reports_rule_findings_of_inline_text() {
+    let program = "module m (0 words data)\nentry @0\nfunc @main() {\n  temps t0:i t1:f\nb0:\n  t0 = 1\n  t1 = add t0, t0\n  jmp b7\n}\n";
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_str("id", "r");
+    w.field_str("op", "lint");
+    w.field_str("program", program);
+    w.end_object();
+    let s = service(small_cfg());
+    let resp = call(&s, &w.finish());
+    let v = json_in::parse(&resp).unwrap();
+    assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("ok"), "{resp}");
+    assert_eq!(v.get("errors").and_then(JsonValue::as_u64), Some(2), "{resp}");
+    assert!(resp.contains(r#""code": "L005""#) && resp.contains(r#""line": 7"#), "{resp}");
+    assert!(resp.contains(r#""code": "L003""#) && resp.contains(r#""line": 8"#), "{resp}");
 }
 
 #[test]
