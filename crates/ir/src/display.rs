@@ -101,7 +101,7 @@ impl fmt::Display for Function {
             for ins in &self.block(b).insts {
                 write!(f, "  {}", InstDisplay { inst: &ins.inst, func: self })?;
                 if ins.tag != SpillTag::None {
-                    write!(f, "    ; {:?}", ins.tag)?;
+                    write!(f, "    ; {}", ins.tag.name())?;
                 }
                 writeln!(f)?;
             }

@@ -71,6 +71,15 @@ pub enum OpCode {
 }
 
 impl OpCode {
+    /// Every opcode, in declaration order.
+    pub const ALL: [OpCode; 27] = {
+        use OpCode::*;
+        [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, CmpEq, CmpLt, CmpLe, Neg, Not, FAdd,
+            FSub, FMul, FDiv, FCmpEq, FCmpLt, FCmpLe, FNeg, FAbs, FSqrt, IntToFloat, FloatToInt,
+        ]
+    };
+
     /// Number of register sources (1 or 2).
     pub fn arity(self) -> usize {
         use OpCode::*;
@@ -147,6 +156,9 @@ pub enum Cond {
 }
 
 impl Cond {
+    /// Every condition, in declaration order.
+    pub const ALL: [Cond; 6] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge];
+
     /// Evaluates the condition against an integer value.
     pub fn eval(self, v: i64) -> bool {
         match self {
@@ -201,6 +213,9 @@ pub enum ExtFn {
 }
 
 impl ExtFn {
+    /// Every external routine, in declaration order.
+    pub const ALL: [ExtFn; 4] = [ExtFn::GetChar, ExtFn::PutInt, ExtFn::PutChar, ExtFn::PutFloat];
+
     /// The printer's name for the routine.
     pub fn name(self) -> &'static str {
         match self {
@@ -249,6 +264,20 @@ impl SpillTag {
     #[inline]
     pub fn is_spill(self) -> bool {
         !matches!(self, SpillTag::None)
+    }
+
+    /// The printer's name for the tag (the comment after a tagged
+    /// instruction).
+    pub fn name(self) -> &'static str {
+        match self {
+            SpillTag::None => "None",
+            SpillTag::EvictLoad => "EvictLoad",
+            SpillTag::EvictStore => "EvictStore",
+            SpillTag::EvictMove => "EvictMove",
+            SpillTag::ResolveLoad => "ResolveLoad",
+            SpillTag::ResolveStore => "ResolveStore",
+            SpillTag::ResolveMove => "ResolveMove",
+        }
     }
 
     /// All spill categories, in Figure 3's order.
@@ -587,5 +616,22 @@ mod tests {
             assert!(k.is_spill());
         }
         assert_eq!(SpillTag::SPILL_KINDS.len(), 6);
+    }
+
+    #[test]
+    fn printed_names_are_distinct() {
+        fn distinct<T: Copy>(all: &[T], name: fn(T) -> &'static str) -> bool {
+            let mut names: Vec<_> = all.iter().map(|&x| name(x)).collect();
+            names.sort_unstable();
+            names.dedup();
+            names.len() == all.len()
+        }
+        assert!(distinct(&OpCode::ALL, OpCode::mnemonic));
+        assert!(distinct(&Cond::ALL, Cond::mnemonic));
+        assert!(distinct(&ExtFn::ALL, ExtFn::name));
+        assert!(distinct(&SpillTag::SPILL_KINDS, SpillTag::name));
+        for k in SpillTag::SPILL_KINDS {
+            assert_eq!(k.name(), format!("{k:?}"));
+        }
     }
 }

@@ -1,6 +1,16 @@
-//! A parser for the IR's textual form, the exact format the `Display`
+//! A reader for the IR's textual form, the exact format the `Display`
 //! implementations print — so modules and functions round-trip through
-//! text. Useful for hand-written test inputs, golden files, and the CLI.
+//! text (test inputs, golden files, the CLI and the allocation service).
+//!
+//! One walk reads a module's lines: a function takes them from the module
+//! walk up to its closing `}`, so every line number is a file line. Each
+//! instruction's operands are read through one cursor, so a short
+//! instruction is a [`ParseError`] at its line, never a panic; names are
+//! looked up in the printer's own tables ([`OpCode::ALL`] and its kin).
+//! Besides syntax the reader refuses a block label past the next new block,
+//! a register number past `u8` and a header parameter that is not a
+//! declared temporary of its class. The IR rules are
+//! [`Module::for_each_finding`]'s, left out by [`parse_module_syntax`].
 
 use std::fmt;
 use std::ops::ControlFlow;
@@ -30,8 +40,8 @@ impl std::error::Error for ParseError {}
 
 /// Source lines recorded while parsing one function: where the header sits
 /// and, per block, the 1-based line of every instruction. Line numbers are
-/// relative to the text handed to the parser — [`parse_module_with_lines`]
-/// offsets them so they are file-relative.
+/// those of the text handed to the parser: file lines for a function read
+/// by [`parse_module_with_lines`].
 ///
 /// This is what lets diagnostics (validation errors, lints) point at the
 /// offending *source line* instead of just a `(block, inst)` pair.
@@ -47,15 +57,6 @@ impl FunctionLines {
     /// The source line of `block`'s `inst`-th instruction, if recorded.
     pub fn line_of(&self, block: BlockId, inst: usize) -> Option<usize> {
         self.insts.get(block.index()).and_then(|b| b.get(inst)).copied()
-    }
-
-    fn offset(&mut self, by: usize) {
-        self.header += by;
-        for b in &mut self.insts {
-            for l in b.iter_mut() {
-                *l += by;
-            }
-        }
     }
 }
 
@@ -76,182 +77,190 @@ impl ModuleLines {
 
 type Result<T> = std::result::Result<T, ParseError>;
 
+fn bad(line: usize, msg: impl Into<String>) -> ParseError {
+    ParseError { line, msg: msg.into() }
+}
+
 fn err<T>(line: usize, msg: impl Into<String>) -> Result<T> {
-    Err(ParseError { line, msg: msg.into() })
+    Err(bad(line, msg))
+}
+
+/// `text`'s lines, numbered from 1.
+fn numbered(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().map(|(i, l)| (i + 1, l))
+}
+
+/// The member of `all` that the printer writes as `s`.
+fn by_name<T: Copy>(all: &[T], name: fn(T) -> &'static str, s: &str) -> Option<T> {
+    all.iter().copied().find(|&x| name(x) == s)
 }
 
 fn parse_class(s: &str, line: usize) -> Result<RegClass> {
-    match s {
-        "i" => Ok(RegClass::Int),
-        "f" => Ok(RegClass::Float),
-        _ => err(line, format!("unknown register class `{s}`")),
-    }
+    let class = RegClass::ALL.into_iter().find(|c| s.strip_prefix(c.mnemonic()) == Some(""));
+    class.ok_or_else(|| bad(line, format!("unknown register class `{s}`")))
 }
 
+/// `tN`, `rN` or `fN`; a physical register's number must fit its `u8`.
 fn parse_reg(s: &str, line: usize) -> Result<Reg> {
-    let (head, rest) = s.split_at(1);
-    let idx = || -> Result<u32> {
-        rest.parse().map_err(|_| ParseError { line, msg: format!("bad register `{s}`") })
+    let n = s.get(1..).unwrap_or("");
+    let reg = match s.get(..1) {
+        Some("t") => n.parse().map(|i| Reg::Temp(Temp(i))).ok(),
+        Some("r") => n.parse().map(|i| Reg::Phys(PhysReg::int(i))).ok(),
+        Some("f") => n.parse().map(|i| Reg::Phys(PhysReg::float(i))).ok(),
+        _ => None,
     };
-    match head {
-        "t" => Ok(Reg::Temp(Temp(idx()?))),
-        "r" => Ok(Reg::Phys(PhysReg::int(idx()? as u8))),
-        "f" => Ok(Reg::Phys(PhysReg::float(idx()? as u8))),
-        _ => err(line, format!("bad register `{s}`")),
-    }
+    reg.ok_or_else(|| bad(line, format!("bad register `{s}`")))
 }
 
 fn parse_phys(s: &str, line: usize) -> Result<PhysReg> {
-    match parse_reg(s, line)? {
-        Reg::Phys(p) => Ok(p),
-        Reg::Temp(_) => err(line, format!("expected physical register, got `{s}`")),
-    }
+    let p = parse_reg(s, line)?.as_phys();
+    p.ok_or_else(|| bad(line, format!("expected physical register, got `{s}`")))
 }
 
 fn parse_temp(s: &str, line: usize) -> Result<Temp> {
-    match parse_reg(s, line)? {
-        Reg::Temp(t) => Ok(t),
-        Reg::Phys(_) => err(line, format!("expected temporary, got `{s}`")),
-    }
+    let t = parse_reg(s, line)?.as_temp();
+    t.ok_or_else(|| bad(line, format!("expected temporary, got `{s}`")))
+}
+
+/// A `tN:c` declaration, in the header (`what` = "param") or a `temps` line.
+fn parse_decl(s: &str, line: usize, what: &str) -> Result<(Temp, RegClass)> {
+    let (t, class) = s.split_once(':').ok_or_else(|| bad(line, format!("bad {what} `{s}`")))?;
+    Ok((parse_temp(t, line)?, parse_class(class, line)?))
 }
 
 fn parse_block(s: &str, line: usize) -> Result<BlockId> {
     s.strip_prefix('b')
         .and_then(|n| n.parse().ok())
         .map(BlockId)
-        .ok_or_else(|| ParseError { line, msg: format!("bad block label `{s}`") })
-}
-
-fn opcode_by_mnemonic(s: &str) -> Option<OpCode> {
-    use OpCode::*;
-    Some(match s {
-        "add" => Add,
-        "sub" => Sub,
-        "mul" => Mul,
-        "div" => Div,
-        "rem" => Rem,
-        "and" => And,
-        "or" => Or,
-        "xor" => Xor,
-        "shl" => Shl,
-        "shr" => Shr,
-        "cmpeq" => CmpEq,
-        "cmplt" => CmpLt,
-        "cmple" => CmpLe,
-        "neg" => Neg,
-        "not" => Not,
-        "fadd" => FAdd,
-        "fsub" => FSub,
-        "fmul" => FMul,
-        "fdiv" => FDiv,
-        "fcmpeq" => FCmpEq,
-        "fcmplt" => FCmpLt,
-        "fcmple" => FCmpLe,
-        "fneg" => FNeg,
-        "fabs" => FAbs,
-        "fsqrt" => FSqrt,
-        "itof" => IntToFloat,
-        "ftoi" => FloatToInt,
-        _ => return None,
-    })
-}
-
-fn cond_by_mnemonic(s: &str) -> Option<Cond> {
-    Some(match s {
-        "beq" => Cond::Eq,
-        "bne" => Cond::Ne,
-        "blt" => Cond::Lt,
-        "ble" => Cond::Le,
-        "bgt" => Cond::Gt,
-        "bge" => Cond::Ge,
-        _ => return None,
-    })
-}
-
-fn split_tag(line: &str) -> (&str, SpillTag) {
-    if let Some((body, comment)) = line.split_once(';') {
-        let tag = match comment.trim() {
-            "EvictLoad" => SpillTag::EvictLoad,
-            "EvictStore" => SpillTag::EvictStore,
-            "EvictMove" => SpillTag::EvictMove,
-            "ResolveLoad" => SpillTag::ResolveLoad,
-            "ResolveStore" => SpillTag::ResolveStore,
-            "ResolveMove" => SpillTag::ResolveMove,
-            _ => SpillTag::None,
-        };
-        (body.trim_end(), tag)
-    } else {
-        (line, SpillTag::None)
-    }
+        .ok_or_else(|| bad(line, format!("bad block label `{s}`")))
 }
 
 /// `[base+offset]` (offset may itself be negative: `[t4+-48]`).
 fn parse_addr(s: &str, line: usize) -> Result<(Reg, i32)> {
-    let inner = s
+    let (base, off) = s
         .strip_prefix('[')
         .and_then(|x| x.strip_suffix(']'))
-        .ok_or_else(|| ParseError { line, msg: format!("bad address `{s}`") })?;
-    let (base, off) = inner
-        .split_once('+')
-        .ok_or_else(|| ParseError { line, msg: format!("bad address `{s}`") })?;
-    let offset: i32 =
-        off.parse().map_err(|_| ParseError { line, msg: format!("bad offset `{off}`") })?;
+        .and_then(|x| x.split_once('+'))
+        .ok_or_else(|| bad(line, format!("bad address `{s}`")))?;
+    let offset: i32 = off.parse().map_err(|_| bad(line, format!("bad offset `{off}`")))?;
     Ok((parse_reg(base, line)?, offset))
 }
 
+/// Splits a trailing `; Tag` comment off an instruction line; a comment
+/// that names no spill tag is just a comment.
+fn split_tag(line: &str) -> (&str, SpillTag) {
+    match line.split_once(';') {
+        Some((body, comment)) => {
+            let tag = by_name(&SpillTag::SPILL_KINDS, SpillTag::name, comment.trim());
+            (body.trim_end(), tag.unwrap_or(SpillTag::None))
+        }
+        None => (line, SpillTag::None),
+    }
+}
+
+/// One instruction's tokens (split at spaces and commas), read left to
+/// right. Each required read names what it expects, so a short
+/// instruction is a [`ParseError`] at its line.
+struct Cursor<'a> {
+    body: &'a str,
+    line: usize,
+    tokens: std::str::Split<'a, [char; 2]>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(body: &'a str, line: usize) -> Self {
+        Cursor { body, line, tokens: body.split([' ', ',']) }
+    }
+
+    /// The next token, if there is one.
+    fn opt(&mut self) -> Option<&'a str> {
+        self.tokens.by_ref().find(|t| !t.is_empty())
+    }
+
+    /// The next token, which must be there; `what` names it in the error.
+    fn next(&mut self, what: &str) -> Result<&'a str> {
+        let (line, body) = (self.line, self.body);
+        self.opt().ok_or_else(|| bad(line, format!("missing {what} in `{body}`")))
+    }
+
+    fn reg(&mut self, what: &str) -> Result<Reg> {
+        parse_reg(self.next(what)?, self.line)
+    }
+
+    fn block(&mut self, what: &str) -> Result<BlockId> {
+        parse_block(self.next(what)?, self.line)
+    }
+
+    /// The number of a `(slot N)` whose first token was just read.
+    fn slot(&mut self) -> Result<&'a str> {
+        Ok(self.next("slot number")?.trim_end_matches(')'))
+    }
+
+    /// Every remaining token as a register.
+    fn rest<R>(&mut self, parse: fn(&str, usize) -> Result<R>) -> Result<Vec<R>> {
+        let line = self.line;
+        std::iter::from_fn(|| self.opt()).map(|t| parse(t, line)).collect()
+    }
+}
+
+/// One function being read: the function so far, its line map, the block
+/// instructions go to, and the header's parameters (checked against the
+/// `temps` table at the closing `}`).
 struct FuncParser {
     func: Function,
+    lines: FunctionLines,
     current: Option<BlockId>,
+    params: Vec<(Temp, RegClass)>,
 }
 
 impl FuncParser {
     /// Parses `func @name(...) {`.
-    fn start(header: &str, lineno: usize) -> Result<FuncParser> {
-        let rest = header
-            .strip_prefix("func @")
-            .ok_or_else(|| ParseError { line: lineno, msg: "expected `func @...`".into() })?;
-        let open =
-            rest.find('(').ok_or_else(|| ParseError { line: lineno, msg: "missing `(`".into() })?;
-        let name = &rest[..open];
-        let close =
-            rest.find(')').ok_or_else(|| ParseError { line: lineno, msg: "missing `)`".into() })?;
-        let params_str = &rest[open + 1..close];
-        let mut func = Function::new(name);
-        let mut params = Vec::new();
-        for p in params_str.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (t, class) = p
-                .split_once(':')
-                .ok_or_else(|| ParseError { line: lineno, msg: format!("bad param `{p}`") })?;
-            params.push((parse_temp(t, lineno)?, parse_class(class, lineno)?));
-        }
-        // Parameter temps are declared by the `temps` line; remember them.
-        for (t, _) in &params {
-            func.params.push(*t);
-        }
-        let _ = params;
-        Ok(FuncParser { func, current: None })
+    fn start(header: &str, line: usize) -> Result<FuncParser> {
+        let rest =
+            header.strip_prefix("func @").ok_or_else(|| bad(line, "expected `func @...`"))?;
+        let (name, rest) = rest.split_once('(').ok_or_else(|| bad(line, "missing `(`"))?;
+        let (params_str, _) = rest.split_once(')').ok_or_else(|| bad(line, "missing `)`"))?;
+        let params = params_str.split(',').map(str::trim).filter(|p| !p.is_empty());
+        let params = params.map(|p| parse_decl(p, line, "param")).collect::<Result<_>>()?;
+        Ok(FuncParser {
+            func: Function::new(name),
+            lines: FunctionLines { header: line, insts: Vec::new() },
+            current: None,
+            params,
+        })
     }
 
-    fn temps_line(&mut self, rest: &str, lineno: usize) -> Result<()> {
+    fn temps_line(&mut self, rest: &str, line: usize) -> Result<()> {
         for decl in rest.split_whitespace() {
-            let (t, class) = decl
-                .split_once(':')
-                .ok_or_else(|| ParseError { line: lineno, msg: format!("bad temp `{decl}`") })?;
-            let t = parse_temp(t, lineno)?;
-            let class = parse_class(class, lineno)?;
+            let (t, class) = parse_decl(decl, line, "temp")?;
             if t.index() != self.func.num_temps() {
-                return err(lineno, format!("temp {t} declared out of order"));
+                return err(line, format!("temp {t} declared out of order"));
             }
             self.func.new_temp(class, None);
         }
         Ok(())
     }
 
-    fn note_slot(&mut self, t: Temp, slot_str: Option<&str>, lineno: usize) -> Result<()> {
+    /// `bN:` reopens block N or opens the next new block; a label past that
+    /// could only open empty blocks.
+    fn label(&mut self, label: &str, line: usize) -> Result<()> {
+        let id = parse_block(label, line)?;
+        let next = self.func.num_blocks();
+        if id.index() > next {
+            return err(line, format!("block label `{label}` skips b{next}"));
+        }
+        if id.index() == next {
+            self.func.add_block();
+            self.lines.insts.push(Vec::new());
+        }
+        self.current = Some(id);
+        Ok(())
+    }
+
+    fn note_slot(&mut self, t: Temp, slot_str: Option<&str>, line: usize) -> Result<()> {
         if let Some(s) = slot_str {
-            let id: u32 = s
-                .parse()
-                .map_err(|_| ParseError { line: lineno, msg: format!("bad slot `{s}`") })?;
+            let id = s.parse().ok().filter(|&id| id < u32::MAX);
+            let id: u32 = id.ok_or_else(|| bad(line, format!("bad slot `{s}`")))?;
             if let Some(slot) = self.func.spill_slots.get_mut(t.index()) {
                 *slot = Some(SlotId(id));
                 self.func.num_slots = self.func.num_slots.max(id + 1);
@@ -263,136 +272,153 @@ impl FuncParser {
         Ok(())
     }
 
-    fn inst_line(&mut self, body: &str, tag: SpillTag, lineno: usize) -> Result<()> {
+    fn inst_line(&mut self, body: &str, tag: SpillTag, line: usize) -> Result<()> {
         let Some(current) = self.current else {
-            return err(lineno, "instruction outside a block");
+            return err(line, "instruction outside a block");
         };
-        let inst = self.parse_inst(body, lineno)?;
+        let inst = self.parse_inst(Cursor::new(body, line))?;
         self.func.block_mut(current).insts.push(Ins::tagged(inst, tag));
+        self.lines.insts[current.index()].push(line);
         Ok(())
     }
 
-    fn parse_inst(&mut self, body: &str, lineno: usize) -> Result<Inst> {
-        let tokens: Vec<&str> = body.split([' ', ',']).filter(|t| !t.is_empty()).collect();
-        if tokens.is_empty() {
-            return err(lineno, "empty instruction");
-        }
-        // Forms starting with a keyword.
-        match tokens[0] {
+    fn parse_inst(&mut self, mut cur: Cursor<'_>) -> Result<Inst> {
+        let line = cur.line;
+        let Some(head) = cur.opt() else { return err(line, "empty instruction") };
+        Ok(match head {
+            // st [base+off], src
             "st" => {
-                // st [base+off], src
-                let (base, offset) = parse_addr(tokens[1], lineno)?;
-                let src = parse_reg(tokens[2], lineno)?;
-                return Ok(Inst::Store { src, base, offset });
+                let (base, offset) = parse_addr(cur.next("address")?, line)?;
+                Inst::Store { src: cur.reg("source")?, base, offset }
             }
+            // spill tY (slot N), rX   |   spill tY, rX
             "spill" => {
-                // spill tY (slot N), rX   |   spill tY, rX
-                let temp = parse_temp(tokens[1], lineno)?;
-                let (slot, src_tok) = if tokens[2].starts_with("(slot") {
-                    (Some(tokens[3].trim_end_matches(')')), tokens[4])
-                } else {
-                    (None, tokens[2])
+                let temp = parse_temp(cur.next("temporary")?, line)?;
+                let (slot, src) = match cur.next("source")? {
+                    open if open.starts_with("(slot") => (Some(cur.slot()?), cur.next("source")?),
+                    src => (None, src),
                 };
-                self.note_slot(temp, slot, lineno)?;
-                let src = parse_reg(src_tok, lineno)?;
-                return Ok(Inst::SpillStore { src, temp });
+                self.note_slot(temp, slot, line)?;
+                Inst::SpillStore { src: parse_reg(src, line)?, temp }
             }
+            // call @3 (r1, r2) -> r0  |  call !getchar ()
             "call" => {
-                // call @3 (r1, r2) -> r0  |  call !getchar ()
-                let callee = match tokens[1].split_at(1) {
-                    ("@", id) => Callee::Func(FuncId(id.parse().map_err(|_| ParseError {
-                        line: lineno,
-                        msg: format!("bad function id `{}`", tokens[1]),
-                    })?)),
-                    ("!", name) => Callee::Ext(match name {
-                        "getchar" => ExtFn::GetChar,
-                        "putint" => ExtFn::PutInt,
-                        "putchar" => ExtFn::PutChar,
-                        "putfloat" => ExtFn::PutFloat,
-                        _ => return err(lineno, format!("unknown external `{name}`")),
-                    }),
-                    _ => return err(lineno, format!("bad callee `{}`", tokens[1])),
+                let name = cur.next("callee")?;
+                let callee = match (name.strip_prefix('@'), name.strip_prefix('!')) {
+                    (Some(id), _) => id.parse().ok().map(|id| Callee::Func(FuncId(id))),
+                    (_, Some(ext)) => by_name(&ExtFn::ALL, ExtFn::name, ext).map(Callee::Ext),
+                    _ => None,
                 };
-                let mut arg_regs = Vec::new();
-                let mut ret_regs = Vec::new();
-                let mut in_rets = false;
-                for tok in &tokens[2..] {
-                    let tok = tok.trim_matches(|c| c == '(' || c == ')');
-                    if tok.is_empty() {
-                        continue;
-                    }
-                    if tok == "->" {
-                        in_rets = true;
-                        continue;
-                    }
-                    let p = parse_phys(tok, lineno)?;
-                    if in_rets {
-                        ret_regs.push(p);
-                    } else {
-                        arg_regs.push(p);
+                let callee = callee.ok_or_else(|| bad(line, format!("bad callee `{name}`")))?;
+                let (mut arg_regs, mut ret_regs) = (Vec::new(), Vec::new());
+                let mut regs = &mut arg_regs;
+                while let Some(tok) = cur.opt() {
+                    match tok.trim_matches(['(', ')']) {
+                        "" => {}
+                        "->" => regs = &mut ret_regs,
+                        r => regs.push(parse_phys(r, line)?),
                     }
                 }
-                return Ok(Inst::Call { callee, arg_regs, ret_regs });
+                Inst::Call { callee, arg_regs, ret_regs }
             }
-            "jmp" => return Ok(Inst::Jump { target: parse_block(tokens[1], lineno)? }),
-            "ret" => {
-                let mut ret_regs = Vec::new();
-                for tok in &tokens[1..] {
-                    ret_regs.push(parse_phys(tok, lineno)?);
+            "jmp" => Inst::Jump { target: cur.block("target")? },
+            "ret" => Inst::Ret { ret_regs: cur.rest(parse_phys)? },
+            // beq src, then, else
+            _ => {
+                let cond = head.strip_prefix('b');
+                let Some(cond) = cond.and_then(|c| by_name(&Cond::ALL, Cond::mnemonic, c)) else {
+                    return self.assignment(head, cur);
+                };
+                Inst::Branch {
+                    cond,
+                    src: cur.reg("tested register")?,
+                    then_tgt: cur.block("then-target")?,
+                    else_tgt: cur.block("else-target")?,
                 }
-                return Ok(Inst::Ret { ret_regs });
             }
-            t if cond_by_mnemonic(t).is_some() => {
-                let cond = cond_by_mnemonic(t).unwrap();
-                let src = parse_reg(tokens[1], lineno)?;
-                let then_tgt = parse_block(tokens[2], lineno)?;
-                let else_tgt = parse_block(tokens[3], lineno)?;
-                return Ok(Inst::Branch { cond, src, then_tgt, else_tgt });
-            }
-            _ => {}
-        }
-        // Assignment forms: `<dst> = ...`.
-        if tokens.len() < 3 || tokens[1] != "=" {
-            return err(lineno, format!("unrecognised instruction `{body}`"));
-        }
-        let dst = parse_reg(tokens[0], lineno)?;
-        let rhs = &tokens[2..];
-        match rhs[0] {
+        })
+    }
+
+    /// `<dst> = ...`, whose first token `dst` was just read.
+    fn assignment(&mut self, dst: &str, mut cur: Cursor<'_>) -> Result<Inst> {
+        let line = cur.line;
+        let (Some("="), Some(op)) = (cur.opt(), cur.opt()) else {
+            return err(line, format!("unrecognised instruction `{}`", cur.body));
+        };
+        let dst = parse_reg(dst, line)?;
+        Ok(match op {
             "ld" => {
-                let (base, offset) = parse_addr(rhs[1], lineno)?;
-                Ok(Inst::Load { dst, base, offset })
+                let (base, offset) = parse_addr(cur.next("address")?, line)?;
+                Inst::Load { dst, base, offset }
             }
+            // dst = reload tY (slot N)   |   dst = reload tY
             "reload" => {
-                let temp = parse_temp(rhs[1], lineno)?;
-                let slot = if rhs.len() > 2 && rhs[2].starts_with("(slot") {
-                    Some(rhs[3].trim_end_matches(')'))
-                } else {
-                    None
+                let temp = parse_temp(cur.next("temporary")?, line)?;
+                let slot = match cur.opt() {
+                    Some(open) if open.starts_with("(slot") => Some(cur.slot()?),
+                    _ => None,
                 };
-                self.note_slot(temp, slot, lineno)?;
-                Ok(Inst::SpillLoad { dst, temp })
+                self.note_slot(temp, slot, line)?;
+                Inst::SpillLoad { dst, temp }
             }
-            op if opcode_by_mnemonic(op).is_some() => {
-                let op = opcode_by_mnemonic(op).unwrap();
-                let mut srcs = Vec::new();
-                for tok in &rhs[1..] {
-                    srcs.push(parse_reg(tok, lineno)?);
+            _ => match by_name(&OpCode::ALL, OpCode::mnemonic, op) {
+                Some(op) => Inst::Op { op, dst, srcs: cur.rest(parse_reg)? },
+                None if cur.opt().is_some() => {
+                    return err(line, format!("unrecognised operation `{op}`"));
                 }
-                Ok(Inst::Op { op, dst, srcs })
+                // A move or an immediate.
+                None => match (op.parse::<i64>(), op.parse::<f64>()) {
+                    (Ok(imm), _) => Inst::MovI { dst, imm },
+                    (_, Ok(imm)) => Inst::MovF { dst, imm },
+                    _ => Inst::Mov { dst, src: parse_reg(op, line)? },
+                },
+            },
+        })
+    }
+
+    /// The closing `}`: each header parameter must be a declared temporary
+    /// of the class the header gives it.
+    fn finish(mut self) -> Result<(Function, FunctionLines)> {
+        for (t, class) in self.params {
+            let declared = self.func.temps.get(t.index()).map(|info| info.class);
+            if declared != Some(class) {
+                let why = match declared {
+                    Some(c) => format!("declared {t}:{c}"),
+                    None => "not a declared temporary".into(),
+                };
+                return err(self.lines.header, format!("parameter {t}:{class} is {why}"));
             }
-            single if rhs.len() == 1 => {
-                // Move or immediate.
-                if let Ok(imm) = single.parse::<i64>() {
-                    Ok(Inst::MovI { dst, imm })
-                } else if let Ok(imm) = single.parse::<f64>() {
-                    Ok(Inst::MovF { dst, imm })
-                } else {
-                    Ok(Inst::Mov { dst, src: parse_reg(single, lineno)? })
-                }
-            }
-            other => err(lineno, format!("unrecognised operation `{other}`")),
+            self.func.params.push(t);
+        }
+        Ok((self.func, self.lines))
+    }
+}
+
+/// Reads one function from its header `(line, text)` up to and including
+/// the closing `}`, taking lines from `lines` — the iterator the caller
+/// found the header in, so line numbers are the caller's. The IR rules are
+/// left to the caller.
+fn function_syntax<'a>(
+    (header_line, header): (usize, &str),
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+) -> Result<(Function, FunctionLines)> {
+    let mut p = FuncParser::start(header, header_line)?;
+    let mut last = header_line;
+    for (line, raw) in lines {
+        last = line;
+        let (body, tag) = split_tag(raw);
+        let body = body.trim();
+        if body == "}" {
+            return p.finish();
+        } else if let Some(rest) = body.strip_prefix("temps ") {
+            p.temps_line(rest, line)?;
+        } else if let Some(label) = body.strip_suffix(':') {
+            p.label(label, line)?;
+        } else if !body.is_empty() {
+            p.inst_line(body, tag, line)?;
         }
     }
+    err(last, "missing closing `}`")
 }
 
 /// Parses one function in the printer's format.
@@ -423,7 +449,13 @@ pub fn parse_function(text: &str) -> Result<Function> {
 ///
 /// Returns a [`ParseError`] naming the offending line.
 pub fn parse_function_with_lines(text: &str) -> Result<(Function, FunctionLines)> {
-    let (f, map) = function_syntax(text)?;
+    let mut lines = numbered(text);
+    let header = lines
+        .by_ref()
+        .map(|(n, l)| (n, l.trim()))
+        .find(|(_, l)| !l.is_empty() && !l.starts_with(';'))
+        .ok_or_else(|| bad(1, "empty input"))?;
+    let (f, map) = function_syntax(header, &mut lines)?;
     f.validate().map_err(|e| located(e, &map))?;
     Ok((f, map))
 }
@@ -431,45 +463,7 @@ pub fn parse_function_with_lines(text: &str) -> Result<(Function, FunctionLines)
 /// A [`ValidateError`] as a [`ParseError`] at the offending instruction's
 /// line, or else at the function header.
 fn located(e: ValidateError, map: &FunctionLines) -> ParseError {
-    ParseError { line: map.line_of(e.block, e.inst).unwrap_or(map.header), msg: e.to_string() }
-}
-
-/// Parses one function's syntax; the IR rules are left to the caller.
-fn function_syntax(text: &str) -> Result<(Function, FunctionLines)> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (lineno, header) = lines
-        .by_ref()
-        .map(|(n, l)| (n, l.trim()))
-        .find(|(_, l)| !l.is_empty() && !l.starts_with(';'))
-        .ok_or_else(|| ParseError { line: 1, msg: "empty input".into() })?;
-    let mut p = FuncParser::start(header, lineno)?;
-    let mut map = FunctionLines { header: lineno, insts: Vec::new() };
-    for (lineno, raw) in lines {
-        let (body, tag) = split_tag(raw);
-        let line = body.trim();
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        if line == "}" {
-            return Ok((p.func, map));
-        }
-        if let Some(rest) = line.strip_prefix("temps ") {
-            p.temps_line(rest, lineno)?;
-            continue;
-        }
-        if let Some(label) = line.strip_suffix(':') {
-            let id = parse_block(label, lineno)?;
-            while p.func.num_blocks() <= id.index() {
-                p.func.add_block();
-                map.insts.push(Vec::new());
-            }
-            p.current = Some(id);
-            continue;
-        }
-        p.inst_line(line, tag, lineno)?;
-        map.insts[p.current.expect("inst_line checked this").index()].push(lineno);
-    }
-    err(text.lines().count(), "missing closing `}`")
+    bad(map.line_of(e.block, e.inst).unwrap_or(map.header), e.to_string())
 }
 
 /// Parses a whole module in the printer's format.
@@ -483,7 +477,7 @@ pub fn parse_module(text: &str) -> Result<Module> {
 
 /// [`parse_module`] plus the per-function [`ModuleLines`] source map. All
 /// line numbers (including those in errors raised while parsing a function
-/// body) are file-relative, not function-relative.
+/// body) are file lines.
 ///
 /// # Errors
 ///
@@ -509,7 +503,7 @@ pub fn validate_with_lines(m: &Module, lines: &ModuleLines) -> Result<()> {
     let e = ValidateError::from(finding);
     Err(match func.and_then(|i| lines.funcs.get(i)) {
         Some(map) => located(e, map),
-        None => ParseError { line: 0, msg: e.to_string() },
+        None => bad(0, e.to_string()),
     })
 }
 
@@ -523,77 +517,41 @@ pub fn validate_with_lines(m: &Module, lines: &ModuleLines) -> Result<()> {
 pub fn parse_module_syntax(text: &str) -> Result<(Module, ModuleLines)> {
     let mut module: Option<Module> = None;
     let mut mlines = ModuleLines::default();
-    let mut func_start: Option<usize> = None;
-    let mut depth = 0usize;
-    let all_lines: Vec<&str> = text.lines().collect();
-    for (i, raw) in all_lines.iter().enumerate() {
-        let lineno = i + 1;
+    let mut lines = numbered(text);
+    while let Some((lineno, raw)) = lines.next() {
         let line = raw.trim();
-        if func_start.is_some() {
-            if line == "}" {
-                depth -= 1;
-                if depth == 0 {
-                    let start = func_start.take().unwrap();
-                    let ftext = all_lines[start..=i].join("\n");
-                    // Line 1 of `ftext` is file line `start + 1`: offset both
-                    // error lines and the recorded source map by `start`.
-                    let (f, mut fl) = function_syntax(&ftext)
-                        .map_err(|e| ParseError { line: e.line + start, msg: e.msg })?;
-                    fl.offset(start);
-                    mlines.funcs.push(fl);
-                    module
-                        .as_mut()
-                        .ok_or_else(|| ParseError {
-                            line: lineno,
-                            msg: "function before module header".into(),
-                        })?
-                        .add_func(f);
-                }
-            }
-            continue;
-        }
         if line.is_empty() || line.starts_with(';') {
             continue;
         }
         if let Some(rest) = line.strip_prefix("module ") {
-            let (name, tail) = rest
-                .split_once(" (")
-                .ok_or_else(|| ParseError { line: lineno, msg: "bad module header".into() })?;
+            let (name, tail) =
+                rest.split_once(" (").ok_or_else(|| bad(lineno, "bad module header"))?;
             let words: usize = tail
                 .strip_suffix(" words data)")
                 .and_then(|w| w.parse().ok())
-                .ok_or_else(|| ParseError { line: lineno, msg: "bad module header".into() })?;
+                .ok_or_else(|| bad(lineno, "bad module header"))?;
             module = Some(Module::new(name, words));
         } else if let Some(rest) = line.strip_prefix("entry @") {
-            let id: u32 = rest
-                .parse()
-                .map_err(|_| ParseError { line: lineno, msg: "bad entry id".into() })?;
-            module
-                .as_mut()
-                .ok_or_else(|| ParseError { line: lineno, msg: "entry before module".into() })?
-                .entry = FuncId(id);
+            let id: u32 = rest.parse().map_err(|_| bad(lineno, "bad entry id"))?;
+            module.as_mut().ok_or_else(|| bad(lineno, "entry before module"))?.entry = FuncId(id);
         } else if let Some(rest) = line.strip_prefix("data") {
-            let m = module
-                .as_mut()
-                .ok_or_else(|| ParseError { line: lineno, msg: "data before module".into() })?;
+            let m = module.as_mut().ok_or_else(|| bad(lineno, "data before module"))?;
             for w in rest.split_whitespace() {
-                let v: i64 = w.parse().map_err(|_| ParseError {
-                    line: lineno,
-                    msg: format!("bad data word `{w}`"),
-                })?;
-                m.data.push(v);
+                m.data.push(w.parse().map_err(|_| bad(lineno, format!("bad data word `{w}`")))?);
             }
             if m.data.len() > m.memory_words {
                 return err(lineno, "data longer than declared memory");
             }
         } else if line.starts_with("func @") {
-            func_start = Some(i);
-            depth = 1;
+            let m = module.as_mut().ok_or_else(|| bad(lineno, "function before module header"))?;
+            let (f, fl) = function_syntax((lineno, line), &mut lines)?;
+            m.add_func(f);
+            mlines.funcs.push(fl);
         } else {
             return err(lineno, format!("unexpected line `{line}`"));
         }
     }
-    let m = module.ok_or_else(|| ParseError { line: 1, msg: "no module header".into() })?;
+    let m = module.ok_or_else(|| bad(1, "no module header"))?;
     Ok((m, mlines))
 }
 
@@ -770,5 +728,82 @@ mod tests {
         let text = "module m (0 words data)\nentry @0\nfunc @a() {\nb0:\n  ret\n}\nfunc @b() {\n  temps t0:i\nb0:\n  t0 = 2.5\n  ret\n}\n";
         let e = parse_module(text).unwrap_err();
         assert_eq!(e.line, 10, "{e}");
+    }
+
+    /// A one-function module whose single block holds `body` (line 5 on).
+    fn one_block(body: &str) -> String {
+        format!("module m (0 words data)\nentry @0\nfunc @main() {{\n  temps t0:i\nb0:\n{body}}}\n")
+    }
+
+    /// `text` fails at `line` with a message containing `what`, through both
+    /// module readers.
+    fn refused_at(text: &str, line: usize, what: &str) {
+        for e in [parse_module(text).unwrap_err(), parse_module_syntax(text).unwrap_err()] {
+            assert_eq!(e.line, line, "{e}\n{text}");
+            assert!(e.msg.contains(what), "{e}\n{text}");
+        }
+    }
+
+    #[test]
+    fn block_labels_open_blocks_in_order() {
+        for label in ["b1000000", "b4000000000"] {
+            let text = one_block(&format!("  ret\n{label}:\n  ret\n"));
+            refused_at(&text, 7, &format!("block label `{label}` skips b1"));
+        }
+        // Reopening an open block and opening the next new one still parse.
+        let text = one_block("  jmp b1\nb1:\n  ret\nb0:\n");
+        let m = parse_module(&text).unwrap();
+        assert_eq!(m.funcs[0].num_blocks(), 2);
+    }
+
+    #[test]
+    fn register_numbers_must_fit() {
+        refused_at(&one_block("  t0 = r300\n  ret\n"), 6, "bad register `r300`");
+        refused_at(&one_block("  t0 = f256\n  ret\n"), 6, "bad register `f256`");
+        let m = parse_module(&one_block("  t0 = r255\n  ret\n")).unwrap();
+        let Inst::Mov { src, .. } = m.funcs[0].blocks[0].insts[0].inst else { panic!() };
+        assert_eq!(src, Reg::Phys(PhysReg::int(255)));
+    }
+
+    #[test]
+    fn truncated_instructions_are_errors_at_their_line() {
+        for (inst, what) in [
+            ("st", "missing address in `st`"),
+            ("jmp", "missing target in `jmp`"),
+            ("spill t0", "missing source in `spill t0`"),
+            ("t0 = ld", "missing address in `t0 = ld`"),
+            ("bne t0, b1", "missing else-target in `bne t0, b1`"),
+            ("spill t0 (slot", "missing slot number"),
+            ("t0 = reload t0 (slot", "missing slot number"),
+            ("call", "missing callee"),
+        ] {
+            refused_at(&one_block(&format!("  {inst}\n")), 6, what);
+        }
+    }
+
+    #[test]
+    fn a_module_function_without_its_closing_brace_is_refused() {
+        let text = "module m (0 words data)\nentry @0\nfunc @main() {\nb0:\n  ret\n}\nfunc @g() {\nb0:\n  ret\n";
+        refused_at(text, 9, "missing closing `}`");
+    }
+
+    #[test]
+    fn header_parameters_must_be_declared_temporaries_of_their_class() {
+        let text =
+            "module m (0 words data)\nentry @0\nfunc @main(t0:f) {\n  temps t0:i\nb0:\n  ret\n}\n";
+        refused_at(text, 3, "parameter t0:f is declared t0:i");
+        let text = "module m (0 words data)\nentry @0\nfunc @main(t5:i) {\nb0:\n  ret\n}\n";
+        refused_at(text, 3, "parameter t5:i is not a declared temporary");
+        let f = parse_function("func @p(t1:f) {\n  temps t0:i t1:f\nb0:\n  ret\n}\n").unwrap();
+        assert_eq!(f.params, [Temp(1)]);
+    }
+
+    #[test]
+    fn names_come_from_the_printer_tables() {
+        let text = "func @n() {\n  temps t0:i t1:f\nb0:\n  t1 = itof t0\n  call !putfloat (f0)\n  beq t0, b0, b0\n}\n";
+        let f = parse_function(text).unwrap();
+        assert_eq!(f.to_string(), text);
+        let e = parse_function("func @n() {\nb0:\n  call !putstring ()\n  ret\n}\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 3: bad callee `!putstring`");
     }
 }

@@ -57,7 +57,7 @@
 //!
 //! ```json
 //! {"id": "r1", "status": "ok", "stats": {"candidates": 12, "...": 0}, "module": "..."}
-//! {"id": "r2", "status": "error", "error": "program:3: expected opcode"}
+//! {"id": "r2", "status": "error", "error": "program:line 6: missing address in `st`"}
 //! {"id": "r3", "status": "timeout"}
 //! {"id": "r4", "status": "overloaded"}
 //! {"id": "r5", "status": "too_large"}

@@ -138,7 +138,7 @@ fn annotate_function(out: &mut String, f: &Function, chunk: &FuncChunk<'_>) {
             }
             out.push_str(&format!("  {}", f.display_inst(&ins.inst)));
             if ins.tag != SpillTag::None {
-                out.push_str(&format!("    ; {:?}", ins.tag));
+                out.push_str(&format!("    ; {}", ins.tag.name()));
             }
             out.push('\n');
         }

@@ -111,3 +111,86 @@ fn allocated_code_round_trips_through_text() {
     assert_eq!(a.ret, b.ret);
     assert_eq!(a.output, b.output);
 }
+
+/// One seeded byte-level mutation of `line`: truncate the line, delete a
+/// token, or swap a number for `300` or `4000000000` (a line with no token
+/// or number to act on is truncated instead).
+fn mutate_line(line: &str, rng: &mut lsra_workloads::Lcg) -> String {
+    // Byte spans of the maximal runs of `keep` bytes (printed text is ASCII).
+    let b = line.as_bytes();
+    let spans = |keep: fn(&u8) -> bool| -> Vec<(usize, usize)> {
+        let end = |s: usize| (s..b.len()).find(|&j| !keep(&b[j])).unwrap_or(b.len());
+        (0..b.len())
+            .filter(|&i| keep(&b[i]) && (i == 0 || !keep(&b[i - 1])))
+            .map(|s| (s, end(s)))
+            .collect()
+    };
+    let pick = |spans: &[(usize, usize)], rng: &mut lsra_workloads::Lcg| {
+        spans[rng.below(spans.len() as u64) as usize]
+    };
+    let tokens = spans(|c| !c.is_ascii_whitespace());
+    let numbers = spans(u8::is_ascii_digit);
+    match rng.below(3) {
+        1 if !tokens.is_empty() => {
+            let (s, e) = pick(&tokens, rng);
+            format!("{}{}", &line[..s], &line[e..])
+        }
+        2 if !numbers.is_empty() => {
+            let (s, e) = pick(&numbers, rng);
+            let n = if rng.below(2) == 0 { "300" } else { "4000000000" };
+            format!("{}{n}{}", &line[..s], &line[e..])
+        }
+        _ => line[..rng.below(line.len() as u64) as usize].to_string(),
+    }
+}
+
+/// Seeded mutants (one mutated line each) of the printed workloads and of
+/// one allocated module, through both module readers: each must answer
+/// `Ok` or `Err`, never panic; an error names a line of the text (0 only
+/// for a module-level rule such as a missing entry); and an accepted module
+/// prints to a fixpoint.
+#[test]
+fn mutated_text_is_read_or_refused_never_a_panic() {
+    let mut texts: Vec<(String, String)> = lsra_workloads::all()
+        .iter()
+        .map(|w| (w.name.to_string(), (w.build)().to_string()))
+        .collect();
+    let w = lsra_workloads::by_name("eqntott").unwrap();
+    let mut allocated = (w.build)();
+    BinpackAllocator::default().allocate_module(&mut allocated, &MachineSpec::small(4, 2));
+    texts.push(("eqntott / binpack".to_string(), allocated.to_string()));
+    let mut rng = lsra_workloads::Lcg::new(23);
+    let (mut accepted, mut refused) = (0, 0);
+    for (name, text) in &texts {
+        let lines: Vec<&str> = text.lines().collect();
+        for _ in 0..60 {
+            let at = rng.below(lines.len() as u64) as usize;
+            let mutated = mutate_line(lines[at], &mut rng);
+            let mut mutant = lines.clone();
+            mutant[at] = &mutated;
+            let mutant = mutant.join("\n");
+            let what = format!("{name}, line {} `{}` -> `{mutated}`", at + 1, lines[at]);
+            let full = std::panic::catch_unwind(|| lsra_ir::parse_module(&mutant));
+            let syntax = std::panic::catch_unwind(|| lsra_ir::parse_module_syntax(&mutant));
+            let (Ok(full), Ok(syntax)) = (full, syntax) else {
+                panic!("{what}: a module reader panicked");
+            };
+            match full {
+                Ok(m) => {
+                    assert!(syntax.is_ok(), "{what}: parse_module accepts what the syntax refuses");
+                    assert_print_is_a_fixpoint(&what, &m);
+                    accepted += 1;
+                }
+                Err(e) => {
+                    assert!(e.line <= lines.len(), "{what}: {e} is past the last line");
+                    refused += 1;
+                }
+            }
+            if let Err(e) = syntax {
+                assert!((1..=lines.len()).contains(&e.line), "{what}: {e} names no line");
+            }
+        }
+    }
+    // Both outcomes occur, so neither branch is vacuous.
+    assert!(accepted > 0 && refused > 0, "accepted {accepted}, refused {refused}");
+}
