@@ -55,7 +55,7 @@
 #![warn(missing_debug_implementations)]
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 use lsra_analysis::{
@@ -66,7 +66,8 @@ use lsra_core::{
     ensure_slot, sequentialize_into, AllocStats, EdgeOp, EdgeRepair, RegisterAllocator,
 };
 use lsra_ir::{
-    BlockId, Function, Ins, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, SpillTag, Temp,
+    BlockId, FnvBuildHasher, Function, Ins, Inst, MachineSpec, Module, PhysReg, Reg, RegClass,
+    SpillTag, Temp,
 };
 use lsra_trace::{NoopSink, ResolveOp, SplitKind, TraceEvent, TraceSink};
 
@@ -139,11 +140,17 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 /// alike: a probe masks the first and last words of the span and tests
 /// the words between, and landing or lifting a range sets or clears the
 /// same words. "Who is there?" is asked only by the eviction search and
-/// the feasibility victim pick. A B-tree per register answers it for
-/// placed ranges; a blocked (precolored / call-clobber) segment is found
-/// in the register's blocked list from `Lifetimes`, which never changes,
-/// so set-up inserts nothing into the trees. Placed ranges enter and
-/// leave through [`RegFile::occupy`] and [`RegFile::vacate`] only.
+/// the feasibility victim pick. A blocked (precolored / call-clobber)
+/// segment is found by binary search in the register's blocked list from
+/// `Lifetimes`, which never changes. A placed range is found from a second
+/// row per register holding one bit at each placed range's first point:
+/// ranges in a register are disjoint, so the last start bit at or before
+/// an occupied, unblocked point is its range's, and one hash lookup by
+/// `(register, start)` names the end and the bundle. A summary row, one
+/// bit per nonzero word of the start row, takes that backward search over
+/// a long range in a step or two. Set-up inserts nothing but the blocked
+/// bits; placed ranges enter and leave through [`RegFile::occupy`] and
+/// [`RegFile::vacate`] only, each range as bit work plus one map update.
 #[derive(Debug)]
 struct RegFile<'a> {
     /// Words per register row.
@@ -151,10 +158,26 @@ struct RegFile<'a> {
     /// Bit `p % 64` of `busy[d * words + p / 64]` is set while point `p` of
     /// register `d` is occupied.
     busy: Vec<u64>,
-    /// Per register: placed range start → `(end, bundle)`.
-    owners: Vec<BTreeMap<u32, (u32, u32)>>,
+    /// Laid out like `busy`: the bit of point `p` is set while a placed
+    /// range of register `d` starts at `p`.
+    starts: Vec<u64>,
+    /// Words per register row of `start_words`.
+    sum_words: usize,
+    /// Bit `w % 64` of `start_words[d * sum_words + w / 64]` is set while
+    /// word `w` of register `d`'s `starts` row is nonzero.
+    start_words: Vec<u64>,
+    /// Placed range `(register, start)` (see [`owner_key`]) → `(end,
+    /// bundle)`.
+    owners: HashMap<u64, (u32, u32), FnvBuildHasher>,
     /// Per register: the blocked segments, ascending and disjoint.
     blocked: Vec<&'a [Segment]>,
+}
+
+/// The [`RegFile::owners`] key of a range of register `d` starting at
+/// `start`.
+#[inline]
+fn owner_key(d: usize, start: u32) -> u64 {
+    (d as u64) << 32 | u64::from(start)
 }
 
 /// The word indices of `[start, end]` and the masks of its first and last
@@ -170,9 +193,17 @@ impl<'a> RegFile<'a> {
     /// `4 * insts + 4`) whose register `d` is blocked over `blocked[d]`.
     fn new(blocked: Vec<&'a [Segment]>, insts: u32) -> Self {
         let words = (4 * insts as usize + 4).div_ceil(64);
+        let sum_words = words.div_ceil(64);
         let nregs = blocked.len();
-        let owners = vec![BTreeMap::new(); nregs];
-        let mut regs = RegFile { words, busy: vec![0; nregs * words], owners, blocked };
+        let mut regs = RegFile {
+            words,
+            busy: vec![0; nregs * words],
+            starts: vec![0; nregs * words],
+            sum_words,
+            start_words: vec![0; nregs * sum_words],
+            owners: HashMap::default(),
+            blocked,
+        };
         for d in 0..nregs {
             let segs: &'a [Segment] = regs.blocked[d];
             for &s in segs {
@@ -197,6 +228,27 @@ impl<'a> RegFile<'a> {
             }
             (m != 0).then(|| w as u32 * 64 + m.trailing_zeros())
         })
+    }
+
+    /// The start of the placed range of register `d` holding point `p`: the
+    /// last start bit at or before `p`, in `p`'s word or else in the last
+    /// nonzero start word before it, which the summary row names.
+    #[inline]
+    fn range_start(&self, d: usize, p: u32) -> u32 {
+        let row = &self.starts[d * self.words..(d + 1) * self.words];
+        let mut w = (p / 64) as usize;
+        let mut bits = row[w] & !0u64 >> (63 - p % 64);
+        if bits == 0 {
+            let sum = &self.start_words[d * self.sum_words..(d + 1) * self.sum_words];
+            let (mut i, mut m) = (w / 64, sum[w / 64] & !(!0u64 << (w % 64)));
+            while m == 0 {
+                i = i.checked_sub(1).expect("an occupied, unblocked point lies in a placed range");
+                m = sum[i];
+            }
+            w = i * 64 + 63 - m.leading_zeros() as usize;
+            bits = row[w];
+        }
+        w as u32 * 64 + 63 - bits.leading_zeros()
     }
 
     /// True if any point of `[start, end]` is occupied in register `d`.
@@ -242,11 +294,27 @@ impl<'a> RegFile<'a> {
         self.mark(d, start, end, true);
     }
 
+    /// Flips the start bit of point `p` in register `d`, and its word's
+    /// summary bit to match.
+    #[inline]
+    fn toggle_start(&mut self, d: usize, p: u32) {
+        let w = (p / 64) as usize;
+        let word = &mut self.starts[d * self.words + w];
+        *word ^= 1 << (p % 64);
+        let (sum, bit) = (&mut self.start_words[d * self.sum_words + w / 64], 1u64 << (w % 64));
+        if *word != 0 {
+            *sum |= bit;
+        } else {
+            *sum &= !bit;
+        }
+    }
+
     /// Parks bundle `bid` in register `d` over every segment.
     fn occupy(&mut self, d: usize, segs: impl IntoIterator<Item = Segment>, bid: u32) {
         for s in segs {
             self.claim(d, s);
-            self.owners[d].insert(s.start.0, (s.end.0, bid));
+            self.toggle_start(d, s.start.0);
+            self.owners.insert(owner_key(d, s.start.0), (s.end.0, bid));
         }
     }
 
@@ -255,8 +323,9 @@ impl<'a> RegFile<'a> {
     fn vacate(&mut self, d: usize, segs: impl IntoIterator<Item = Segment>) {
         for s in segs {
             let (start, end) = (s.start.0, s.end.0);
-            let gone = self.owners[d].remove(&start);
+            let gone = self.owners.remove(&owner_key(d, start));
             debug_assert_eq!(gone.map(|(e, _)| e), Some(end), "vacating an interval never parked");
+            self.toggle_start(d, start);
             self.mark(d, start, end, false);
         }
     }
@@ -264,8 +333,9 @@ impl<'a> RegFile<'a> {
     /// Every interval of register `d` overlapping `[start, end]`, ascending
     /// by start, with its bundle (`None` for a blocked segment). The bits
     /// find each next occupied point; the interval holding it is the last
-    /// placed range or, failing that, the last blocked segment starting at
-    /// or before it. A span with no occupant never touches either.
+    /// blocked segment starting at or before it, if that reaches it, and
+    /// otherwise the placed range of the last start bit at or before it. A
+    /// span with no occupant touches neither.
     fn occupants(
         &self,
         d: usize,
@@ -278,12 +348,13 @@ impl<'a> RegFile<'a> {
                 return None;
             }
             let p = self.first_busy(d, from, end)?;
-            let (s, e, owner) = match self.owners[d].range(..=p).next_back() {
-                Some((&s, &(e, bid))) if e >= p => (s, e, Some(bid)),
+            let blocked = self.blocked[d];
+            let (s, e, owner) = match blocked.partition_point(|b| b.start.0 <= p).checked_sub(1) {
+                Some(i) if blocked[i].end.0 >= p => (blocked[i].start.0, blocked[i].end.0, None),
                 _ => {
-                    let blocked = self.blocked[d];
-                    let b = blocked[blocked.partition_point(|b| b.start.0 <= p).checked_sub(1)?];
-                    (b.start.0, b.end.0, None)
+                    let s = self.range_start(d, p);
+                    let (e, bid) = self.owners[&owner_key(d, s)];
+                    (s, e, Some(bid))
                 }
             };
             debug_assert!(e >= p, "occupied point {p} of register {d} has no interval");
@@ -321,6 +392,46 @@ impl<'a> RegFile<'a> {
             }
         }
         Some((maxw, out))
+    }
+}
+
+/// A queue key: queue priority first, lowest bundle id on ties. Bundle ids
+/// are unique, so no two keys in the queue are equal.
+type QueueKey = (u64, Reverse<u32>);
+
+/// Phase 3's priority queue, as two streams that pop in one key order: the
+/// initial bundles, sorted once and popped from the back, and the bundles
+/// that come back (evicted ones and split pieces) in a heap. A pop takes the
+/// greater of the two heads, so the sequence is the one a single heap of
+/// every entry would give, while the heap holds only the few re-queued
+/// entries.
+#[derive(Debug)]
+struct Queue {
+    /// Initial keys, ascending.
+    sorted: Vec<QueueKey>,
+    /// Re-queued keys.
+    heap: BinaryHeap<QueueKey>,
+}
+
+impl Queue {
+    /// A queue holding `initial`, in any order.
+    fn new(mut initial: Vec<QueueKey>) -> Self {
+        initial.sort_unstable();
+        Queue { sorted: initial, heap: BinaryHeap::new() }
+    }
+
+    fn push(&mut self, key: QueueKey) {
+        self.heap.push(key);
+    }
+
+    /// The greatest key left, and whether it was pushed (re-queued) rather
+    /// than initial.
+    fn pop(&mut self) -> Option<(QueueKey, bool)> {
+        match (self.sorted.last(), self.heap.peek()) {
+            (Some(s), Some(h)) if h > s => self.heap.pop().map(|k| (k, true)),
+            (Some(_), _) => self.sorted.pop().map(|k| (k, false)),
+            (None, _) => self.heap.pop().map(|k| (k, true)),
+        }
     }
 }
 
@@ -718,7 +829,7 @@ fn allocate(
 
     // Phase 3: the priority queue. Total live length first (long bundles
     // are the hardest to place), lowest id on ties.
-    let mut queue: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
+    let mut initial: Vec<QueueKey> = Vec::with_capacity(st.bundles.len());
     for bid in 0..st.bundles.len() as u32 {
         if st.bundles[bid as usize].dead {
             continue;
@@ -727,8 +838,9 @@ fn allocate(
         let b = &mut st.bundles[bid as usize];
         b.prio = prio;
         b.weight = weight;
-        queue.push((prio, Reverse(bid)));
+        initial.push((prio, Reverse(bid)));
     }
+    let mut queue = Queue::new(initial);
     // Eviction is bounded so that mutual-eviction chains cannot cycle
     // forever; once the budget is spent, bundles split or spill instead.
     let mut evict_budget: u64 = 8 * st.bundles.len() as u64 + 64;
@@ -736,7 +848,7 @@ fn allocate(
     // piece lands, read as a placement preference by every later piece.
     let mut temp_reg: Vec<Option<u32>> = vec![None; nt];
 
-    while let Some((_, Reverse(bid))) = queue.pop() {
+    while let Some(((_, Reverse(bid)), requeued)) = queue.pop() {
         let b = &st.bundles[bid as usize];
         if b.dead || b.spilled || b.assignment.is_some() {
             continue;
@@ -745,10 +857,16 @@ fn allocate(
         let hint_d = b.hint.filter(|p| p.class == class).map(|p| spec.reg_index(p));
         // Sibling affinity: pieces of an already-placed temp try its
         // register first, so a split lifetime reassembles into one register
-        // wherever it fits and edge resolution has nothing to repair.
+        // wherever it fits and edge resolution has nothing to repair. An
+        // initial pop is an unsplit bundle never placed, which holds every
+        // range of its temporaries, so none of them is anchored yet and
+        // the walk is skipped.
+        let anchor = |r: u32| temp_reg[st.ranges[r as usize].temp.index()];
+        debug_assert!(requeued || b.ranges.iter().all(|&r| anchor(r).is_none()));
+        let walk = if requeued { &b.ranges[..] } else { &[] };
         let mut sibling: SmallVec<usize, 4> = SmallVec::new();
-        for &r in &st.bundles[bid as usize].ranges {
-            if let Some(d) = temp_reg[st.ranges[r as usize].temp.index()] {
+        for &r in walk {
+            if let Some(d) = anchor(r) {
                 let d = d as usize;
                 if hint_d != Some(d) && !sibling.contains(&d) {
                     sibling.push(d);
@@ -1266,16 +1384,17 @@ mod tests {
         Segment::new(Point(start), Point(end))
     }
 
-    /// Every interval of register `d` overlapping `[start, end]`, ascending
-    /// by start, by a walk over the whole owner tree and blocked list.
+    /// Every interval overlapping `[start, end]`, ascending by start, by a
+    /// walk over a model of one register in full: its blocked segments and
+    /// its placed `(segment, bundle)` pairs.
     fn brute_occupants(
-        regs: &RegFile,
-        d: usize,
+        blocked: &[Segment],
+        placed: &[(Segment, u32)],
         start: u32,
         end: u32,
     ) -> Vec<(u32, u32, Option<u32>)> {
-        let placed = regs.owners[d].iter().map(|(&s, &(e, bid))| (s, e, Some(bid)));
-        let blocked = regs.blocked[d].iter().map(|b| (b.start.0, b.end.0, None));
+        let placed = placed.iter().map(|&(s, bid)| (s.start.0, s.end.0, Some(bid)));
+        let blocked = blocked.iter().map(|b| (b.start.0, b.end.0, None));
         let mut all: Vec<_> =
             placed.chain(blocked).filter(|&(s, e, _)| s <= end && e >= start).collect();
         all.sort_unstable_by_key(|&(s, _, _)| s);
@@ -1318,10 +1437,19 @@ mod tests {
         segs
     }
 
+    /// `s` cut to a random nonempty prefix: the same start, any end in it.
+    fn shortened(rng: &mut lsra_workloads::Lcg, s: Segment) -> Segment {
+        seg(s.start.0, s.start.0 + rng.below(u64::from(s.end.0 - s.start.0) + 1) as u32)
+    }
+
     /// Random `occupy`/`vacate` sequences over three partly blocked
-    /// registers, against the owner tree and blocked list walked in full:
-    /// `is_busy`, `fits` and `occupants` agree with them, and every
-    /// register's set bits are exactly its intervals' points.
+    /// registers, against a model of every parked bundle walked in full:
+    /// `is_busy`, `fits` and `occupants` (the owner lookups through the
+    /// start bits) agree with it, and every register's set bits are exactly
+    /// its intervals' points and starts. Steps deliberately land ranges
+    /// abutting a placed range or a blocked segment on either side, and
+    /// lift a bundle to re-place it, shortened and renamed, at the same
+    /// starts.
     #[test]
     fn reg_file_matches_brute_force() {
         let mut rng = lsra_workloads::Lcg::new(1998);
@@ -1335,50 +1463,93 @@ mod tests {
                 })
                 .collect();
             let mut regs = RegFile::new(blocked.iter().map(Vec::as_slice).collect(), insts);
-            // The model: (register, segments) of every parked bundle.
-            let mut parked: Vec<(usize, Vec<Segment>)> = Vec::new();
+            // The model: (register, segments, bundle) of every parked bundle.
+            let mut parked: Vec<(usize, Vec<Segment>, u32)> = Vec::new();
+            let placed_in = |parked: &[(usize, Vec<Segment>, u32)], d: usize| {
+                let mine = parked.iter().filter(|p| p.0 == d);
+                mine.flat_map(|(_, segs, bid)| segs.iter().map(|&s| (s, *bid))).collect::<Vec<_>>()
+            };
             for step in 0..80 {
-                if !parked.is_empty() && rng.below(3) == 0 {
-                    let (d, segs) = parked.swap_remove(rng.below(parked.len() as u64) as usize);
+                let op = if parked.is_empty() { 2 } else { rng.below(6) };
+                if op == 0 {
+                    let (d, segs, _) = parked.swap_remove(rng.below(parked.len() as u64) as usize);
                     regs.vacate(d, segs.iter().copied());
+                } else if op == 1 {
+                    let i = rng.below(parked.len() as u64) as usize;
+                    let (d, segs, _) = parked.swap_remove(i);
+                    regs.vacate(d, segs.iter().copied());
+                    let segs: Vec<Segment> = segs.iter().map(|&s| shortened(&mut rng, s)).collect();
+                    assert!(regs.fits(d, segs.iter().copied()), "case {case} step {step}");
+                    regs.occupy(d, segs.iter().copied(), step);
+                    parked.push((d, segs, step));
                 } else {
                     let d = rng.below(nregs as u64) as usize;
                     let n = 1 + rng.below(3);
-                    let segs = edgy_segments(&mut rng, npoints, n);
-                    let free = segs
-                        .iter()
-                        .all(|s| brute_occupants(&regs, d, s.start.0, s.end.0).is_empty());
+                    let mut segs = edgy_segments(&mut rng, npoints, n);
+                    // Abut a neighbour: start right after one, or end right
+                    // before one.
+                    let mut near: Vec<Segment> = blocked[d].clone();
+                    near.extend(placed_in(&parked, d).into_iter().map(|(s, _)| s));
+                    if !near.is_empty() && rng.below(2) == 0 {
+                        let nb = near[rng.below(near.len() as u64) as usize];
+                        let len = 1 + rng.below(70) as u32;
+                        // No neighbour spans every point, so one side is open.
+                        let after =
+                            nb.start.0 == 0 || (nb.end.0 + 1 < npoints && rng.below(2) == 0);
+                        segs = vec![if after {
+                            seg(nb.end.0 + 1, (nb.end.0 + len).min(npoints - 1))
+                        } else {
+                            seg(nb.start.0.saturating_sub(len), nb.start.0 - 1)
+                        }];
+                    }
+                    let placed = placed_in(&parked, d);
+                    let free = segs.iter().all(|s| {
+                        brute_occupants(&blocked[d], &placed, s.start.0, s.end.0).is_empty()
+                    });
                     assert_eq!(regs.fits(d, segs.iter().copied()), free, "case {case} step {step}");
                     if free {
                         regs.occupy(d, segs.iter().copied(), step);
-                        parked.push((d, segs));
+                        parked.push((d, segs, step));
                     }
                 }
                 for d in 0..nregs {
-                    let all = brute_occupants(&regs, d, 0, npoints - 1);
+                    let placed = placed_in(&parked, d);
+                    let all = brute_occupants(&blocked[d], &placed, 0, npoints - 1);
                     let points: u32 = all.iter().map(|&(s, e, _)| e - s + 1).sum();
-                    let row = &regs.busy[d * regs.words..(d + 1) * regs.words];
-                    let bits: u32 = row.iter().map(|w| w.count_ones()).sum();
-                    assert_eq!(bits, points, "case {case} step {step}: stale bits in register {d}");
+                    let row = |bits: &[u64]| -> u32 {
+                        bits[d * regs.words..(d + 1) * regs.words]
+                            .iter()
+                            .map(|w| w.count_ones())
+                            .sum()
+                    };
+                    let why = format!("case {case} step {step}: register {d}");
+                    assert_eq!(row(&regs.busy), points, "{why}: stale busy bits");
+                    assert_eq!(row(&regs.starts), placed.len() as u32, "{why}: stale start bits");
                     for _ in 0..8 {
                         let (s, e) = edgy_span(&mut rng, npoints);
-                        let want = brute_occupants(&regs, d, s, e);
-                        assert_eq!(
-                            regs.is_busy(d, s, e),
-                            !want.is_empty(),
-                            "case {case} [{s}, {e}]"
-                        );
+                        let want = brute_occupants(&blocked[d], &placed, s, e);
+                        assert_eq!(regs.is_busy(d, s, e), !want.is_empty(), "{why} [{s}, {e}]");
                         let got: Vec<_> = regs.occupants(d, s, e).collect();
-                        assert_eq!(got, want, "case {case} occupants [{s}, {e}]");
+                        assert_eq!(got, want, "{why} occupants [{s}, {e}]");
+                    }
+                    // Every point of every interval names its owner.
+                    for &(s, e, owner) in &all {
+                        let p = s + rng.below(u64::from(e - s) + 1) as u32;
+                        let got: Vec<_> = regs.occupants(d, p, p).collect();
+                        assert_eq!(got, [(s, e, owner)], "{why} point {p}");
                     }
                 }
             }
+            assert_eq!(regs.owners.len(), parked.iter().map(|p| p.1.len()).sum::<usize>());
         }
     }
 
-    /// The bounded conflict scan against a brute-force walk over every
-    /// interval: random disjoint occupancy (owners bundles 0..6, or
-    /// blocked), random bundle weights with ties, random query segments.
+    /// The bounded conflict scan against a brute-force walk over a model of
+    /// every interval: random disjoint occupancy (owners bundles 0..6, or
+    /// blocked) where neighbours often abut, half the time with one placed
+    /// range lifted and re-placed, shortened and under another bundle, at
+    /// the same start; random bundle weights with ties, random query
+    /// segments.
     #[test]
     fn bounded_conflict_scan_matches_brute_force() {
         let mut rng = lsra_workloads::Lcg::new(1998);
@@ -1399,6 +1570,15 @@ mod tests {
             for &(s, bid) in &placed {
                 regs.occupy(0, [s], bid);
             }
+            if !placed.is_empty() && rng.below(2) == 0 {
+                let i = rng.below(placed.len() as u64) as usize;
+                let (s, _) = placed[i];
+                regs.vacate(0, [s]);
+                let s = shortened(&mut rng, s);
+                let bid = rng.below(6) as u32;
+                regs.occupy(0, [s], bid);
+                placed[i] = (s, bid);
+            }
             let weights: Vec<f64> = (0..6).map(|_| rng.below(8) as f64 * 0.5).collect();
             let weight = |c: u32| weights[c as usize];
             let mut segs: Vec<Segment> = Vec::new();
@@ -1410,11 +1590,16 @@ mod tests {
             }
 
             // Brute force: every parked interval, in start order, per segment.
-            let (mut want, mut blocked) = (Vec::new(), false);
+            let (mut want, mut hit_blocked) = (Vec::new(), false);
             for s in &segs {
-                for (_, _, owner) in brute_occupants(&regs, 0, s.start.0, s.end.0) {
+                assert_eq!(
+                    regs.occupants(0, s.start.0, s.end.0).collect::<Vec<_>>(),
+                    brute_occupants(&blocked, &placed, s.start.0, s.end.0),
+                    "case {case}: occupants of {s:?}"
+                );
+                for (_, _, owner) in brute_occupants(&blocked, &placed, s.start.0, s.end.0) {
                     match owner {
-                        None => blocked = true,
+                        None => hit_blocked = true,
                         Some(c) if !want.contains(&c) => want.push(c),
                         Some(_) => {}
                     }
@@ -1425,7 +1610,7 @@ mod tests {
             let bounds = [f64::INFINITY, maxw, maxw + 0.25, rng.below(9) as f64 * 0.5];
             for bound in bounds {
                 let got = regs.conflicts(0, segs.iter().copied(), weight, bound);
-                if blocked {
+                if hit_blocked {
                     assert!(got.is_none(), "case {case}: blocked segment missed");
                 } else if !want.is_empty() && maxw >= bound {
                     assert!(got.is_none(), "case {case}: max {maxw} reaches bound {bound}");
@@ -1434,6 +1619,47 @@ mod tests {
                     assert_eq!(w, maxw, "case {case}: bound {bound}");
                     assert_eq!(cs.as_slice(), &want[..], "case {case}: bound {bound}");
                 }
+            }
+        }
+    }
+
+    /// The two-stream queue pops exactly what one heap of every entry pops,
+    /// under random interleaved pushes and pops: initial keys with tied
+    /// priorities, re-pushes of popped bundles (evictions) and fresh ids
+    /// (split pieces) of any priority.
+    #[test]
+    fn two_stream_queue_pops_like_one_heap() {
+        let mut rng = lsra_workloads::Lcg::new(24);
+        for case in 0..300 {
+            let n = rng.below(60) as u32;
+            let initial: Vec<QueueKey> =
+                (0..n).map(|bid| (rng.below(1 + u64::from(n) / 4), Reverse(bid))).collect();
+            let mut heap: BinaryHeap<QueueKey> = initial.iter().copied().collect();
+            let mut queue = Queue::new(initial);
+            let (mut next_bid, mut popped, mut pushed) = (n, Vec::new(), Vec::new());
+            loop {
+                if rng.below(3) == 0 {
+                    let key = match (rng.below(2), popped.is_empty()) {
+                        (0, false) => popped.swap_remove(rng.below(popped.len() as u64) as usize),
+                        _ => {
+                            next_bid += 1;
+                            (rng.below(1 + u64::from(n) / 2), Reverse(next_bid))
+                        }
+                    };
+                    heap.push(key);
+                    queue.push(key);
+                    pushed.push(key);
+                    continue;
+                }
+                let got = queue.pop();
+                assert_eq!(got.map(|(key, _)| key), heap.pop(), "case {case}");
+                let Some((key, requeued)) = got else { break };
+                let was_pushed = pushed.iter().position(|&k| k == key);
+                assert_eq!(requeued, was_pushed.is_some(), "case {case}: {key:?}");
+                if let Some(i) = was_pushed {
+                    pushed.swap_remove(i);
+                }
+                popped.push(key);
             }
         }
     }

@@ -8,8 +8,9 @@
 //! instruction is a [`ParseError`] at its line, never a panic; names are
 //! looked up in the printer's own tables ([`OpCode::ALL`] and its kin).
 //! Besides syntax the reader refuses a block label past the next new block,
-//! a register number past `u8` and a header parameter that is not a
-//! declared temporary of its class. The IR rules are
+//! a register number past `u8`, an operand past an instruction's form, a
+//! second `module` header and a header parameter that is not a declared
+//! temporary of its class. The IR rules are
 //! [`Module::for_each_finding`]'s, left out by [`parse_module_syntax`].
 
 use std::fmt;
@@ -196,7 +197,20 @@ impl<'a> Cursor<'a> {
         Ok(self.next("slot number")?.trim_end_matches(')'))
     }
 
-    /// Every remaining token as a register.
+    /// An error for `token`, left over past the instruction's form.
+    fn unexpected(&self, token: &str) -> ParseError {
+        bad(self.line, format!("unexpected `{token}` in `{}`", self.body))
+    }
+
+    /// The end of the instruction: a token left over is an error.
+    fn end(&mut self) -> Result<()> {
+        match self.opt() {
+            Some(extra) => Err(self.unexpected(extra)),
+            None => Ok(()),
+        }
+    }
+
+    /// Every remaining token, each read by `parse`.
     fn rest<R>(&mut self, parse: fn(&str, usize) -> Result<R>) -> Result<Vec<R>> {
         let line = self.line;
         std::iter::from_fn(|| self.opt()).map(|t| parse(t, line)).collect()
@@ -276,13 +290,16 @@ impl FuncParser {
         let Some(current) = self.current else {
             return err(line, "instruction outside a block");
         };
-        let inst = self.parse_inst(Cursor::new(body, line))?;
+        let mut cur = Cursor::new(body, line);
+        let inst = self.parse_inst(&mut cur)?;
+        cur.end()?;
         self.func.block_mut(current).insts.push(Ins::tagged(inst, tag));
         self.lines.insts[current.index()].push(line);
         Ok(())
     }
 
-    fn parse_inst(&mut self, mut cur: Cursor<'_>) -> Result<Inst> {
+    /// One instruction's operands; the caller refuses any left over.
+    fn parse_inst(&mut self, cur: &mut Cursor<'_>) -> Result<Inst> {
         let line = cur.line;
         let Some(head) = cur.opt() else { return err(line, "empty instruction") };
         Ok(match head {
@@ -340,7 +357,7 @@ impl FuncParser {
     }
 
     /// `<dst> = ...`, whose first token `dst` was just read.
-    fn assignment(&mut self, dst: &str, mut cur: Cursor<'_>) -> Result<Inst> {
+    fn assignment(&mut self, dst: &str, cur: &mut Cursor<'_>) -> Result<Inst> {
         let line = cur.line;
         let (Some("="), Some(op)) = (cur.opt(), cur.opt()) else {
             return err(line, format!("unrecognised instruction `{}`", cur.body));
@@ -356,7 +373,8 @@ impl FuncParser {
                 let temp = parse_temp(cur.next("temporary")?, line)?;
                 let slot = match cur.opt() {
                     Some(open) if open.starts_with("(slot") => Some(cur.slot()?),
-                    _ => None,
+                    Some(extra) => return Err(cur.unexpected(extra)),
+                    None => None,
                 };
                 self.note_slot(temp, slot, line)?;
                 Inst::SpillLoad { dst, temp }
@@ -524,6 +542,9 @@ pub fn parse_module_syntax(text: &str) -> Result<(Module, ModuleLines)> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("module ") {
+            if module.is_some() {
+                return err(lineno, "a second `module` header");
+            }
             let (name, tail) =
                 rest.split_once(" (").ok_or_else(|| bad(lineno, "bad module header"))?;
             let words: usize = tail
@@ -779,6 +800,34 @@ mod tests {
         ] {
             refused_at(&one_block(&format!("  {inst}\n")), 6, what);
         }
+    }
+
+    #[test]
+    fn operands_past_an_instructions_form_are_refused() {
+        for (inst, extra) in [
+            ("st [t0+1], t0, t0, r7", "t0"),
+            ("jmp b1 b0 junk", "b0"),
+            ("spill t0 (slot 0), r7, r1", "r1"),
+            ("spill t0, r7 junk", "junk"),
+            ("beq t0, b0, b0, b1", "b1"),
+            ("t0 = ld [t0+1] junk", "junk"),
+            ("t0 = reload t0 junk", "junk"),
+            ("t0 = reload t0 (slot 0) junk", "junk"),
+        ] {
+            refused_at(
+                &one_block(&format!("  {inst}\n")),
+                6,
+                &format!("unexpected `{extra}` in `{inst}`"),
+            );
+        }
+    }
+
+    #[test]
+    fn a_second_module_header_is_refused() {
+        // Read in full, the second header would drop `@f` and leave its
+        // line map behind for `@g`.
+        let text = "module m (0 words data)\nentry @0\nfunc @f() {\nb0:\n  ret\n}\nmodule other (0 words data)\nentry @0\nfunc @g() {\nb0:\n  jmp b7\n}\n";
+        refused_at(text, 7, "a second `module` header");
     }
 
     #[test]

@@ -834,6 +834,22 @@ mod tests {
     }
 
     #[test]
+    fn oversized_vm_runs_are_answered_with_an_error() {
+        let s = small_service(1);
+        let body = r"entry @0\nfunc @main() {\n  temps t0:i\nb0:\n  t0 = 1\n  ret\n}\n";
+        let line = format!(
+            r#"{{"id": "big", "program": "module m (4000000000 words data)\n{body}", "run": true}}"#
+        );
+        let resp = s.call(&line);
+        assert!(resp.contains("\"status\": \"error\""), "{resp}");
+        assert!(resp.contains("4000000000 words of data memory exceed"), "{resp}");
+        let snap = s.counters();
+        assert_eq!((snap.errors, snap.panics, snap.ok), (1, 0, 0), "{snap:?}");
+        assert_eq!(snap.in_flight, 0);
+        assert_eq!(snap.requests, snap.accounted(), "conservation at quiescence: {snap:?}");
+    }
+
+    #[test]
     fn metrics_op_exposes_both_formats() {
         let s = small_service(1);
         s.call(r#"{"id": "a", "workload": "wc"}"#);

@@ -44,6 +44,14 @@ pub enum VmError {
     FuelExhausted,
     /// The call stack exceeded its limit.
     StackOverflow,
+    /// The module asks for more data memory, or a function for more spill
+    /// slots in its frame, than [`crate::MAX_WORDS`].
+    TooLarge {
+        /// What is sized: data memory or one frame's spill slots.
+        what: &'static str,
+        /// How many the module asks for.
+        words: usize,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -61,6 +69,9 @@ impl fmt::Display for VmError {
             }
             VmError::FuelExhausted => write!(f, "instruction budget exhausted"),
             VmError::StackOverflow => write!(f, "call stack overflow"),
+            VmError::TooLarge { what, words } => {
+                write!(f, "{words} {what} exceed the VM's limit of {}", crate::MAX_WORDS)
+            }
         }
     }
 }

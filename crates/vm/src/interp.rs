@@ -37,6 +37,13 @@ impl Default for VmOptions {
     }
 }
 
+/// The most words of data memory a run gets, and the most spill slots one
+/// call frame gets: 2^22, 32 MiB of `i64`s. Both sizes come from the module
+/// text, so a few bytes of it could otherwise ask for gigabytes; a module
+/// past either is refused with [`VmError::TooLarge`] before anything is
+/// allocated.
+pub const MAX_WORDS: usize = 1 << 22;
+
 /// One event written to the output trace by an external routine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum OutputEvent {
@@ -234,20 +241,19 @@ impl std::fmt::Debug for Vm<'_> {
 
 impl<'m> Vm<'m> {
     /// Creates a VM for `module` on machine `spec`, feeding `input` to
-    /// `getchar`.
+    /// `getchar`. Memory is sized by [`Vm::run`], which refuses a module
+    /// past [`MAX_WORDS`].
     pub fn new(
         module: &'m Module,
         spec: &'m MachineSpec,
         input: &[u8],
         options: VmOptions,
     ) -> Self {
-        let mut memory = module.data.clone();
-        memory.resize(module.memory_words, 0);
         Vm {
             module,
             spec,
             options,
-            memory,
+            memory: Vec::new(),
             input: input.to_vec(),
             input_pos: 0,
             output: Vec::new(),
@@ -289,6 +295,16 @@ impl<'m> Vm<'m> {
     /// Returns the first [`VmError`] raised: program faults, poisoned-
     /// register reads (allocation bugs), or exhausted limits.
     pub fn run(mut self) -> Result<RunResult, VmError> {
+        let words = self.module.memory_words;
+        if words > MAX_WORDS {
+            return Err(VmError::TooLarge { what: "words of data memory", words });
+        }
+        let slots = self.module.funcs.iter().map(|f| f.num_slots as usize).max().unwrap_or(0);
+        if slots > MAX_WORDS {
+            return Err(VmError::TooLarge { what: "spill slots in a frame", words: slots });
+        }
+        self.memory.extend_from_slice(&self.module.data);
+        self.memory.resize(words, 0);
         self.push_frame(self.module.entry)?;
         let ret = self.exec()?;
         let memory_checksum = memory_checksum(&self.memory);
@@ -771,6 +787,23 @@ mod tests {
         b.ret(Some(v.into()));
         let m = single(b.finish());
         assert!(matches!(run_module(&m, &s, &[]), Err(VmError::MemoryOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn oversized_memory_and_frames_are_refused() {
+        let s = spec();
+        let body = "entry @0\nfunc @main() {\n  temps t0:i\nb0:\n  t0 = 1\n";
+        let run = |text: String| run_module(&lsra_ir::parse_module(&text).unwrap(), &s, &[]);
+        let data = format!("module m (4000000000 words data)\n{body}  ret\n}}\n");
+        let want = VmError::TooLarge { what: "words of data memory", words: 4_000_000_000 };
+        assert_eq!(run(data), Err(want));
+        let slot = MAX_WORDS;
+        let frame =
+            format!("module m (0 words data)\n{body}  spill t0 (slot {slot}), t0\n  ret\n}}\n");
+        let want = VmError::TooLarge { what: "spill slots in a frame", words: MAX_WORDS + 1 };
+        assert_eq!(run(frame), Err(want));
+        let fits = format!("module m (16 words data)\n{body}  spill t0 (slot 9), t0\n  ret\n}}\n");
+        assert_eq!(run(fits).unwrap().ret, None);
     }
 
     #[test]

@@ -48,5 +48,5 @@ mod verify;
 
 pub use counters::DynCounts;
 pub use error::VmError;
-pub use interp::{memory_checksum, run_module, OutputEvent, RunResult, Vm, VmOptions};
+pub use interp::{memory_checksum, run_module, OutputEvent, RunResult, Vm, VmOptions, MAX_WORDS};
 pub use verify::{compare_runs, verify_allocation, Mismatch};
