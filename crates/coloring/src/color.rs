@@ -7,7 +7,7 @@
 //! is computed once (spill temporaries are block-local and stay out of the
 //! bit vectors), and the two register files are colored separately.
 
-use lsra_analysis::{Liveness, LoopInfo};
+use lsra_analysis::{BitSet, EpochSet, Liveness, LoopInfo};
 use lsra_ir::{Function, Inst, Reg, RegClass, SpillTag, Temp};
 
 use crate::matrix::TriangularBitMatrix;
@@ -67,6 +67,8 @@ pub(crate) struct Round<'a> {
     spill_wl: Vec<u32>,
     worklist_moves: Vec<u32>,
     select_stack: Vec<u32>,
+    /// Briggs' distinct-neighbour set, emptied per move in O(1).
+    seen: EpochSet,
     edges: u64,
 }
 
@@ -144,6 +146,7 @@ impl<'a> Round<'a> {
             spill_wl: Vec::new(),
             worklist_moves: Vec::new(),
             select_stack: Vec::new(),
+            seen: EpochSet::new(n),
             edges: 0,
         }
     }
@@ -178,23 +181,31 @@ impl<'a> Round<'a> {
     }
 
     /// Builds the interference graph and move lists from the code.
+    ///
+    /// The live set is one bit set per round, walked in ascending node
+    /// order at each definition, so the cost follows the live sets rather
+    /// than instructions × nodes, and `add_edge` meets the pairs in node
+    /// order (which fixes the order of every `adj_list`).
     pub(crate) fn build(&mut self, spec: &lsra_ir::MachineSpec) {
         let clobbers: Vec<u32> = spec.caller_saved(self.class).map(|p| p.index as u32).collect();
+        let mut live = BitSet::new(self.adj.num_nodes());
+        let mut uses: Vec<u32> = Vec::new();
+        let mut defs: Vec<u32> = Vec::new();
         for b in self.f.block_ids() {
             // live = temps of this class live out of b, plus nothing
             // precolored (precolored values are block-local by IR
             // invariant).
-            let mut live: Vec<bool> = vec![false; self.adj.num_nodes()];
+            live.clear();
             for t in self.live.live_out_temps(b) {
                 if let Some(nd) = self.node_of[t.index()] {
-                    live[nd as usize] = true;
+                    live.insert(nd as usize);
                 }
             }
             for ins in self.f.block(b).insts.iter().rev() {
-                let uses: Vec<u32> =
-                    ins.inst.uses().into_iter().filter_map(|r| self.node(r)).collect();
-                let mut defs: Vec<u32> =
-                    ins.inst.defs().into_iter().filter_map(|r| self.node(r)).collect();
+                uses.clear();
+                defs.clear();
+                ins.inst.for_each_use(|r| uses.extend(self.node(r)));
+                ins.inst.for_each_def(|r| defs.extend(self.node(r)));
                 if ins.inst.is_call() {
                     for &c in &clobbers {
                         if !defs.contains(&c) {
@@ -210,7 +221,7 @@ impl<'a> Round<'a> {
                     _ => None,
                 };
                 if let Some((d, s)) = move_nodes {
-                    live[s as usize] = false;
+                    live.remove(s as usize);
                     let m = self.moves.len() as u32;
                     self.moves.push((d, s));
                     self.move_state.push(MoveState::Worklist);
@@ -219,20 +230,18 @@ impl<'a> Round<'a> {
                     self.move_list[s as usize].push(m);
                 }
                 for &d in &defs {
-                    live[d as usize] = true;
+                    live.insert(d as usize);
                 }
                 for &d in &defs {
-                    for (l, &is_live) in live.iter().enumerate() {
-                        if is_live {
-                            self.add_edge(l as u32, d);
-                        }
+                    for l in &live {
+                        self.add_edge(l as u32, d);
                     }
                 }
                 for &d in &defs {
-                    live[d as usize] = false;
+                    live.remove(d as usize);
                 }
                 for &u in &uses {
-                    live[u as usize] = true;
+                    live.insert(u as usize);
                 }
             }
         }
@@ -254,14 +263,12 @@ impl<'a> Round<'a> {
         })
     }
 
-    fn adjacent(&self, n: u32) -> Vec<u32> {
-        self.adj_list[n as usize]
-            .iter()
-            .copied()
-            .filter(|&w| {
-                !matches!(self.state[w as usize], NodeState::OnStack | NodeState::Coalesced)
-            })
-            .collect()
+    /// True if `w` has left the graph (George & Appel's `Adjacent` skips
+    /// it). Walks of `adj_list` test this per neighbour instead of copying
+    /// the filtered list: no caller moves a node into or out of these two
+    /// states, or grows the list it walks, while the walk runs.
+    fn removed(&self, w: u32) -> bool {
+        matches!(self.state[w as usize], NodeState::OnStack | NodeState::Coalesced)
     }
 
     pub(crate) fn make_worklists(&mut self) {
@@ -285,8 +292,11 @@ impl<'a> Round<'a> {
     fn simplify(&mut self, n: u32) {
         self.state[n as usize] = NodeState::OnStack;
         self.select_stack.push(n);
-        for m in self.adjacent(n) {
-            self.decrement_degree(m);
+        for i in 0..self.adj_list[n as usize].len() {
+            let m = self.adj_list[n as usize][i];
+            if !self.removed(m) {
+                self.decrement_degree(m);
+            }
         }
     }
 
@@ -311,9 +321,13 @@ impl<'a> Round<'a> {
         let d = self.degree[m as usize];
         self.degree[m as usize] = d.saturating_sub(1);
         if d == self.k as u32 {
-            let mut nodes = self.adjacent(m);
-            nodes.push(m);
-            self.enable_moves(&nodes);
+            for i in 0..self.adj_list[m as usize].len() {
+                let w = self.adj_list[m as usize][i];
+                if !self.removed(w) {
+                    self.enable_moves(w);
+                }
+            }
+            self.enable_moves(m);
             if self.state[m as usize] == NodeState::SpillWl {
                 if self.move_related(m) {
                     self.state[m as usize] = NodeState::FreezeWl;
@@ -326,13 +340,12 @@ impl<'a> Round<'a> {
         }
     }
 
-    fn enable_moves(&mut self, nodes: &[u32]) {
-        for &n in nodes {
-            for m in self.node_moves(n) {
-                if self.move_state[m as usize] == MoveState::Active {
-                    self.move_state[m as usize] = MoveState::Worklist;
-                    self.worklist_moves.push(m);
-                }
+    fn enable_moves(&mut self, n: u32) {
+        for i in 0..self.move_list[n as usize].len() {
+            let m = self.move_list[n as usize][i];
+            if self.move_state[m as usize] == MoveState::Active {
+                self.move_state[m as usize] = MoveState::Worklist;
+                self.worklist_moves.push(m);
             }
         }
     }
@@ -361,16 +374,19 @@ impl<'a> Round<'a> {
             || self.adj.contains(t as usize, r as usize)
     }
 
-    fn conservative(&self, nodes: &[u32]) -> bool {
-        let mut seen = Vec::with_capacity(nodes.len());
+    /// Briggs' test: fewer than `k` distinct neighbours of `u` and `v`
+    /// have significant degree.
+    fn conservative(&mut self, u: u32, v: u32) -> bool {
+        self.seen.advance();
         let mut count = 0;
-        for &n in nodes {
-            if seen.contains(&n) {
-                continue;
-            }
-            seen.push(n);
-            if self.degree[n as usize] >= self.k as u32 {
-                count += 1;
+        for n in [u, v] {
+            for &w in &self.adj_list[n as usize] {
+                if !self.removed(w)
+                    && self.seen.insert(w as usize)
+                    && self.degree[w as usize] >= self.k as u32
+                {
+                    count += 1;
+                }
             }
         }
         count < self.k
@@ -402,12 +418,8 @@ impl<'a> Round<'a> {
             self.add_work_list(v);
         } else {
             let george = self.state[u as usize] == NodeState::Precolored
-                && self.adjacent(v).iter().all(|&t| self.ok(t, u));
-            let briggs = self.state[u as usize] != NodeState::Precolored && {
-                let mut nodes = self.adjacent(u);
-                nodes.extend(self.adjacent(v));
-                self.conservative(&nodes)
-            };
+                && self.adj_list[v as usize].iter().all(|&t| self.removed(t) || self.ok(t, u));
+            let briggs = self.state[u as usize] != NodeState::Precolored && self.conservative(u, v);
             if george || briggs {
                 self.move_state[m as usize] = MoveState::Coalesced;
                 *coalesced += 1;
@@ -425,10 +437,13 @@ impl<'a> Round<'a> {
         let mv = std::mem::take(&mut self.move_list[v as usize]);
         self.move_list[u as usize].extend(mv.iter().copied());
         self.move_list[v as usize] = mv;
-        self.enable_moves(&[v]);
-        for t in self.adjacent(v) {
-            self.add_edge(t, u);
-            self.decrement_degree(t);
+        self.enable_moves(v);
+        for i in 0..self.adj_list[v as usize].len() {
+            let t = self.adj_list[v as usize][i];
+            if !self.removed(t) {
+                self.add_edge(t, u);
+                self.decrement_degree(t);
+            }
         }
         if self.degree[u as usize] >= self.k as u32 && self.state[u as usize] == NodeState::FreezeWl
         {
@@ -515,8 +530,9 @@ impl<'a> Round<'a> {
             *col = Some(c as u8);
         }
         let mut spilled_nodes = Vec::new();
+        let mut ok: Vec<bool> = vec![true; self.k];
         while let Some(n) = self.select_stack.pop() {
-            let mut ok: Vec<bool> = vec![true; self.k];
+            ok.fill(true);
             for &w in &self.adj_list[n as usize] {
                 let wa = self.get_alias(w);
                 if let Some(c) = color[wa as usize] {
@@ -640,7 +656,8 @@ pub(crate) fn rewrite_spills(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsra_ir::{ExtFn, FunctionBuilder, MachineSpec, PhysReg};
+    use lsra_analysis::{Cfg, Dominators};
+    use lsra_ir::{BlockId, Cond, ExtFn, FunctionBuilder, MachineSpec, OpCode, PhysReg};
 
     fn round_for<'a>(f: &'a Function, spec: &lsra_ir::MachineSpec, class: RegClass) -> Round<'a> {
         // Leak the liveness/loops to satisfy the borrow (test-only).
@@ -719,5 +736,256 @@ mod tests {
         assert!(!r.adj.contains(k, k + 1), "move pairs must not interfere");
         assert_eq!(r.moves.len(), 2, "the param-ret and x->y moves are candidates");
         let _ = PhysReg::int(0);
+    }
+
+    /// The build before the live-set walk: a fresh `Vec<bool>` per block
+    /// and a scan of every node at every definition. Kept as the reference
+    /// that `Round::build` must match edge for edge and in `adj_list` order.
+    fn build_reference(r: &mut Round<'_>, spec: &MachineSpec) {
+        let f = r.f;
+        let clobbers: Vec<u32> = spec.caller_saved(r.class).map(|p| p.index as u32).collect();
+        for b in f.block_ids() {
+            let mut live: Vec<bool> = vec![false; r.adj.num_nodes()];
+            for t in r.live.live_out_temps(b) {
+                if let Some(nd) = r.node_of[t.index()] {
+                    live[nd as usize] = true;
+                }
+            }
+            for ins in f.block(b).insts.iter().rev() {
+                let mut uses: Vec<u32> = Vec::new();
+                ins.inst.for_each_use(|x| uses.extend(r.node(x)));
+                let mut defs: Vec<u32> = Vec::new();
+                ins.inst.for_each_def(|x| defs.extend(r.node(x)));
+                if ins.inst.is_call() {
+                    for &c in &clobbers {
+                        if !defs.contains(&c) {
+                            defs.push(c);
+                        }
+                    }
+                }
+                if let Inst::Mov { dst, src } = &ins.inst {
+                    if let (Some(d), Some(s)) = (r.node(*dst), r.node(*src)) {
+                        if d != s {
+                            live[s as usize] = false;
+                            let m = r.moves.len() as u32;
+                            r.moves.push((d, s));
+                            r.move_state.push(MoveState::Worklist);
+                            r.worklist_moves.push(m);
+                            r.move_list[d as usize].push(m);
+                            r.move_list[s as usize].push(m);
+                        }
+                    }
+                }
+                for &d in &defs {
+                    live[d as usize] = true;
+                }
+                for &d in &defs {
+                    for (l, &is_live) in live.iter().enumerate() {
+                        if is_live {
+                            r.add_edge(l as u32, d);
+                        }
+                    }
+                }
+                for &d in &defs {
+                    live[d as usize] = false;
+                }
+                for &u in &uses {
+                    live[u as usize] = true;
+                }
+            }
+        }
+    }
+
+    /// A seeded generator of multi-block functions over both classes, with
+    /// loops, moves between temporaries, and calls (clobber edges).
+    fn random_function(spec: &MachineSpec, seed: u64) -> Function {
+        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        let mut below = move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut b = FunctionBuilder::new(spec, "g", &[RegClass::Int, RegClass::Float]);
+        let mut ints: Vec<Temp> = vec![b.param(0)];
+        let mut floats: Vec<Temp> = vec![b.param(1)];
+        for i in 0..4 + below(10) {
+            let t = b.int_temp(&format!("i{i}"));
+            b.movi(t, i as i64);
+            ints.push(t);
+        }
+        for i in 0..2 + below(6) {
+            let t = b.float_temp(&format!("f{i}"));
+            b.movf(t, i as f64);
+            floats.push(t);
+        }
+        let blocks: Vec<BlockId> = (0..2 + below(5)).map(|_| b.block()).collect();
+        b.jump(blocks[0]);
+        for (i, &blk) in blocks.iter().enumerate() {
+            b.switch_to(blk);
+            for _ in 0..3 + below(12) {
+                let (x, y, z) =
+                    (ints[below(ints.len())], ints[below(ints.len())], ints[below(ints.len())]);
+                let (p, q, r) = (
+                    floats[below(floats.len())],
+                    floats[below(floats.len())],
+                    floats[below(floats.len())],
+                );
+                match below(8) {
+                    0 => b.add(x, y, z),
+                    1 => b.op2(OpCode::FAdd, p, q, r),
+                    2 => b.mov(x, y),
+                    3 => b.mov(p, q),
+                    4 => {
+                        let got = b.call_ext(ExtFn::GetChar, &[], Some(RegClass::Int)).unwrap();
+                        b.mov(x, got);
+                    }
+                    5 => {
+                        b.call_ext(ExtFn::PutFloat, &[p.into()], None);
+                    }
+                    6 => b.op1(OpCode::IntToFloat, p, x),
+                    _ => {
+                        b.call_ext(ExtFn::PutInt, &[x.into()], None);
+                    }
+                }
+            }
+            match blocks.get(i + 1) {
+                Some(&next) => {
+                    let back = blocks[below(i + 1)];
+                    b.branch(Cond::Gt, ints[below(ints.len())], back, next);
+                }
+                None => b.ret(Some(ints[below(ints.len())].into())),
+            }
+        }
+        b.finish()
+    }
+
+    fn assert_same_graph(want: &Round<'_>, got: &Round<'_>, what: &str) {
+        assert!(want.adj == got.adj, "{what}: adjacency matrices differ");
+        assert_eq!(want.adj_list, got.adj_list, "{what}: adj_list");
+        assert_eq!(want.degree, got.degree, "{what}: degree");
+        assert_eq!(want.moves, got.moves, "{what}: moves");
+        assert_eq!(want.move_list, got.move_list, "{what}: move_list");
+        assert_eq!(want.worklist_moves, got.worklist_moves, "{what}: worklist_moves");
+        assert_eq!(want.edges, got.edges, "{what}: edge count");
+    }
+
+    /// Builds every round of both classes twice, by the reference scan and
+    /// by `Round::build`, spilling between rounds as the allocator does.
+    /// Returns the number of spill rewrites, the edges and the moves seen.
+    fn compare_builds(mut f: Function, spec: &MachineSpec, seed: u64) -> (usize, u64, usize) {
+        let cfg = Cfg::compute(&f);
+        let loops = LoopInfo::compute(&f, &cfg, &Dominators::compute(&f, &cfg));
+        let live = Liveness::compute_on(&f, &cfg, 1);
+        let (mut spills, mut edges, mut moves) = (0, 0, 0);
+        for class in RegClass::ALL {
+            let k = spec.num_regs(class) as usize;
+            let mut excluded = vec![false; f.num_temps()];
+            let mut marker = vec![false; f.num_temps()];
+            for round in 0.. {
+                let what = format!("seed {seed}, {class}, round {round}");
+                let mut want = Round::new(&f, &live, &loops, class, k, &excluded, &marker);
+                build_reference(&mut want, spec);
+                let mut got = Round::new(&f, &live, &loops, class, k, &excluded, &marker);
+                got.build(spec);
+                assert_same_graph(&want, &got, &what);
+                edges += got.edges;
+                moves += got.moves.len();
+                let result =
+                    Round::new(&f, &live, &loops, class, k, &excluded, &marker).run(spec, &mut 0);
+                if result.spilled.is_empty() {
+                    break;
+                }
+                spills += 1;
+                for &t in &result.spilled {
+                    excluded[t.index()] = true;
+                }
+                let created = rewrite_spills(&mut f, &result.spilled, &mut Vec::new());
+                excluded.resize(f.num_temps(), false);
+                marker.resize(f.num_temps(), false);
+                for t in created {
+                    marker[t.index()] = true;
+                }
+            }
+        }
+        (spills, edges, moves)
+    }
+
+    #[test]
+    fn live_set_walk_builds_the_reference_graph() {
+        let (mut spills, mut edges, mut moves) = (0, 0, 0);
+        for seed in 0..40 {
+            for spec in [MachineSpec::alpha_like(), MachineSpec::small(3, 2)] {
+                let (s, e, m) = compare_builds(random_function(&spec, seed), &spec, seed);
+                spills += s;
+                edges += e;
+                moves += m;
+            }
+        }
+        assert!(spills > 0, "no seed reached a spill round");
+        assert!(edges > 0 && moves > 0, "the generator built no edges or no moves");
+    }
+
+    /// Distinct significant-degree neighbours of `u` and `v`, counted by
+    /// sorting: the definition Briggs' test must agree with.
+    fn conservative_brute(r: &Round<'_>, u: u32, v: u32) -> bool {
+        let mut nodes: Vec<u32> = r.adj_list[u as usize]
+            .iter()
+            .chain(&r.adj_list[v as usize])
+            .copied()
+            .filter(|&w| !r.removed(w))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.iter().filter(|&&w| r.degree[w as usize] >= r.k as u32).count() < r.k
+    }
+
+    #[test]
+    fn conservative_counts_distinct_significant_neighbours() {
+        let (mut checks, mut refused) = (0, 0);
+        let specs = [MachineSpec::alpha_like(), MachineSpec::small(3, 2)];
+        for (seed, spec) in (0..40).flat_map(|seed| specs.iter().map(move |spec| (seed, spec))) {
+            let f = random_function(spec, seed);
+            let cfg = Cfg::compute(&f);
+            let loops = LoopInfo::compute(&f, &cfg, &Dominators::compute(&f, &cfg));
+            let live = Liveness::compute_on(&f, &cfg, 1);
+            for class in RegClass::ALL {
+                let k = spec.num_regs(class) as usize;
+                let none = vec![false; f.num_temps()];
+                let mut r = Round::new(&f, &live, &loops, class, k, &none, &none);
+                r.build(spec);
+                r.make_worklists();
+                let n = r.adj.num_nodes() as u32;
+                for x in k as u32..n {
+                    for y in x + 1..n {
+                        let want = conservative_brute(&r, x, y);
+                        assert_eq!(r.conservative(x, y), want, "seed {seed}, {class}");
+                        checks += 1;
+                        refused += usize::from(!want);
+                    }
+                }
+                let mut coalesced = 0;
+                // The worklist loop of `Round::run`, checking every move's
+                // Briggs test against the brute-force count first.
+                loop {
+                    if let Some(n) = r.pop_state(NodeState::SimplifyWl) {
+                        r.simplify(n);
+                    } else if let Some(m) = r.pop_move() {
+                        let (x, y) = r.moves[m as usize];
+                        let (x, y) = (r.get_alias(x), r.get_alias(y));
+                        if x != y {
+                            let want = conservative_brute(&r, x, y);
+                            assert_eq!(r.conservative(x, y), want, "seed {seed}, {class}");
+                            checks += 1;
+                            refused += usize::from(!want);
+                        }
+                        r.coalesce(m, &mut coalesced);
+                    } else if let Some(u) = r.pop_state(NodeState::FreezeWl) {
+                        r.freeze(u);
+                    } else if !r.select_spill() {
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(checks > refused && refused > 0, "{checks} checks, {refused} refused");
     }
 }

@@ -69,12 +69,13 @@ impl RegisterAllocator for ColoringAllocator {
         let loops = LoopInfo::compute(f, &cfg, &Dominators::compute(f, &cfg));
         let mut assignment: Vec<(lsra_ir::Temp, PhysReg)> = Vec::new();
         let mut coalesced = 0u64;
+        // Liveness once per function (§3): spill temporaries are block-local
+        // and never live out, and one class's spill rewrite touches no
+        // temporary of the other class.
+        let live = Liveness::compute_on(f, &cfg, 1);
 
         for class in RegClass::ALL {
             let k = spec.num_regs(class) as usize;
-            // Liveness once per file; spill temporaries are block-local and
-            // never enter the bit vectors (§3).
-            let live = Liveness::compute_on(f, &cfg, 1);
             let mut excluded = vec![false; f.num_temps()];
             let mut spill_marker = vec![false; f.num_temps()];
             loop {

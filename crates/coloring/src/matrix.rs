@@ -5,7 +5,7 @@
 
 /// A symmetric boolean relation over `n` nodes stored as a lower-triangular
 /// bit matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TriangularBitMatrix {
     bits: Vec<u64>,
     n: usize,

@@ -493,21 +493,6 @@ impl Inst {
             _ => {}
         }
     }
-
-    /// Collected uses (convenience wrapper over [`Inst::for_each_use`]).
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut v = Vec::new();
-        self.for_each_use(|r| v.push(r));
-        v
-    }
-
-    /// Collected definitions (convenience wrapper over
-    /// [`Inst::for_each_def`]).
-    pub fn defs(&self) -> Vec<Reg> {
-        let mut v = Vec::new();
-        self.for_each_def(|r| v.push(r));
-        v
-    }
 }
 
 /// An instruction together with its allocator provenance tag.
@@ -561,24 +546,36 @@ mod tests {
         assert!(Cond::Le.eval(0));
     }
 
+    fn uses(inst: &Inst) -> Vec<Reg> {
+        let mut v = Vec::new();
+        inst.for_each_use(|r| v.push(r));
+        v
+    }
+
+    fn defs(inst: &Inst) -> Vec<Reg> {
+        let mut v = Vec::new();
+        inst.for_each_def(|r| v.push(r));
+        v
+    }
+
     #[test]
     fn uses_and_defs() {
         let t = |i| Reg::Temp(Temp(i));
         let add = Inst::Op { op: OpCode::Add, dst: t(0), srcs: vec![t(1), t(2)] };
-        assert_eq!(add.uses(), vec![t(1), t(2)]);
-        assert_eq!(add.defs(), vec![t(0)]);
+        assert_eq!(uses(&add), vec![t(1), t(2)]);
+        assert_eq!(defs(&add), vec![t(0)]);
 
         let st = Inst::Store { src: t(3), base: t(4), offset: 2 };
-        assert_eq!(st.uses(), vec![t(3), t(4)]);
-        assert!(st.defs().is_empty());
+        assert_eq!(uses(&st), vec![t(3), t(4)]);
+        assert!(defs(&st).is_empty());
 
         let call = Inst::Call {
             callee: Callee::Ext(ExtFn::PutInt),
             arg_regs: vec![PhysReg::int(1)],
             ret_regs: vec![],
         };
-        assert_eq!(call.uses(), vec![Reg::Phys(PhysReg::int(1))]);
-        assert!(call.defs().is_empty());
+        assert_eq!(uses(&call), vec![Reg::Phys(PhysReg::int(1))]);
+        assert!(defs(&call).is_empty());
     }
 
     #[test]
@@ -587,8 +584,8 @@ mod tests {
         let mut add = Inst::Op { op: OpCode::Add, dst: t(0), srcs: vec![t(1), t(2)] };
         add.for_each_use_mut(|r| *r = Reg::Phys(PhysReg::int(7)));
         add.for_each_def_mut(|r| *r = Reg::Phys(PhysReg::int(8)));
-        assert_eq!(add.uses(), vec![Reg::Phys(PhysReg::int(7)); 2]);
-        assert_eq!(add.defs(), vec![Reg::Phys(PhysReg::int(8))]);
+        assert_eq!(uses(&add), vec![Reg::Phys(PhysReg::int(7)); 2]);
+        assert_eq!(defs(&add), vec![Reg::Phys(PhysReg::int(8))]);
     }
 
     #[test]

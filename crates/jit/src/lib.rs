@@ -82,6 +82,14 @@ pub enum JitError {
         /// What was wrong.
         what: String,
     },
+    /// The data memory, or one function's spill slots, exceed
+    /// [`lsra_vm::MAX_WORDS`], the bound the interpreter also enforces.
+    TooLarge {
+        /// What is too large.
+        what: &'static str,
+        /// How many words it asked for.
+        words: usize,
+    },
 }
 
 impl std::fmt::Display for JitError {
@@ -92,6 +100,9 @@ impl std::fmt::Display for JitError {
                 write!(f, "function `{func}` is not register-allocated")
             }
             JitError::Malformed { func, what } => write!(f, "function `{func}`: {what}"),
+            JitError::TooLarge { what, words } => {
+                write!(f, "{words} {what} exceed the JIT's limit of {}", lsra_vm::MAX_WORDS)
+            }
         }
     }
 }
@@ -289,9 +300,15 @@ impl MappedModule<'_> {
 ///
 /// # Errors
 ///
-/// [`JitError::Unallocated`] if any operand is still virtual, or
-/// [`JitError::Malformed`] for structurally unlowerable input.
+/// [`JitError::Unallocated`] if any operand is still virtual,
+/// [`JitError::Malformed`] for structurally unlowerable input, or
+/// [`JitError::TooLarge`] for data memory or a frame past
+/// [`lsra_vm::MAX_WORDS`].
 pub fn compile_module(module: &Module, spec: &MachineSpec) -> Result<CodeBuffer, JitError> {
+    check_size("words of data memory", module.memory_words)?;
+    for f in &module.funcs {
+        check_size("spill slots in a frame", f.num_slots as usize)?;
+    }
     let lowered = lower::lower_module(module, spec)?;
     Ok(CodeBuffer {
         bytes: lowered.code,
@@ -310,6 +327,7 @@ pub fn compile_module(module: &Module, spec: &MachineSpec) -> Result<CodeBuffer,
 ///
 /// As [`compile_module`].
 pub fn compile_function(func: &Function, spec: &MachineSpec) -> Result<CodeBuffer, JitError> {
+    check_size("spill slots in a frame", func.num_slots as usize)?;
     let lowered = lower::lower_single_function(func, spec)?;
     Ok(CodeBuffer {
         bytes: lowered.code,
@@ -318,6 +336,16 @@ pub fn compile_function(func: &Function, spec: &MachineSpec) -> Result<CodeBuffe
         data: Vec::new(),
         memory_words: 0,
     })
+}
+
+/// Refuses what the interpreter refuses before lowering: the runtime
+/// allocates the whole data memory up front, and [`abi::FrameLayout`] holds
+/// slot counts in `i32`, which a huge frame would wrap.
+fn check_size(what: &'static str, words: usize) -> Result<(), JitError> {
+    if words > lsra_vm::MAX_WORDS {
+        return Err(JitError::TooLarge { what, words });
+    }
+    Ok(())
 }
 
 /// Compiles and runs `module` natively with default [`VmOptions`] — the
@@ -413,5 +441,31 @@ mod tests {
         let native = run_module_native(&m, &s, &[]).unwrap();
         assert_eq!(vm, native);
         assert_eq!(native.ret, Some(-14));
+    }
+
+    #[test]
+    fn compile_refuses_sizes_past_the_vm_bound() {
+        let s = spec();
+        let mut f = phys_func(|b| b.ret(None));
+        f.num_slots = lsra_vm::MAX_WORDS as u32;
+        assert!(compile_function(&f, &s).is_ok(), "the bound itself compiles");
+        f.num_slots = u32::MAX;
+        let want = JitError::TooLarge { what: "spill slots in a frame", words: u32::MAX as usize };
+        assert_eq!(compile_function(&f, &s).unwrap_err(), want);
+
+        let mut mb = ModuleBuilder::new("t", 16);
+        let id = mb.add(phys_func(|b| b.ret(None)));
+        mb.entry(id);
+        let mut m = mb.finish();
+        m.memory_words = lsra_vm::MAX_WORDS + 1;
+        let err = compile_module(&m, &s).unwrap_err();
+        assert_eq!(
+            err,
+            JitError::TooLarge { what: "words of data memory", words: lsra_vm::MAX_WORDS + 1 }
+        );
+        assert!(err.to_string().contains("exceed the JIT's limit"), "{err}");
+        m.memory_words = 16;
+        m.funcs[0].num_slots = lsra_vm::MAX_WORDS as u32 + 1;
+        assert!(matches!(compile_module(&m, &s), Err(JitError::TooLarge { .. })));
     }
 }
