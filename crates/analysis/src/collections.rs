@@ -123,6 +123,40 @@ impl<T> Csr<T> {
         Csr { offsets, data }
     }
 
+    /// Rows `0..rows` holding the values that `pairs` files as `(row,
+    /// value)`, built by counting sort: each row keeps its values in the
+    /// order `pairs` yields them. `pairs` is called twice, once to count
+    /// and once to fill, and must yield the same sequence both times.
+    ///
+    /// ```
+    /// use lsra_analysis::collections::Csr;
+    ///
+    /// let c = Csr::group(3, || [(2, 'a'), (0, 'b'), (2, 'c')].into_iter());
+    /// assert_eq!(c.row(0), &['b']);
+    /// assert_eq!(c.row(1), &[]);
+    /// assert_eq!(c.row(2), &['a', 'c']);
+    /// ```
+    pub fn group<I>(rows: usize, pairs: impl Fn() -> I) -> Self
+    where
+        T: Clone + Default,
+        I: Iterator<Item = (usize, T)>,
+    {
+        let mut offsets = vec![0u32; rows + 1];
+        for (r, _) in pairs() {
+            offsets[r + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut fill = offsets[..rows].to_vec();
+        let mut data = vec![T::default(); offsets[rows] as usize];
+        for (r, v) in pairs() {
+            data[fill[r] as usize] = v;
+            fill[r] += 1;
+        }
+        Csr { offsets, data }
+    }
+
     /// Dismantles the container so its buffers can be recycled.
     pub fn into_parts(self) -> (Vec<u32>, Vec<T>) {
         (self.offsets, self.data)

@@ -15,10 +15,13 @@
 //!    length — long, hard-to-place bundles first;
 //! 4. an unsplit bundle that fits nowhere may **evict** already-placed
 //!    bundles whose spill weight it more than doubles (they return to the
-//!    queue; a budget bounds the cascading), any bundle may **split** into
-//!    smaller bundles at block boundaries or at the widest gap between its
-//!    references, or — as the second-chance fallback that guarantees
-//!    termination — spill to memory for good;
+//!    queue; a budget bounds the cascading), any bundle may **split** in
+//!    two, or — as the second-chance fallback that guarantees termination
+//!    — spill to memory for good. A bundle spanning several blocks splits
+//!    at the top of the median block its ranges touch, one inside a single
+//!    block at the widest gap between its references; either way only the
+//!    one range straddling the cut is cut, once, and the rest go to their
+//!    half whole;
 //! 5. the point-lifetime feasibility fixpoint and rewrite shared with the
 //!    whole-lifetime allocators ([`lsra_core::point`]) install spill code,
 //!    with split-connection copies entering through its hook; a
@@ -77,8 +80,8 @@ use lsra_trace::{NoopSink, ResolveOp, SplitKind, TraceEvent, TraceSink};
 const MAX_GEN: u8 = 16;
 
 /// One contiguous `[start, end]` interval of one temporary's liveness.
-/// Splitting appends smaller ranges; the parent's entries go stale with the
-/// parent bundle.
+/// Entries never change: a split hands its pieces the parent's whole ranges
+/// and appends the two halves of the one range it cuts.
 #[derive(Copy, Clone, Debug)]
 struct LiveRange {
     temp: Temp,
@@ -446,7 +449,50 @@ struct State<'a> {
     block_tops: Vec<u32>,
 }
 
-impl State<'_> {
+impl<'a> State<'a> {
+    /// Phase 1's state for `f`: nothing placed, and one bundle per live
+    /// temporary, returned beside each temporary's bundle.
+    fn new(f: &Function, lt: &'a Lifetimes, spec: &'a MachineSpec) -> (Self, Vec<Option<u32>>) {
+        let mut st = State {
+            lt,
+            spec,
+            ranges: Vec::new(),
+            bundles: Vec::new(),
+            regs: RegFile::new(
+                (0..spec.total_regs()).map(|d| lt.blocked(d)).collect(),
+                lt.num_insts(),
+            ),
+            block_tops: (0..f.num_blocks()).map(|b| lt.top(BlockId(b as u32)).0).collect(),
+        };
+        let mut bundle_of_temp: Vec<Option<u32>> = vec![None; f.num_temps()];
+        for (ti, slot) in bundle_of_temp.iter_mut().enumerate() {
+            let t = Temp(ti as u32);
+            let segs = lt.segments(t);
+            if segs.is_empty() {
+                continue;
+            }
+            let mut rs: Vec<u32> = Vec::with_capacity(segs.len());
+            for &s in segs {
+                rs.push(st.ranges.len() as u32);
+                st.ranges.push(LiveRange { temp: t, seg: s });
+            }
+            rs.sort_by_key(|&r| st.ranges[r as usize].seg.start);
+            *slot = Some(st.bundles.len() as u32);
+            st.bundles.push(Bundle {
+                ranges: rs,
+                class: f.temp_class(t),
+                hint: None,
+                gen: 0,
+                prio: 0,
+                weight: 0.0,
+                assignment: None,
+                spilled: false,
+                dead: false,
+            });
+        }
+        (st, bundle_of_temp)
+    }
+
     /// The representative temporary of a bundle (its earliest range's), used
     /// to label trace events.
     fn repr(&self, bid: u32) -> Temp {
@@ -478,9 +524,17 @@ impl State<'_> {
         self.regs.fits(d, segs)
     }
 
+    /// True if bundle `bid`'s ranges ascend by start and are pairwise
+    /// disjoint: every walk over them, and a split's single cut, relies on it.
+    fn ranges_ascend(&self, bid: u32) -> bool {
+        let seg = |r: u32| self.ranges[r as usize].seg;
+        self.bundles[bid as usize].ranges.windows(2).all(|w| seg(w[0]).end < seg(w[1]).start)
+    }
+
     /// Lands bundle `bid` in register `d`, which must be free over its
     /// ranges.
     fn place(&mut self, bid: u32, d: usize) {
+        debug_assert!(self.ranges_ascend(bid), "bundle {bid}'s ranges overlap or are out of order");
         let ranges = &self.ranges;
         let segs = self.bundles[bid as usize].ranges.iter().map(|&r| ranges[r as usize].seg);
         self.regs.occupy(d, segs, bid);
@@ -533,12 +587,12 @@ impl State<'_> {
 /// *current* assignment — so feasibility demotions propagate to every later
 /// consumer without rebuilding the table.
 fn loc_at(
-    temp_pieces: &[Vec<(u32, u32, u32)>],
+    temp_pieces: &Csr<(u32, u32, u32)>,
     bundles: &[Bundle],
     t: Temp,
     p: Point,
 ) -> Option<PhysReg> {
-    let pieces = &temp_pieces[t.index()];
+    let pieces = temp_pieces.row(t.index());
     let i = pieces.partition_point(|e| e.0 <= p.0);
     let (_, end, bid) = *pieces[..i].last()?;
     if end < p.0 {
@@ -553,7 +607,7 @@ fn loc_at(
 /// copies ahead of each instruction's scratch loads.
 struct Points<'s, 'a> {
     st: &'s mut State<'a>,
-    temp_pieces: &'s [Vec<(u32, u32, u32)>],
+    temp_pieces: &'s Csr<(u32, u32, u32)>,
     /// Connection copies, ascending by instruction, and the next to emit.
     connections: Vec<(u32, EdgeOp)>,
     next_conn: usize,
@@ -710,45 +764,9 @@ fn allocate(
     stats.candidates = f.num_temps();
 
     let nt = f.num_temps();
-    let nregs = spec.total_regs();
-    let nb = f.num_blocks();
 
     // Phase 1: one bundle per live temporary.
-    let mut st = State {
-        lt: &lt,
-        spec,
-        ranges: Vec::new(),
-        bundles: Vec::new(),
-        regs: RegFile::new((0..nregs).map(|d| lt.blocked(d)).collect(), lt.num_insts()),
-        block_tops: (0..nb).map(|b| lt.top(BlockId(b as u32)).0).collect(),
-    };
-    let mut bundle_of_temp: Vec<Option<u32>> = vec![None; nt];
-    #[allow(clippy::needless_range_loop)] // `ti` is the temp id, not just an index
-    for ti in 0..nt {
-        let t = Temp(ti as u32);
-        let segs = lt.segments(t);
-        if segs.is_empty() {
-            continue;
-        }
-        let mut rs: Vec<u32> = Vec::with_capacity(segs.len());
-        for &s in segs {
-            rs.push(st.ranges.len() as u32);
-            st.ranges.push(LiveRange { temp: t, seg: s });
-        }
-        rs.sort_by_key(|&r| st.ranges[r as usize].seg.start);
-        bundle_of_temp[ti] = Some(st.bundles.len() as u32);
-        st.bundles.push(Bundle {
-            ranges: rs,
-            class: f.temp_class(t),
-            hint: None,
-            gen: 0,
-            prio: 0,
-            weight: 0.0,
-            assignment: None,
-            spilled: false,
-            dead: false,
-        });
-    }
+    let (mut st, bundle_of_temp) = State::new(f, &lt, spec);
 
     // Phase 2: move coalescing and hints. Walk moves in program order; a
     // temp-to-temp move whose bundles don't overlap merges them (the move
@@ -979,21 +997,22 @@ fn allocate(
         st.bundles[bid as usize].spilled = true;
     }
 
-    // Location table: pieces per temp, ascending by start. Location queries
-    // go through the owning bundle so later demotions stay visible.
-    let mut temp_pieces: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nt];
-    for bid in 0..st.bundles.len() {
-        if st.bundles[bid].dead {
-            continue;
+    // Location table: one row of `(start, end, bundle)` pieces per temp,
+    // ascending by start. Location queries go through the owning bundle so
+    // later demotions stay visible.
+    let temp_pieces = {
+        let (ranges, live) = (&st.ranges, st.bundles.iter().enumerate().filter(|(_, b)| !b.dead));
+        let pieces = live
+            .flat_map(|(bid, b)| b.ranges.iter().map(move |&r| (bid as u32, ranges[r as usize])));
+        let table = Csr::group(nt, || {
+            pieces.clone().map(|(bid, lr)| (lr.temp.index(), (lr.seg.start.0, lr.seg.end.0, bid)))
+        });
+        let (offsets, mut data) = table.into_parts();
+        for w in offsets.windows(2) {
+            data[w[0] as usize..w[1] as usize].sort_unstable_by_key(|e| e.0);
         }
-        for &r in &st.bundles[bid].ranges {
-            let lr = st.ranges[r as usize];
-            temp_pieces[lr.temp.index()].push((lr.seg.start.0, lr.seg.end.0, bid as u32));
-        }
-    }
-    for v in &mut temp_pieces {
-        v.sort_by_key(|e| e.0);
-    }
+        Csr::from_parts(offsets, data)
+    };
 
     // Assignment smoothing. Each seam — adjacent pieces of one temporary
     // sitting in different registers — costs a connection or resolution
@@ -1006,29 +1025,12 @@ fn allocate(
     // The seams do not move between rounds, so their adjacency is built
     // once: a counting sort, each row in the order its seams are met.
     let nbund = st.bundles.len();
-    let seams = || {
-        temp_pieces
-            .iter()
-            .flat_map(|pieces| pieces.windows(2).map(|w| (w[0].2, w[1].2)))
+    let adj = Csr::group(nbund, || {
+        (0..nt)
+            .flat_map(|t| temp_pieces.row(t).windows(2).map(|w| (w[0].2, w[1].2)))
             .filter(|(a, b)| a != b)
-    };
-    let mut offsets = vec![0u32; nbund + 1];
-    for (a, b) in seams() {
-        offsets[a as usize + 1] += 1;
-        offsets[b as usize + 1] += 1;
-    }
-    for i in 0..nbund {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut fill = offsets[..nbund].to_vec();
-    let mut data = vec![0u32; offsets[nbund] as usize];
-    for (a, b) in seams() {
-        data[fill[a as usize] as usize] = b;
-        fill[a as usize] += 1;
-        data[fill[b as usize] as usize] = a;
-        fill[b as usize] += 1;
-    }
-    let adj = Csr::from_parts(offsets, data);
+            .flat_map(|(a, b)| [(a as usize, b), (b as usize, a)])
+    });
     for _ in 0..4 {
         let mut changed = false;
         for bid in 0..nbund as u32 {
@@ -1091,9 +1093,9 @@ fn allocate(
     points.connections = {
         let st = &*points.st;
         let mut connections: Vec<(u32, EdgeOp)> = Vec::new();
-        for (ti, pieces) in temp_pieces.iter().enumerate() {
+        for ti in 0..nt {
             let t = Temp(ti as u32);
-            for w in pieces.windows(2) {
+            for w in temp_pieces.row(ti).windows(2) {
                 let ((_, e1, b1), (s2, _, b2)) = (w[0], w[1]);
                 if e1 + 1 != s2 || st.block_tops.binary_search(&s2).is_ok() {
                     continue;
@@ -1179,16 +1181,18 @@ fn allocate(
     // set; a store to the slot retires every fact for that temporary
     // (older copies hold the superseded value).
     let mut avail: Vec<(Temp, PhysReg, bool)> = Vec::new();
-    let mut avail_out: Vec<Option<Vec<(Temp, PhysReg, bool)>>> = vec![None; f.blocks.len()];
+    // Row `b`: the facts at the bottom of block `b`, for the blocks scanned
+    // so far.
+    let mut avail_out: Csr<(Temp, PhysReg, bool)> = Csr::new();
     let cfg = Cfg::compute(f); // after phase 7's splits
     for bi in 0..f.blocks.len() {
         avail.clear();
         // A single-predecessor block inherits the predecessor's facts when
         // that block has already been scanned (its code is final; only a
-        // scanned block has an `avail_out`).
+        // scanned block has a row).
         if let [p] = *cfg.preds(BlockId(bi as u32)) {
-            if let Some(out) = avail_out[p.index()].as_deref() {
-                avail.extend_from_slice(out);
+            if p.index() < avail_out.rows() {
+                avail.extend_from_slice(avail_out.row(p.index()));
             }
         }
         let blk = &mut f.blocks[bi];
@@ -1236,7 +1240,10 @@ fn allocate(
             }
             true
         });
-        avail_out[bi] = Some(avail.clone());
+        for &fact in &avail {
+            avail_out.push(fact);
+        }
+        avail_out.finish_row();
     }
 
     // A slot nothing ever reloads is write-only — spill slots are
@@ -1274,46 +1281,48 @@ fn allocate(
     }
 }
 
-/// The pieces of one split, in ascending start order.
+/// The pieces of one split: the ranges below the cut point and those from
+/// it on, each ascending by start.
 struct SplitPieces {
     kind: SplitKind,
-    groups: Vec<Vec<u32>>,
+    groups: [Vec<u32>; 2],
 }
 
-/// Splits bundle `bid`: at block boundaries when it spans several blocks,
-/// at the widest gap between its references inside a single block. Returns
-/// `None` when no cut makes progress (the caller spills).
+/// Splits bundle `bid` at one point: the top of the median block it touches
+/// when it spans several blocks, or the boundary before the far side of the
+/// widest gap between its references inside a single block. Returns `None`
+/// when no cut makes progress (the caller spills).
 fn split(st: &mut State<'_>, bid: u32) -> Option<SplitPieces> {
-    // Cut every range at each block top strictly inside it, then group the
-    // subranges by block.
-    let mut parts: Vec<(usize, Temp, Segment)> = Vec::new();
-    for &r in &st.bundles[bid as usize].ranges {
-        let lr = st.ranges[r as usize];
-        let (mut a, b) = (lr.seg.start.0, lr.seg.end.0);
-        let lo = st.block_tops.partition_point(|&c| c <= a);
-        let hi = st.block_tops.partition_point(|&c| c <= b);
-        for &c in &st.block_tops[lo..hi] {
-            parts.push((st.block_of(Point(a)), lr.temp, Segment::new(Point(a), Point(c - 1))));
-            a = c;
-        }
-        parts.push((st.block_of(Point(a)), lr.temp, Segment::new(Point(a), Point(b))));
-    }
-    parts.sort_by_key(|&(blk, _, s)| (blk, s.start));
-    let multi_block = parts.windows(2).any(|w| w[0].0 != w[1].0);
-    if multi_block {
+    debug_assert!(st.ranges_ascend(bid), "bundle {bid}'s ranges overlap or are out of order");
+    // Range `[s, e]` touches blocks `block_of(s)..=block_of(e)`. The ranges
+    // ascend and are disjoint, so a span can share only its first block
+    // with the spans before it: each adds its blocks from `next` on.
+    let spans = || {
+        st.bundles[bid as usize].ranges.iter().scan(0usize, |next, &r| {
+            let seg = st.ranges[r as usize].seg;
+            let (lo, hi) = (st.block_of(seg.start).max(*next), st.block_of(seg.end) + 1);
+            *next = hi;
+            Some(lo..hi)
+        })
+    };
+    let touched: usize = spans().map(|b| b.len()).sum();
+    if touched > 1 {
         // Bisect at the median touched block rather than shattering into
         // per-block shards: every extra piece is a potential edge-resolution
         // move, so fragmentation should grow only where conflicts persist
         // (the halves re-enter the queue and bisect again on failure).
-        let mut blocks: Vec<usize> = parts.iter().map(|&(blk, _, _)| blk).collect();
-        blocks.dedup();
-        let mid = blocks[blocks.len() / 2];
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(), Vec::new()];
-        for (blk, temp, seg) in parts {
-            let r = push_range(st, temp, seg);
-            groups[usize::from(blk >= mid)].push(r);
-        }
-        return Some(SplitPieces { kind: SplitKind::BlockBoundary, groups });
+        let mut k = touched / 2;
+        let mid = spans()
+            .find_map(|b| {
+                if k < b.len() {
+                    return Some(b.start + k);
+                }
+                k -= b.len();
+                None
+            })
+            .expect("the median is a touched block");
+        let c = st.block_tops[mid];
+        return Some(SplitPieces { kind: SplitKind::BlockBoundary, groups: cut(st, bid, c) });
     }
 
     // Single block: cut at the boundary before the far side of the widest
@@ -1338,34 +1347,30 @@ fn split(st: &mut State<'_>, bid: u32) -> Option<SplitPieces> {
             cut_gi = w[1];
         }
     }
-    let c = Point::before(cut_gi).0;
-    let mut before: Vec<u32> = Vec::new();
-    let mut after: Vec<u32> = Vec::new();
-    for r in st.bundles[bid as usize].ranges.clone() {
-        let lr = st.ranges[r as usize];
-        if lr.seg.end.0 < c {
-            let nr = push_range(st, lr.temp, lr.seg);
-            before.push(nr);
-        } else if lr.seg.start.0 >= c {
-            let nr = push_range(st, lr.temp, lr.seg);
-            after.push(nr);
-        } else {
-            let b1 = push_range(st, lr.temp, Segment::new(lr.seg.start, Point(c - 1)));
-            before.push(b1);
-            let a1 = push_range(st, lr.temp, Segment::new(Point(c), lr.seg.end));
-            after.push(a1);
-        }
-    }
-    if before.is_empty() || after.is_empty() {
+    let groups = cut(st, bid, Point::before(cut_gi).0);
+    if groups.iter().any(Vec::is_empty) {
         return None;
     }
-    Some(SplitPieces { kind: SplitKind::UseGap, groups: vec![before, after] })
+    Some(SplitPieces { kind: SplitKind::UseGap, groups })
 }
 
-fn push_range(st: &mut State<'_>, temp: Temp, seg: Segment) -> u32 {
-    let r = st.ranges.len() as u32;
-    st.ranges.push(LiveRange { temp, seg });
-    r
+/// The ranges of bundle `bid` below point `c`, and those from `c` on. Whole
+/// ranges keep their arena entries; the one range straddling `c`, if any
+/// (the ranges are disjoint), is cut once, into two new entries.
+fn cut(st: &mut State<'_>, bid: u32, c: u32) -> [Vec<u32>; 2] {
+    let rs = &st.bundles[bid as usize].ranges;
+    let i = rs.partition_point(|&r| st.ranges[r as usize].seg.end.0 < c);
+    let (mut below, mut above) = (rs[..i].to_vec(), rs[i..].to_vec());
+    if let Some(r) = above.first_mut() {
+        let LiveRange { temp, seg } = st.ranges[*r as usize];
+        if seg.start.0 < c {
+            below.push(st.ranges.len() as u32);
+            st.ranges.push(LiveRange { temp, seg: Segment::new(seg.start, Point(c - 1)) });
+            *r = st.ranges.len() as u32;
+            st.ranges.push(LiveRange { temp, seg: Segment::new(Point(c), seg.end) });
+        }
+    }
+    [below, above]
 }
 
 #[cfg(test)]
@@ -1662,6 +1667,256 @@ mod tests {
                 popped.push(key);
             }
         }
+    }
+
+    /// `split` as it was before single cuts, kept as the reference it must
+    /// match: every range is cut at each block top inside it, the per-block
+    /// parts go to either side of the median touched block, and a
+    /// single-block bundle is cut at its widest use gap, with every range
+    /// copied.
+    fn split_per_block_parts(st: &mut State<'_>, bid: u32) -> Option<SplitPieces> {
+        fn push_range(st: &mut State<'_>, temp: Temp, seg: Segment) -> u32 {
+            st.ranges.push(LiveRange { temp, seg });
+            st.ranges.len() as u32 - 1
+        }
+        let mut parts: Vec<(usize, Temp, Segment)> = Vec::new();
+        for &r in &st.bundles[bid as usize].ranges {
+            let lr = st.ranges[r as usize];
+            let (mut a, b) = (lr.seg.start.0, lr.seg.end.0);
+            let lo = st.block_tops.partition_point(|&c| c <= a);
+            let hi = st.block_tops.partition_point(|&c| c <= b);
+            for &c in &st.block_tops[lo..hi] {
+                parts.push((st.block_of(Point(a)), lr.temp, Segment::new(Point(a), Point(c - 1))));
+                a = c;
+            }
+            parts.push((st.block_of(Point(a)), lr.temp, Segment::new(Point(a), Point(b))));
+        }
+        parts.sort_by_key(|&(blk, _, s)| (blk, s.start));
+        if parts.windows(2).any(|w| w[0].0 != w[1].0) {
+            let mut blocks: Vec<usize> = parts.iter().map(|&(blk, _, _)| blk).collect();
+            blocks.dedup();
+            let mid = blocks[blocks.len() / 2];
+            let mut groups: [Vec<u32>; 2] = Default::default();
+            for (blk, temp, seg) in parts {
+                let r = push_range(st, temp, seg);
+                groups[usize::from(blk >= mid)].push(r);
+            }
+            return Some(SplitPieces { kind: SplitKind::BlockBoundary, groups });
+        }
+        let mut gis: Vec<u32> = Vec::new();
+        for &r in &st.bundles[bid as usize].ranges {
+            let lr = st.ranges[r as usize];
+            let rs = st.lt.refs(lr.temp);
+            let lo = rs.partition_point(|rp| rp.point < lr.seg.start);
+            let hi = rs.partition_point(|rp| rp.point <= lr.seg.end);
+            gis.extend(rs[lo..hi].iter().map(|rp| (rp.point.0 - 3) / 4));
+        }
+        gis.sort_unstable();
+        gis.dedup();
+        if gis.len() < 2 {
+            return None;
+        }
+        let (mut cut_gi, mut widest) = (0u32, 0u32);
+        for w in gis.windows(2) {
+            if w[1] - w[0] > widest {
+                widest = w[1] - w[0];
+                cut_gi = w[1];
+            }
+        }
+        let c = Point::before(cut_gi).0;
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        for r in st.bundles[bid as usize].ranges.clone() {
+            let lr = st.ranges[r as usize];
+            if lr.seg.end.0 < c {
+                before.push(push_range(st, lr.temp, lr.seg));
+            } else if lr.seg.start.0 >= c {
+                after.push(push_range(st, lr.temp, lr.seg));
+            } else {
+                before.push(push_range(st, lr.temp, Segment::new(lr.seg.start, Point(c - 1))));
+                after.push(push_range(st, lr.temp, Segment::new(Point(c), lr.seg.end)));
+            }
+        }
+        if before.is_empty() || after.is_empty() {
+            return None;
+        }
+        Some(SplitPieces { kind: SplitKind::UseGap, groups: [before, after] })
+    }
+
+    /// The points of a range set per temporary: `(temp, start, end)` runs,
+    /// ascending, with contiguous runs of one temporary joined.
+    fn points_per_temp(st: &State<'_>, rs: &[u32]) -> Vec<(u32, u32, u32)> {
+        let mut all: Vec<(u32, u32, u32)> = rs
+            .iter()
+            .map(|&r| st.ranges[r as usize])
+            .map(|lr| (lr.temp.0, lr.seg.start.0, lr.seg.end.0))
+            .collect();
+        all.sort_unstable();
+        let mut runs: Vec<(u32, u32, u32)> = Vec::new();
+        for (t, s, e) in all {
+            match runs.last_mut() {
+                Some(last) if last.0 == t && last.2 + 1 == s => last.2 = e,
+                _ => runs.push((t, s, e)),
+            }
+        }
+        runs
+    }
+
+    /// Up to a dozen ascending, disjoint seeded ranges over temporaries
+    /// `temps`, in the point space that `block_tops` divides and `last`
+    /// ends: short ranges inside one block (often ending in the block where
+    /// the next one starts), ranges across up to four block tops, and a
+    /// dead-def point range on a block's last write slot followed by the
+    /// same temporary from the next block's top.
+    fn seeded_ranges(
+        rng: &mut lsra_workloads::Lcg,
+        block_tops: &[u32],
+        last: u32,
+        temps: &[Temp],
+    ) -> Vec<LiveRange> {
+        let nb = block_tops.len();
+        let block_end = |b: usize| block_tops.get(b + 1).map_or(last, |&t| t - 1);
+        let block_of = |p: u32| block_tops.partition_point(|&t| t <= p) - 1;
+        let in_block = |rng: &mut lsra_workloads::Lcg, b: usize| {
+            block_tops[b] + rng.below(u64::from(block_end(b) - block_tops[b]) + 1) as u32
+        };
+        let mut out: Vec<LiveRange> = Vec::new();
+        let first = rng.below(nb as u64) as usize;
+        let mut at = in_block(rng, first);
+        while at <= last && out.len() < 12 {
+            let temp = temps[rng.below(temps.len() as u64) as usize];
+            let b = block_of(at);
+            let range = |s: u32, e: u32| LiveRange { temp, seg: seg(s, e) };
+            // The last block has no block top after it to cross.
+            let shape = if b + 1 < nb { rng.below(3) } else { 0 };
+            let end = match shape {
+                0 => {
+                    let e = (at + rng.below(12) as u32).min(block_end(b));
+                    out.push(range(at, e));
+                    e
+                }
+                1 => {
+                    let b2 = (b + 1 + rng.below(4) as usize).min(nb - 1);
+                    let e = in_block(rng, b2);
+                    out.push(range(at, e));
+                    e
+                }
+                _ => {
+                    let w = block_end(b);
+                    out.push(range(w, w));
+                    let b2 = (b + 1 + rng.below(3) as usize).min(nb - 1);
+                    let e = in_block(rng, b2);
+                    out.push(range(w + 1, e));
+                    e
+                }
+            };
+            at = end + 1 + rng.below(6) as u32;
+        }
+        out
+    }
+
+    /// Single-cut `split` against the per-block-part reference on seeded
+    /// bundles of random programs (their phase-1 bundles and seeded range
+    /// sets, each split again, piece by piece, a few generations deep): both
+    /// give up together, or both cut the same kind of split into pieces
+    /// holding the same points per temporary. Every piece's ranges ascend
+    /// and are disjoint, and a piece holds at most one range more than its
+    /// parent.
+    #[test]
+    fn single_cut_split_matches_per_block_parts() {
+        let spec = MachineSpec::alpha_like();
+        let mut rng = lsra_workloads::Lcg::new(26);
+        // Splits seen: by block boundary, by use gap, with a range cut, of a
+        // bundle with two ranges in one block that is not the only one it
+        // touches, and of one holding a dead-def point range right before
+        // its temporary's block-top range.
+        let mut seen = [0usize; 5];
+        for seed in 0..24u64 {
+            let config = lsra_workloads::random::RandomConfig {
+                blocks: 4 + seed as usize % 9,
+                ..Default::default()
+            };
+            let m = lsra_workloads::random::RandomProgram::new(seed, config).build(&spec);
+            for f in &m.funcs {
+                let cfg = Cfg::compute(f);
+                let live = Liveness::compute_on(f, &cfg, 1);
+                let loops = LoopInfo::compute(f, &cfg, &Dominators::compute(f, &cfg));
+                let lt = Lifetimes::compute(f, &live, &loops, &spec);
+                let (mut st, _) = State::new(f, &lt, &spec);
+                let temps: Vec<Temp> = (0..f.num_temps() as u32).map(Temp).collect();
+                let last = Point::write(lt.num_insts() - 1).0;
+                for _ in 0..30 {
+                    let k = 1 + rng.below(3) as usize;
+                    let mine: Vec<Temp> =
+                        (0..k).map(|_| temps[rng.below(temps.len() as u64) as usize]).collect();
+                    let rs: Vec<u32> = seeded_ranges(&mut rng, &st.block_tops, last, &mine)
+                        .into_iter()
+                        .map(|lr| {
+                            st.ranges.push(lr);
+                            st.ranges.len() as u32 - 1
+                        })
+                        .collect();
+                    let mut b = st.bundles[0].clone();
+                    b.ranges = rs;
+                    st.bundles.push(b);
+                }
+                let mut work: Vec<(u32, u8)> =
+                    (0..st.bundles.len() as u32).map(|b| (b, 0)).collect();
+                while let Some((bid, depth)) = work.pop() {
+                    let why = format!("seed {seed} {} bundle {bid}", f.name);
+                    let parent: Vec<LiveRange> = st.bundles[bid as usize]
+                        .ranges
+                        .iter()
+                        .map(|&r| st.ranges[r as usize])
+                        .collect();
+                    let want = split_per_block_parts(&mut st, bid);
+                    let got = split(&mut st, bid);
+                    let (got, want) = match (got, want) {
+                        (None, None) => continue,
+                        (Some(got), Some(want)) => (got, want),
+                        (got, want) => panic!(
+                            "{why}: split gives {:?}, the reference {:?}",
+                            got.map(|p| p.kind),
+                            want.map(|p| p.kind)
+                        ),
+                    };
+                    assert_eq!(got.kind, want.kind, "{why}");
+                    let block = |p: Point| st.block_of(p);
+                    seen[usize::from(got.kind == SplitKind::UseGap)] += 1;
+                    let pieces = got.groups[0].len() + got.groups[1].len();
+                    seen[2] += usize::from(pieces == parent.len() + 1);
+                    seen[3] += usize::from(
+                        got.kind == SplitKind::BlockBoundary
+                            && parent
+                                .windows(2)
+                                .any(|w| block(w[0].seg.end) == block(w[1].seg.start)),
+                    );
+                    seen[4] += usize::from(parent.windows(2).any(|w| {
+                        w[0].temp == w[1].temp
+                            && w[0].seg.start == w[0].seg.end
+                            && st.block_tops.binary_search(&w[1].seg.start.0).is_ok()
+                            && w[0].seg.end.0 + 1 == w[1].seg.start.0
+                    }));
+                    for (g, w) in got.groups.iter().zip(&want.groups) {
+                        assert_eq!(points_per_temp(&st, g), points_per_temp(&st, w), "{why}");
+                        assert!(
+                            g.len() <= parent.len() + 1,
+                            "{why}: {} ranges from {}",
+                            g.len(),
+                            parent.len()
+                        );
+                        let nbid = st.bundles.len() as u32;
+                        let mut b = st.bundles[bid as usize].clone();
+                        b.ranges = g.clone();
+                        st.bundles.push(b);
+                        assert!(st.ranges_ascend(nbid), "{why}: piece {g:?}");
+                        if depth < 5 {
+                            work.push((nbid, depth + 1));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 20), "split shapes seen: {seen:?}");
     }
 
     #[test]
