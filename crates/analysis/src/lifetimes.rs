@@ -28,7 +28,7 @@ use crate::cfg::Cfg;
 use crate::collections::Csr;
 use crate::dominators::Dominators;
 use crate::liveness::Liveness;
-use crate::loops::LoopInfo;
+use crate::loops::{depth_weight, LoopInfo};
 
 /// A point on the linear scale. Ordered; see the module docs for layout.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -99,7 +99,7 @@ impl Segment {
     }
 }
 
-/// One reference (use or definition) of a temporary.
+/// One reference (use or definition) of a temporary, in 8 bytes.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct RefPoint {
     /// Where the reference occurs.
@@ -107,10 +107,18 @@ pub struct RefPoint {
     /// True for definitions, false for uses. A reference that both reads and
     /// writes appears twice.
     pub is_def: bool,
-    /// The loop-depth weight (`10^depth`) of the enclosing block — the
-    /// paper's eviction heuristic weights the distance to the next reference
-    /// by this (§2.3).
-    pub weight: f64,
+    /// The loop depth of the enclosing block, saturated at `u8::MAX`.
+    pub depth: u8,
+}
+
+impl RefPoint {
+    /// The loop-depth weight of the enclosing block, the same
+    /// [`LoopInfo::weight`] gives it — the paper's eviction heuristic
+    /// weights the distance to the next reference by this (§2.3).
+    #[inline]
+    pub fn weight(self) -> f64 {
+        depth_weight(u32::from(self.depth))
+    }
 }
 
 /// Reusable buffers for [`Lifetimes::compute_in`]: the reverse-pass working
@@ -121,10 +129,11 @@ pub struct RefPoint {
 pub struct AnalysisScratch {
     /// Reverse-chronological `(temp, segment)` events from the pass.
     seg_events: Vec<(u32, Segment)>,
-    /// Reverse-chronological `(temp, ref)` events from the pass.
-    ref_events: Vec<(u32, RefPoint)>,
-    /// Per-temp event counts, then (in place) the counting-sort cursors.
+    /// Per-temp segment event counts, then (in place) the counting-sort
+    /// cursors.
     seg_cursor: Vec<u32>,
+    /// Per-temp reference row cursors: each starts at its row's end and
+    /// steps down as the reverse pass fills the row.
     ref_cursor: Vec<u32>,
     /// Recycled CSR backing arrays.
     seg_offsets: Vec<u32>,
@@ -191,21 +200,46 @@ impl Lifetimes {
         }
         let num_insts = next;
 
-        // Reverse pass state, recycled from the scratch arena. Segment and
-        // reference rows are not built directly: the pass appends to flat
-        // event lists (with per-temp counts), and a counting sort lays the
-        // rows out afterwards.
+        // Reference rows are laid out before the pass: every temporary
+        // operand is counted, the counts are prefix-summed into row offsets,
+        // and the reverse pass writes each reference straight into its row,
+        // filling from the end so every row comes out ascending.
+        let ref_cursor = &mut scratch.ref_cursor;
+        ref_cursor.clear();
+        ref_cursor.resize(nt, 0);
+        for ins in f.blocks.iter().flat_map(|b| &b.insts) {
+            let mut count = |r: Reg| {
+                if let Reg::Temp(t) = r {
+                    ref_cursor[t.index()] += 1;
+                }
+            };
+            ins.inst.for_each_def(&mut count);
+            ins.inst.for_each_use(count);
+        }
+        let mut ref_offsets = std::mem::take(&mut scratch.ref_offsets);
+        ref_offsets.clear();
+        ref_offsets.reserve(nt + 1);
+        ref_offsets.push(0);
+        let mut acc = 0u32;
+        for c in ref_cursor.iter_mut() {
+            acc += *c;
+            *c = acc;
+            ref_offsets.push(acc);
+        }
+        let mut ref_data = std::mem::take(&mut scratch.ref_data);
+        ref_data.clear();
+        ref_data.resize(acc as usize, RefPoint { point: Point(0), is_def: false, depth: 0 });
+
+        // Reverse pass state, recycled from the scratch arena. Segment rows
+        // are not built directly: the pass appends to a flat event list
+        // (with per-temp counts), and a counting sort lays the rows out
+        // afterwards.
         let mut reg_blocked: Vec<Vec<Segment>> = vec![Vec::new(); nregs];
         scratch.seg_events.clear();
-        scratch.ref_events.clear();
         let seg_events = &mut scratch.seg_events;
-        let ref_events = &mut scratch.ref_events;
         scratch.seg_cursor.clear();
         scratch.seg_cursor.resize(nt, 0);
-        scratch.ref_cursor.clear();
-        scratch.ref_cursor.resize(nt, 0);
         let seg_count = &mut scratch.seg_cursor;
-        let ref_count = &mut scratch.ref_cursor;
         scratch.open_t.clear();
         scratch.open_t.resize(nt, None);
         let open_t = &mut scratch.open_t;
@@ -220,7 +254,7 @@ impl Lifetimes {
         for b in f.block_ids().rev() {
             let bi = b.index();
             let bottom = Point::before(block_last[bi] + 1);
-            let weight = loops.weight(b);
+            let depth = loops.depth(b).min(u32::from(u8::MAX)) as u8;
 
             // Align the open-temp set with this block's live-out: temps live
             // out of b continue (or open) here; temps that were open (live
@@ -268,8 +302,9 @@ impl Lifetimes {
                 // Definitions first (they come later on the point scale).
                 ins.inst.for_each_def(|r| match r {
                     Reg::Temp(t) => {
-                        ref_count[t.index()] += 1;
-                        ref_events.push((t.0, RefPoint { point: wp, is_def: true, weight }));
+                        let at = &mut ref_cursor[t.index()];
+                        *at -= 1;
+                        ref_data[*at as usize] = RefPoint { point: wp, is_def: true, depth };
                         seg_count[t.index()] += 1;
                         match open_t[t.index()].take() {
                             Some(end) => {
@@ -293,8 +328,9 @@ impl Lifetimes {
                 // Then uses.
                 ins.inst.for_each_use(|r| match r {
                     Reg::Temp(t) => {
-                        ref_count[t.index()] += 1;
-                        ref_events.push((t.0, RefPoint { point: rp, is_def: false, weight }));
+                        let at = &mut ref_cursor[t.index()];
+                        *at -= 1;
+                        ref_data[*at as usize] = RefPoint { point: rp, is_def: false, depth };
                         if open_t[t.index()].is_none() {
                             open_t[t.index()] = Some(rp);
                             if let Some(g) = live.global_of(t) {
@@ -330,6 +366,9 @@ impl Lifetimes {
             }
         }
 
+        // Every reference row is full: each cursor met its row's start.
+        debug_assert!(ref_cursor.iter().zip(&ref_offsets).all(|(c, o)| c == o));
+        let refs = Csr::from_parts(ref_offsets, ref_data);
         // Counting sort: prefix-sum the per-temp counts into row offsets,
         // then back-fill the flat rows by walking the events in reverse —
         // which is chronological order, so every row comes out sorted
@@ -339,14 +378,6 @@ impl Lifetimes {
             seg_events,
             std::mem::take(&mut scratch.seg_offsets),
             std::mem::take(&mut scratch.seg_data),
-            Segment::new(Point(0), Point(0)),
-        );
-        let refs = csr_from_events(
-            ref_count,
-            ref_events,
-            std::mem::take(&mut scratch.ref_offsets),
-            std::mem::take(&mut scratch.ref_data),
-            RefPoint { point: Point(0), is_def: false, weight: 0.0 },
         );
 
         // Coalesce adjacent register blocks (these rows were built in
@@ -454,16 +485,16 @@ impl Lifetimes {
     }
 }
 
-/// Lays per-temp rows out in one flat array from a reverse-chronological
-/// event list: `counts[t]` is rewritten in place into the row cursor, and
-/// walking the events backwards fills each row in increasing point order.
-fn csr_from_events<T: Copy>(
+/// Lays per-temp segment rows out in one flat array from a
+/// reverse-chronological event list: `counts[t]` is rewritten in place into
+/// the row cursor, and walking the events backwards fills each row in
+/// increasing point order.
+fn csr_from_events(
     counts: &mut [u32],
-    events: &[(u32, T)],
+    events: &[(u32, Segment)],
     mut offsets: Vec<u32>,
-    mut data: Vec<T>,
-    fill: T,
-) -> Csr<T> {
+    mut data: Vec<Segment>,
+) -> Csr<Segment> {
     offsets.clear();
     offsets.reserve(counts.len() + 1);
     offsets.push(0);
@@ -475,7 +506,7 @@ fn csr_from_events<T: Copy>(
         offsets.push(acc);
     }
     data.clear();
-    data.resize(acc as usize, fill);
+    data.resize(acc as usize, Segment::new(Point(0), Point(0)));
     for &(t, v) in events.iter().rev() {
         let cur = &mut counts[t as usize];
         data[*cur as usize] = v;
@@ -705,9 +736,10 @@ mod tests {
         let refs = lt.refs(acc);
         // acc: def in entry (weight 1), use+def in loop (weight 10), use in
         // exit's mov (weight 1).
-        assert!(refs.iter().any(|r| r.weight == 10.0));
+        assert!(refs.iter().any(|r| r.weight() == 10.0));
         assert!(refs.first().unwrap().is_def);
-        assert_eq!(refs.first().unwrap().weight, 1.0);
+        assert_eq!(refs.first().unwrap().weight(), 1.0);
+        assert_eq!(std::mem::size_of::<RefPoint>(), 8);
         // Refs are sorted by point.
         for w in refs.windows(2) {
             assert!(w[0].point <= w[1].point);

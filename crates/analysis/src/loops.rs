@@ -65,14 +65,29 @@ impl LoopInfo {
     /// The paper-style frequency weight for a block: `10^depth`, capped to
     /// avoid overflow in cost sums.
     pub fn weight(&self, b: BlockId) -> f64 {
-        10f64.powi(self.depth(b).min(8) as i32)
+        depth_weight(self.depth(b))
     }
+}
+
+/// `10^depth`, with the depth capped at 8: the weight of a block at loop
+/// depth `depth` ([`LoopInfo::weight`]).
+#[inline]
+pub(crate) fn depth_weight(depth: u32) -> f64 {
+    const WEIGHTS: [f64; 9] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
+    WEIGHTS[depth.min(8) as usize]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsra_ir::{Cond, FunctionBuilder, MachineSpec};
+
+    #[test]
+    fn depth_weights_are_capped_powers_of_ten() {
+        for d in 0..20 {
+            assert_eq!(depth_weight(d), 10f64.powi(d.min(8) as i32), "depth {d}");
+        }
+    }
 
     fn loops(f: &Function) -> LoopInfo {
         let cfg = Cfg::compute(f);

@@ -560,7 +560,11 @@ mod tests {
         orig.block_mut(l).insts.push(Ins::new(Inst::Jump { target: j }));
         orig.block_mut(r).insts.push(Ins::new(Inst::Jump { target: j }));
         orig.block_mut(j).insts.extend([
-            Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: t(t2), srcs: vec![t(t0), t(t1)] }),
+            Ins::new(Inst::Op {
+                op: lsra_ir::OpCode::Add,
+                dst: t(t2),
+                srcs: [t(t0), t(t1)].into(),
+            }),
             Ins::new(Inst::Ret { ret_regs: vec![] }),
         ]);
 
@@ -631,7 +635,11 @@ mod tests {
         orig.block_mut(b0).insts.extend([
             Ins::new(Inst::MovI { dst: t(t0), imm: 7 }),
             Ins::new(Inst::MovI { dst: t(t1), imm: 8 }),
-            Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: t(t1), srcs: vec![t(t0), t(t1)] }),
+            Ins::new(Inst::Op {
+                op: lsra_ir::OpCode::Add,
+                dst: t(t1),
+                srcs: [t(t0), t(t1)].into(),
+            }),
             Ins::new(Inst::Ret { ret_regs: vec![] }),
         ]);
         let mut alloc = orig.clone();
@@ -644,7 +652,7 @@ mod tests {
             Ins::tagged(Inst::SpillStore { src: r8, temp: t0 }, SpillTag::EvictStore),
             Ins::new(Inst::MovI { dst: r8, imm: 8 }),
             Ins::tagged(Inst::SpillLoad { dst: r9, temp: t0 }, SpillTag::EvictLoad),
-            Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: r8, srcs: vec![r9, r8] }),
+            Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: r8, srcs: [r9, r8].into() }),
             Ins::new(Inst::Ret { ret_regs: vec![] }),
         ]);
         alloc.allocated = true;
@@ -654,7 +662,7 @@ mod tests {
         // Reloading into the *wrong* position of the add is caught.
         let mut bad = alloc.clone();
         bad.block_mut(b0).insts[4] =
-            Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: r8, srcs: vec![r8, r9] });
+            Ins::new(Inst::Op { op: lsra_ir::OpCode::Add, dst: r8, srcs: [r8, r9].into() });
         let e = check_function(&orig, &bad, &s).unwrap_err();
         assert!(matches!(e, CheckError::WrongValue { .. }), "{e}");
     }

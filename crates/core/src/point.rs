@@ -511,9 +511,8 @@ mod tests {
         let store = |r, t| {
             Ins::tagged(Inst::SpillStore { src: Reg::Phys(r), temp: t }, SpillTag::EvictStore)
         };
-        let op = |op, dst, srcs: &[PhysReg]| -> Ins {
-            Inst::Op { op, dst: Reg::Phys(dst), srcs: srcs.iter().map(|&p| Reg::Phys(p)).collect() }
-                .into()
+        let op = |op, dst, [a, b]: [PhysReg; 2]| -> Ins {
+            Inst::Op { op, dst: Reg::Phys(dst), srcs: [Reg::Phys(a), Reg::Phys(b)].into() }.into()
         };
         let expect: Vec<Ins> = vec![
             // Destination scratches come from the top free register.
@@ -527,13 +526,13 @@ mod tests {
             // reuses the same-class source scratch.
             Ins::tagged(MARK, SpillTag::EvictMove),
             load(r2, i0),
-            op(OpCode::Add, r2, &[r2, r2]),
+            op(OpCode::Add, r2, [r2, r2]),
             store(r2, i1),
             // Float scratches from the top down; the int destination gets a
             // scratch of its own.
             load(f1, x),
             load(f0, y),
-            op(OpCode::FCmpLt, r2, &[f1, f0]),
+            op(OpCode::FCmpLt, r2, [f1, f0]),
             store(r2, i2),
             // The terminator gets its load and no trailing store.
             load(r2, i2),

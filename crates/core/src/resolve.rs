@@ -26,8 +26,34 @@ use crate::scan::ScanOutput;
 use crate::scratch::AllocScratch;
 use crate::stats::{AllocStats, Phase, PhaseTimer};
 
-fn reg_of(map: &[(Temp, PhysReg)], t: Temp) -> Option<PhysReg> {
-    map.binary_search_by_key(&t, |&(x, _)| x).ok().map(|i| map[i].1)
+/// A forward cursor over one location row (`(temp, register)` pairs
+/// ascending by temporary). Asked for temporaries in ascending order, as a
+/// live-in set walks them, it finds each in step instead of searching: an
+/// edge costs the length of its live-in set plus its two rows.
+struct RowCursor<'a> {
+    row: &'a [(Temp, PhysReg)],
+}
+
+impl<'a> RowCursor<'a> {
+    fn new(row: &'a [(Temp, PhysReg)]) -> Self {
+        RowCursor { row }
+    }
+
+    /// The register `t` is in, if the row has it. `t` must not be below
+    /// the temporary of the previous call.
+    #[inline]
+    fn reg_of(&mut self, t: Temp) -> Option<PhysReg> {
+        while let Some((&(u, r), rest)) = self.row.split_first() {
+            if u > t {
+                return None;
+            }
+            self.row = rest;
+            if u == t {
+                return Some(r);
+            }
+        }
+        None
+    }
 }
 
 /// Gives `t` a spill slot, counting it in `stats.spilled_temps` the first
@@ -148,10 +174,12 @@ pub(crate) fn resolve(
     timer.mark_traced(stats, Phase::Resolve, sink);
     if cfg.consistency == ConsistencyMode::Iterative {
         for (p, s) in graph.edges() {
+            let mut bottom_p = RowCursor::new(scan.bottom_map.row(p.index()));
+            let mut top_s = RowCursor::new(scan.top_map.row(s.index()));
             for g in live.live_in(s).iter() {
                 let t = live.temp_of(g);
-                let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
-                let loc_s = reg_of(scan.top_map.row(s.index()), t);
+                let loc_p = bottom_p.reg_of(t);
+                let loc_s = top_s.reg_of(t);
                 if loc_p.is_some()
                     && loc_s.is_none()
                     && scan.consistent_bottom[p.index()].contains(g)
@@ -175,10 +203,12 @@ pub(crate) fn resolve(
     timer.mark_traced(stats, Phase::Consistency, sink);
 
     scratch.edge.run(f, graph, stats, sink, |p, s, ops, sink| {
+        let mut bottom_p = RowCursor::new(scan.bottom_map.row(p.index()));
+        let mut top_s = RowCursor::new(scan.top_map.row(s.index()));
         for g in live.live_in(s).iter() {
             let t = live.temp_of(g);
-            let loc_p = reg_of(scan.bottom_map.row(p.index()), t);
-            let loc_s = reg_of(scan.top_map.row(s.index()), t);
+            let loc_p = bottom_p.reg_of(t);
+            let loc_s = top_s.reg_of(t);
             let consistent_p = scan.consistent_bottom[p.index()].contains(g);
             let mut store = false;
             // The (Some, Some) branch's store repairs a downstream
@@ -237,4 +267,59 @@ pub(crate) fn resolve(
         }
     });
     timer.mark_traced(stats, Phase::Resolve, sink);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lsra_workloads::Lcg;
+
+    /// The search the cursor replaced.
+    fn searched(row: &[(Temp, PhysReg)], t: Temp) -> Option<PhysReg> {
+        row.binary_search_by_key(&t, |&(x, _)| x).ok().map(|i| row[i].1)
+    }
+
+    /// A random row: each of `0..universe` with probability `1/keep`, in a
+    /// random register, ascending by temporary.
+    fn random_row(rng: &mut Lcg, universe: u32, keep: u64) -> Vec<(Temp, PhysReg)> {
+        let mut row = Vec::new();
+        for t in 0..universe {
+            if rng.below(keep) == 0 {
+                row.push((Temp(t), PhysReg::int(rng.below(32) as u8)));
+            }
+        }
+        row
+    }
+
+    /// Walking a live-in set in step with two rows finds what a binary
+    /// search of each row finds, for temporaries in both rows, in one, in
+    /// neither, and for empty rows and sets.
+    #[test]
+    fn cursor_lookup_matches_binary_search() {
+        let mut rng = Lcg::new(0x2E50);
+        let mut found = [0usize; 4];
+        for case in 0..400 {
+            let universe = rng.below(64) as u32;
+            // From empty (keep one in 2^64) through every temporary.
+            let density = |rng: &mut Lcg| match rng.below(5) {
+                0 => u64::MAX,
+                1 => 1,
+                k => k,
+            };
+            let (kp, ks, kl) = (density(&mut rng), density(&mut rng), density(&mut rng));
+            let bottom = random_row(&mut rng, universe, kp);
+            let top = random_row(&mut rng, universe, ks);
+            let live_in: Vec<Temp> =
+                (0..universe).filter(|_| rng.below(kl) == 0).map(Temp).collect();
+            let (mut cp, mut cs) = (RowCursor::new(&bottom), RowCursor::new(&top));
+            for &t in &live_in {
+                let (got_p, got_s) = (cp.reg_of(t), cs.reg_of(t));
+                assert_eq!(got_p, searched(&bottom, t), "case {case}: bottom row, {t}");
+                assert_eq!(got_s, searched(&top, t), "case {case}: top row, {t}");
+                found[usize::from(got_p.is_some()) * 2 + usize::from(got_s.is_some())] += 1;
+            }
+        }
+        // Every combination of presence was exercised.
+        assert!(found.iter().all(|&n| n > 0), "{found:?}");
+    }
 }

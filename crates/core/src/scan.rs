@@ -894,7 +894,8 @@ impl<'a> Scanner<'a> {
                     if r.point <= guard {
                         continue; // operand of the current instruction
                     }
-                    (r.weight / ((r.point.0 - at.0) as f64 + 1.0), Some(r.point), r.weight)
+                    let w = r.weight();
+                    (w / ((r.point.0 - at.0) as f64 + 1.0), Some(r.point), w)
                 }
                 // Live with no later linear reference (value flows around a
                 // back edge): weight 1 at lifetime-end distance.

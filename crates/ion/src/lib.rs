@@ -511,7 +511,7 @@ impl<'a> State<'a> {
             let lo = rs.partition_point(|rp| rp.point < lr.seg.start);
             let hi = rs.partition_point(|rp| rp.point <= lr.seg.end);
             for rp in &rs[lo..hi] {
-                refs += rp.weight;
+                refs += rp.weight();
             }
         }
         (len, refs / len.max(1) as f64)

@@ -127,13 +127,13 @@ impl<'a> FunctionBuilder<'a> {
     /// Emits a binary ALU operation.
     pub fn op2(&mut self, op: OpCode, dst: impl Into<Reg>, a: impl Into<Reg>, b: impl Into<Reg>) {
         debug_assert_eq!(op.arity(), 2);
-        self.emit(Inst::Op { op, dst: dst.into(), srcs: vec![a.into(), b.into()] });
+        self.emit(Inst::Op { op, dst: dst.into(), srcs: [a.into(), b.into()].into() });
     }
 
     /// Emits a unary ALU operation.
     pub fn op1(&mut self, op: OpCode, dst: impl Into<Reg>, a: impl Into<Reg>) {
         debug_assert_eq!(op.arity(), 1);
-        self.emit(Inst::Op { op, dst: dst.into(), srcs: vec![a.into()] });
+        self.emit(Inst::Op { op, dst: dst.into(), srcs: [a.into()].into() });
     }
 
     /// `dst = a + b`.

@@ -312,8 +312,12 @@ mod tests {
         let t = f.new_temp(RegClass::Float, None);
         f.block_mut(BlockId(0)).insts.insert(
             0,
-            Inst::Op { op: OpCode::Add, dst: Reg::Temp(t), srcs: vec![Reg::Temp(t), Reg::Temp(t)] }
-                .into(),
+            Inst::Op {
+                op: OpCode::Add,
+                dst: Reg::Temp(t),
+                srcs: [Reg::Temp(t), Reg::Temp(t)].into(),
+            }
+            .into(),
         );
         assert!(f.validate().is_err());
     }
@@ -353,7 +357,7 @@ mod tests {
         let add = |a, b| Inst::Op {
             op: OpCode::FAdd,
             dst: Reg::Temp(x),
-            srcs: vec![Reg::Temp(a), Reg::Temp(b)],
+            srcs: [Reg::Temp(a), Reg::Temp(b)].into(),
         };
         f.block_mut(BlockId(0)).insts.insert(0, add(x, x).into());
         assert_eq!(f.check_fits(&MachineSpec::small(2, 1)), Ok(()), "one distinct read");

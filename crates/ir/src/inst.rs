@@ -291,6 +291,90 @@ impl SpillTag {
     ];
 }
 
+/// The sources of an [`Inst::Op`], stored inline: at most
+/// [`Srcs::CAPACITY`] registers (the largest [`OpCode::arity`]) and their
+/// count. It derefs to `&[Reg]`, so `srcs[0]`, `.iter()` and `.len()` read
+/// it like the slice it holds; the count is kept, so an operation with
+/// fewer sources than its arity can still be built (and then refused by
+/// validation).
+#[derive(Copy, Clone)]
+pub struct Srcs {
+    regs: [Reg; Srcs::CAPACITY],
+    len: u8,
+}
+
+impl Srcs {
+    /// The most sources an operation can hold.
+    pub const CAPACITY: usize = 2;
+
+    /// No sources.
+    pub const fn new() -> Srcs {
+        Srcs { regs: [Reg::Temp(Temp(0)); Srcs::CAPACITY], len: 0 }
+    }
+
+    /// Appends `r`, or hands it back if the sources are full.
+    pub fn try_push(&mut self, r: Reg) -> Result<(), Reg> {
+        let n = self.len as usize;
+        if n == Srcs::CAPACITY {
+            return Err(r);
+        }
+        self.regs[n] = r;
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Removes and returns the last source.
+    pub fn pop(&mut self) -> Option<Reg> {
+        let n = self.len.checked_sub(1)?;
+        self.len = n;
+        Some(self.regs[n as usize])
+    }
+}
+
+impl Default for Srcs {
+    fn default() -> Srcs {
+        Srcs::new()
+    }
+}
+
+/// Up to [`Srcs::CAPACITY`] sources; a longer array is a compile error.
+impl<const N: usize> From<[Reg; N]> for Srcs {
+    fn from(regs: [Reg; N]) -> Srcs {
+        const { assert!(N <= Srcs::CAPACITY, "an operation has at most two sources") };
+        let mut s = Srcs::new();
+        s.regs[..N].copy_from_slice(&regs);
+        s.len = N as u8;
+        s
+    }
+}
+
+impl std::ops::Deref for Srcs {
+    type Target = [Reg];
+    #[inline]
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for Srcs {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [Reg] {
+        &mut self.regs[..self.len as usize]
+    }
+}
+
+impl PartialEq for Srcs {
+    fn eq(&self, other: &Srcs) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Srcs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// An IR instruction.
 ///
 /// Every block ends with exactly one terminator (`Jump`, `Branch`, or `Ret`);
@@ -303,8 +387,8 @@ pub enum Inst {
         op: OpCode,
         /// Destination register.
         dst: Reg,
-        /// Source registers (`op.arity()` of them).
-        srcs: Vec<Reg>,
+        /// Source registers (`op.arity()` of them), stored inline.
+        srcs: Srcs,
     },
     /// `dst = imm` (integer immediate).
     MovI {
@@ -561,7 +645,7 @@ mod tests {
     #[test]
     fn uses_and_defs() {
         let t = |i| Reg::Temp(Temp(i));
-        let add = Inst::Op { op: OpCode::Add, dst: t(0), srcs: vec![t(1), t(2)] };
+        let add = Inst::Op { op: OpCode::Add, dst: t(0), srcs: [t(1), t(2)].into() };
         assert_eq!(uses(&add), vec![t(1), t(2)]);
         assert_eq!(defs(&add), vec![t(0)]);
 
@@ -581,11 +665,31 @@ mod tests {
     #[test]
     fn mutation_visits_rewritable_operands() {
         let t = |i| Reg::Temp(Temp(i));
-        let mut add = Inst::Op { op: OpCode::Add, dst: t(0), srcs: vec![t(1), t(2)] };
+        let mut add = Inst::Op { op: OpCode::Add, dst: t(0), srcs: [t(1), t(2)].into() };
         add.for_each_use_mut(|r| *r = Reg::Phys(PhysReg::int(7)));
         add.for_each_def_mut(|r| *r = Reg::Phys(PhysReg::int(8)));
         assert_eq!(uses(&add), vec![Reg::Phys(PhysReg::int(7)); 2]);
         assert_eq!(defs(&add), vec![Reg::Phys(PhysReg::int(8))]);
+    }
+
+    #[test]
+    fn srcs_hold_up_to_two_registers_inline() {
+        let t = |i| Reg::Temp(Temp(i));
+        let mut s = Srcs::new();
+        assert!(s.is_empty());
+        assert_eq!(s.try_push(t(1)), Ok(()));
+        assert_eq!(s.try_push(t(2)), Ok(()));
+        assert_eq!(s.try_push(t(3)), Err(t(3)), "full");
+        assert_eq!(&s[..], &[t(1), t(2)]);
+        assert_eq!(s, Srcs::from([t(1), t(2)]));
+        assert_eq!(format!("{s:?}"), format!("{:?}", vec![t(1), t(2)]));
+        assert_eq!(s.pop(), Some(t(2)));
+        // Equality reads only the live prefix.
+        assert_eq!(s, Srcs::from([t(1)]));
+        assert_eq!(s.pop(), Some(t(1)));
+        assert_eq!(s.pop(), None);
+        assert_eq!(s, Srcs::default());
+        assert!(std::mem::size_of::<Srcs>() <= 2 * std::mem::size_of::<Reg>() + 4);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use block::{Block, BlockId};
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use function::{Function, SlotId, TempInfo, ValidateError};
 pub use hash::{fnv64, fnv64_extend, FnvBuildHasher, FnvHasher, FNV64_OFFSET};
-pub use inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag};
+pub use inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag, Srcs};
 pub use machine::MachineSpec;
 pub use module::Module;
 pub use parse::{

@@ -8,9 +8,10 @@
 //! instruction is a [`ParseError`] at its line, never a panic; names are
 //! looked up in the printer's own tables ([`OpCode::ALL`] and its kin).
 //! Besides syntax the reader refuses a block label past the next new block,
-//! a register number past `u8`, an operand past an instruction's form, a
-//! second `module` header and a header parameter that is not a declared
-//! temporary of its class. The IR rules are
+//! a register number past `u8`, an operand past an instruction's form, an
+//! operation with more sources than [`Srcs::CAPACITY`], a second `module`
+//! header and a header parameter that is not a declared temporary of its
+//! class. The IR rules are
 //! [`Module::for_each_finding`]'s, left out by [`parse_module_syntax`].
 
 use std::fmt;
@@ -18,9 +19,10 @@ use std::ops::ControlFlow;
 
 use crate::block::BlockId;
 use crate::function::{Function, SlotId, ValidateError};
-use crate::inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag};
+use crate::inst::{Callee, Cond, ExtFn, FuncId, Ins, Inst, OpCode, SpillTag, Srcs};
 use crate::module::Module;
 use crate::reg::{PhysReg, Reg, RegClass, Temp};
+use crate::rules::arity_finding;
 
 /// A syntax or consistency error with its 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,6 +212,23 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// An operation's sources: every remaining token, as a register. A
+    /// short list is left to the rule walk; one longer than [`Srcs`] holds
+    /// is refused here, worded as the rule walk words a wrong count.
+    fn srcs(&mut self, op: OpCode) -> Result<Srcs> {
+        let mut srcs = Srcs::new();
+        let mut got = 0;
+        while let Some(t) = self.opt() {
+            // A full list keeps counting, so the error names every source.
+            let _ = srcs.try_push(parse_reg(t, self.line)?);
+            got += 1;
+        }
+        match arity_finding(op, got) {
+            Some(msg) if got > Srcs::CAPACITY => err(self.line, msg),
+            _ => Ok(srcs),
+        }
+    }
+
     /// Every remaining token, each read by `parse`.
     fn rest<R>(&mut self, parse: fn(&str, usize) -> Result<R>) -> Result<Vec<R>> {
         let line = self.line;
@@ -380,7 +399,7 @@ impl FuncParser {
                 Inst::SpillLoad { dst, temp }
             }
             _ => match by_name(&OpCode::ALL, OpCode::mnemonic, op) {
-                Some(op) => Inst::Op { op, dst, srcs: cur.rest(parse_reg)? },
+                Some(op) => Inst::Op { op, dst, srcs: cur.srcs(op)? },
                 None if cur.opt().is_some() => {
                     return err(line, format!("unrecognised operation `{op}`"));
                 }
@@ -820,6 +839,25 @@ mod tests {
                 &format!("unexpected `{extra}` in `{inst}`"),
             );
         }
+    }
+
+    #[test]
+    fn sources_past_the_inline_capacity_are_refused_at_their_line() {
+        for (inst, what) in [
+            ("t0 = add t0, t0, t0", "add expects 2 sources, got 3"),
+            ("t0 = add t0, t0, t0, t0", "add expects 2 sources, got 4"),
+            ("t0 = neg t0, t0, t0", "neg expects 1 sources, got 3"),
+        ] {
+            let text = one_block(&format!("  {inst}\n  ret\n"));
+            refused_at(&text, 6, what);
+            assert_eq!(parse_module(&text).unwrap_err().to_string(), format!("line 6: {what}"));
+        }
+        // A bad token past the capacity is still a bad register.
+        refused_at(&one_block("  t0 = add t0, t0, x\n  ret\n"), 6, "bad register `x`");
+        // A second source for a unary op fits, and is the rule walk's.
+        let text = one_block("  t0 = neg t0, t0\n  ret\n");
+        assert!(parse_module_syntax(&text).is_ok());
+        assert_eq!(parse_module(&text).unwrap_err().line, 6);
     }
 
     #[test]

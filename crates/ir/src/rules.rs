@@ -12,7 +12,7 @@ use std::ops::ControlFlow;
 
 use crate::block::BlockId;
 use crate::function::{Function, ValidateError};
-use crate::inst::{Callee, Inst};
+use crate::inst::{Callee, Inst, OpCode};
 use crate::module::Module;
 use crate::reg::{Reg, RegClass, Temp};
 
@@ -117,6 +117,13 @@ impl Module {
 
 /// The one walk. `funcs` is the module's function count, when the function
 /// is walked as part of a module.
+/// The finding for `op` given `got` sources, unless that is its arity. The
+/// reader words a source list too long to store the same way.
+pub(crate) fn arity_finding(op: OpCode, got: usize) -> Option<String> {
+    let want = op.arity();
+    (got != want).then(|| format!("{} expects {want} sources, got {got}", op.mnemonic()))
+}
+
 fn walk<'a, B>(
     f: &'a Function,
     funcs: Option<usize>,
@@ -173,12 +180,9 @@ fn walk<'a, B>(
             emit(MalformedBlock, shape)?;
             match inst {
                 Inst::Op { op, dst, srcs } => {
-                    let (name, want, got) = (op.mnemonic(), op.arity(), srcs.len());
-                    let arity =
-                        (got != want).then(|| format!("{name} expects {want} sources, got {got}"));
-                    emit(Operand, arity)?;
+                    emit(Operand, arity_finding(*op, srcs.len()))?;
                     let (sc, dc) = op.sig();
-                    for &s in srcs {
+                    for &s in srcs.iter() {
                         emit(Operand, operand(s, Some(sc)))?;
                     }
                     emit(Operand, operand(*dst, Some(dc)))?;

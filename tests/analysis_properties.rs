@@ -67,6 +67,65 @@ fn lifetime_invariants() {
     }
 }
 
+/// The reference rows, filled in place by the reverse pass, against a
+/// forward walk: each row ascends by point, holds one entry per operand (a
+/// repeated source counted twice), is a definition exactly at write slots,
+/// and weighs each reference as `LoopInfo::weight` weighs its block.
+#[test]
+fn reference_rows_match_a_forward_walk() {
+    let mut rng = Lcg::new(0x2EF5);
+    let (mut repeated, mut in_loops) = (0, 0);
+    for _ in 0..CASES {
+        let seed = rng.below(1_000_000);
+        let spec = MachineSpec::alpha_like();
+        let module = RandomProgram::new(seed, RandomConfig::default()).build(&spec);
+        for f in &module.funcs {
+            let lt = Lifetimes::of(f, &spec);
+            let loops = loop_info(f, &Cfg::compute(f));
+            // Per temporary: (point, is_def, weight) in program order.
+            let mut want = vec![Vec::new(); f.num_temps()];
+            for b in f.block_ids() {
+                let w = loops.weight(b);
+                for (k, ins) in f.block(b).insts.iter().enumerate() {
+                    let gi = lt.first_inst(b) + k as u32;
+                    let mut temps = Vec::new();
+                    ins.inst.for_each_use(|r| {
+                        if let Some(t) = r.as_temp() {
+                            want[t.index()].push((Point::read(gi), false, w));
+                            temps.push(t);
+                        }
+                    });
+                    temps.sort_unstable();
+                    repeated += usize::from(temps.windows(2).any(|p| p[0] == p[1]));
+                    ins.inst.for_each_def(|r| {
+                        if let Some(t) = r.as_temp() {
+                            want[t.index()].push((Point::write(gi), true, w));
+                        }
+                    });
+                }
+            }
+            for (t, want) in want.iter().enumerate() {
+                let refs = lt.refs(Temp(t as u32));
+                assert_eq!(refs.len(), want.len(), "seed {seed}: t{t}: one entry per operand");
+                for w in refs.windows(2) {
+                    assert!(w[0].point <= w[1].point, "seed {seed}: t{t}: refs unsorted");
+                }
+                for (r, &(point, is_def, weight)) in refs.iter().zip(want) {
+                    assert_eq!((r.point, r.is_def), (point, is_def), "seed {seed}: t{t}");
+                    assert_eq!(
+                        r.is_def,
+                        r.point.0 % 4 == 2,
+                        "seed {seed}: t{t}: def off a write slot"
+                    );
+                    assert_eq!(r.weight(), weight, "seed {seed}: t{t} at {point}");
+                    in_loops += usize::from(weight > 1.0);
+                }
+            }
+        }
+    }
+    assert!(repeated > 0 && in_loops > 0, "repeated sources {repeated}, loop refs {in_loops}");
+}
+
 /// Live-in at a block implies a live segment covering the block's top
 /// boundary.
 #[test]

@@ -351,7 +351,7 @@ fn q105_low_pressure_spill() {
     push(&mut clean, Inst::SpillStore { src: r0, temp: t }, SpillTag::EvictStore);
     push(&mut clean, Inst::SpillLoad { dst: r0, temp: t }, SpillTag::EvictLoad);
     // Both registers feed the add, so pressure peaks at K = 2.
-    push(&mut clean, Inst::Op { op: OpCode::Add, dst: r0, srcs: vec![r0, r1] }, SpillTag::None);
+    push(&mut clean, Inst::Op { op: OpCode::Add, dst: r0, srcs: [r0, r1].into() }, SpillTag::None);
     ret(&mut clean);
     let r = lint_quality_function(&clean, &sp);
     assert_eq!(r.count(LintCode::LowPressureSpill), 0, "{}", r.render_human());

@@ -272,6 +272,35 @@ fn lint_op_reports_rule_findings_of_inline_text() {
     assert!(resp.contains(r#""code": "L003""#) && resp.contains(r#""line": 8"#), "{resp}");
 }
 
+/// An operation with more sources than an instruction stores (three or
+/// four for a binary op) is refused by the reader: a structured error at
+/// its line for both `alloc` and `lint`, never a panic.
+#[test]
+fn operations_with_too_many_sources_are_refused_at_their_line() {
+    let s = service(small_cfg());
+    for (srcs, got) in [("t0, t0, t0", 3), ("t0, t0, t0, t0", 4)] {
+        let program = format!(
+            "module m (0 words data)\nentry @0\nfunc @main() {{\n  temps t0:i t1:i\nb0:\n  t0 = 1\n  t1 = add {srcs}\n  ret\n}}\n"
+        );
+        for op in ["alloc", "lint"] {
+            let mut w = JsonWriter::new();
+            w.begin_object();
+            w.field_str("id", "long");
+            w.field_str("op", op);
+            w.field_str("program", &program);
+            w.end_object();
+            let resp = call(&s, &w.finish());
+            let v = json_in::parse(&resp).unwrap();
+            assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("error"), "{resp}");
+            let msg = v.get("error").and_then(JsonValue::as_str).unwrap();
+            let want = format!("line 7: add expects 2 sources, got {got}");
+            assert!(msg.ends_with(&want), "{op}: {msg}");
+        }
+    }
+    let snap = s.counters();
+    assert_eq!((snap.errors, snap.panics), (4, 0), "{snap:?}");
+}
+
 #[test]
 fn repeated_requests_are_byte_identical_and_hit_the_cache() {
     let s = service(small_cfg());
