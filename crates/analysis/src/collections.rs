@@ -1,22 +1,20 @@
 //! Flat, allocation-friendly containers for the allocation hot path.
 //!
 //! The allocators' per-temporary state used to live in nested structures —
-//! `Vec<Vec<Segment>>` lifetime rows, `BTreeMap` interval maps, boolean
-//! vectors cleared at every block — whose pointer-chasing and O(universe)
-//! resets dominate at 10^5–10^6 instructions. This module holds the flat
-//! replacements, shared by `lsra-core` and `lsra-poletto`:
+//! `Vec<Vec<Segment>>` lifetime rows, boolean vectors cleared at every
+//! block — whose pointer-chasing and O(universe) resets dominate at
+//! 10^5–10^6 instructions. This module holds the flat replacements, shared
+//! by the analyses and the allocators. Register occupancy is not here: the
+//! point allocators share `lsra_core::point::RegFile`, rows of point bits
+//! per register.
 //!
 //! * [`Csr`] — compressed-sparse-row storage: all rows in one backing
 //!   array plus an offsets array (the regalloc2-style layout);
 //! * [`SmallVec`] — a fixed inline buffer that spills to the heap, for the
 //!   tiny per-instruction scratch lists;
-//! * [`IntervalMap`] — a sorted-vector interval map keyed by segment start,
-//!   drop-in for the `BTreeMap<u32, (u32, Option<Temp>)>` it replaces, with
-//!   an [`IntervalCursor`] for sweeps whose queries only move forward;
 //! * [`EpochSet`] — a stamped membership set whose per-block reset is O(1)
 //!   instead of O(universe).
 
-use lsra_ir::Temp;
 use std::mem::MaybeUninit;
 
 /// Compressed-sparse-row storage: `rows()` slices share one flat backing
@@ -294,178 +292,6 @@ impl<'a, T: Copy, const N: usize> IntoIterator for &'a SmallVec<T, N> {
     }
 }
 
-/// One register's set of occupied intervals, keyed by interval start.
-///
-/// A sorted-vector drop-in for the `BTreeMap<u32, (u32, Option<Temp>)>` the
-/// interval allocators used: inserting an interval with an existing start
-/// replaces it, [`IntervalMap::overlapping_owner`] finds an overlap through
-/// one binary search, and [`IntervalMap::overlapping_entries`] lists
-/// overlaps in ascending start order. Its users are the sweep allocators
-/// (two-pass binpacking and Poletto's scan, through
-/// `lsra_core::point::Occupancy`), which assign whole lifetimes in start
-/// order: an insert lands at or near the end of the vector, so the insert
-/// shift stays short. An allocator that lands intervals in arbitrary order
-/// (ion's priority queue) pays O(n) per insert here and keeps its own
-/// occupancy instead.
-#[derive(Clone, Debug, Default)]
-pub struct IntervalMap {
-    /// `(start, end, owner)`, sorted by `start` (unique). `None` owners are
-    /// precolored blocks.
-    entries: Vec<(u32, u32, Option<Temp>)>,
-}
-
-impl IntervalMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        IntervalMap::default()
-    }
-
-    /// Removes every interval, keeping capacity.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Inserts `[start, end]` for `owner`, replacing any interval with the
-    /// same start (BTreeMap insert semantics).
-    ///
-    /// The stored intervals must stay mutually disjoint: the overlap
-    /// queries and [`IntervalCursor`] rely on it (debug-asserted).
-    pub fn insert(&mut self, start: u32, end: u32, owner: Option<Temp>) {
-        let i = match self.entries.binary_search_by_key(&start, |e| e.0) {
-            Ok(i) => {
-                self.entries[i] = (start, end, owner);
-                i
-            }
-            Err(i) => {
-                self.entries.insert(i, (start, end, owner));
-                i
-            }
-        };
-        debug_assert!(
-            (i == 0 || self.entries[i - 1].1 < start)
-                && self.entries.get(i + 1).is_none_or(|n| end < n.0),
-            "interval [{start}, {end}] overlaps a neighbour"
-        );
-    }
-
-    /// The owner of some interval overlapping `[start, end]`, if any
-    /// (`Some(None)` for a precolored block).
-    ///
-    /// Like the BTreeMap original, this inspects only the interval with the
-    /// greatest start `<= end` — sufficient when the stored intervals are
-    /// mutually disjoint, which register occupancy maps are.
-    pub fn overlapping_owner(&self, start: u32, end: u32) -> Option<Option<Temp>> {
-        // An interval [s, e] overlaps [start, end] iff s <= end && e >= start.
-        let i = self.entries.partition_point(|e| e.0 <= end);
-        self.entries[..i].last().filter(|(_, e, _)| *e >= start).map(|(_, _, o)| *o)
-    }
-
-    /// True if any interval overlaps `[start, end]`.
-    pub fn overlaps(&self, start: u32, end: u32) -> bool {
-        self.overlapping_owner(start, end).is_some()
-    }
-
-    /// Moves `cur` forward to `key`: afterwards `cur.hi` counts exactly the
-    /// intervals starting at or before `key`.
-    #[inline]
-    fn advance(&self, cur: &mut IntervalCursor, key: u32) {
-        debug_assert!(key >= cur.key, "cursor queries must not move backwards");
-        while self.entries.get(cur.hi).is_some_and(|e| e.0 <= key) {
-            cur.hi += 1;
-        }
-        cur.key = key;
-    }
-
-    /// [`IntervalMap::overlapping_owner`] for a sweep whose query ends never
-    /// decrease: `cur` remembers where the previous query stopped, so a
-    /// whole sweep costs one pass over the map instead of a binary search
-    /// per query. The answer is exactly `overlapping_owner(start, end)`.
-    #[inline]
-    pub fn overlapping_owner_from(
-        &self,
-        cur: &mut IntervalCursor,
-        start: u32,
-        end: u32,
-    ) -> Option<Option<Temp>> {
-        self.advance(cur, end);
-        self.entries[..cur.hi].last().filter(|(_, e, _)| *e >= start).map(|(_, _, o)| *o)
-    }
-
-    /// [`IntervalMap::overlaps`] for a sweep whose query *starts* never
-    /// decrease (the ends may move freely), e.g. a first fit over lifetimes
-    /// in start order. Exactly `overlaps(start, end)`: with disjoint
-    /// intervals only the last one starting at or before `start` and the
-    /// first one after it can overlap.
-    #[inline]
-    pub fn overlaps_from(&self, cur: &mut IntervalCursor, start: u32, end: u32) -> bool {
-        self.advance(cur, start);
-        self.entries[..cur.hi].last().is_some_and(|e| e.1 >= start)
-            || self.entries.get(cur.hi).is_some_and(|e| e.0 <= end)
-    }
-
-    /// Re-anchors `cur` after intervals were removed behind it. Insertions
-    /// never need this: a cursor that undercounts catches up on its next
-    /// query, but one that overcounts would skip intervals.
-    pub fn reset_cursor(&self, cur: &mut IntervalCursor) {
-        cur.hi = self.entries.partition_point(|e| e.0 <= cur.key);
-    }
-
-    /// Removes every interval owned by `t` (order-preserving). Cursors into
-    /// this map must be re-anchored with [`IntervalMap::reset_cursor`].
-    pub fn remove_owner(&mut self, t: Temp) {
-        self.entries.retain(|(_, _, o)| *o != Some(t));
-    }
-
-    /// Every interval overlapping `[start, end]`, ascending by start.
-    ///
-    /// Requires the stored intervals to be mutually disjoint (register
-    /// occupancy maps are): disjoint intervals sorted by start are also
-    /// sorted by end, so both window boundaries fall out of one
-    /// `partition_point` each.
-    pub fn overlapping_entries(
-        &self,
-        start: u32,
-        end: u32,
-    ) -> impl Iterator<Item = (u32, u32, Option<Temp>)> + '_ {
-        let hi = self.entries.partition_point(|e| e.0 <= end);
-        let lo = self.entries[..hi].partition_point(|e| e.1 < start);
-        self.entries[lo..hi].iter().copied()
-    }
-}
-
-/// A forward-only read position in one [`IntervalMap`], for sweeps whose
-/// query keys never decrease (instructions in program order, lifetimes in
-/// start order).
-///
-/// It caches `hi`, the number of intervals starting at or before the last
-/// query key, so each query only steps over the intervals passed since the
-/// previous one. A cursor follows one map and one query method; after
-/// [`IntervalMap::remove_owner`] the caller re-anchors it with
-/// [`IntervalMap::reset_cursor`].
-///
-/// # Examples
-///
-/// ```
-/// use lsra_analysis::collections::{IntervalCursor, IntervalMap};
-/// use lsra_ir::Temp;
-///
-/// let mut m = IntervalMap::new();
-/// m.insert(10, 20, Some(Temp(0)));
-/// m.insert(30, 40, None);
-/// let mut cur = IntervalCursor::default();
-/// assert_eq!(m.overlapping_owner_from(&mut cur, 0, 5), None);
-/// assert_eq!(m.overlapping_owner_from(&mut cur, 12, 14), Some(Some(Temp(0))));
-/// assert_eq!(m.overlapping_owner_from(&mut cur, 35, 36), Some(None));
-/// m.remove_owner(Temp(0));
-/// m.reset_cursor(&mut cur);
-/// assert_eq!(m.overlapping_owner_from(&mut cur, 38, 50), Some(None));
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IntervalCursor {
-    hi: usize,
-    key: u32,
-}
-
 /// A set over `0..universe` whose `clear` is O(1): membership is "stamp
 /// equals current epoch", so advancing the epoch empties the set without
 /// touching the stamp array.
@@ -597,115 +423,6 @@ mod tests {
         assert_eq!(v.len(), 0);
         v.push(1);
         assert_eq!(&v[..], &[1]);
-    }
-
-    #[test]
-    fn interval_map_matches_btree_semantics() {
-        use std::collections::BTreeMap;
-        // Differential check against the exact structure it replaces.
-        let mut map = IntervalMap::new();
-        let mut reference: BTreeMap<u32, (u32, Option<Temp>)> = BTreeMap::new();
-        let ops: &[(u32, u32, u32)] = &[
-            (10, 20, 1),
-            (30, 40, 2),
-            (10, 15, 3), // same start: replaces
-            (50, 60, 1),
-            (5, 8, 4),
-        ];
-        for &(s, e, t) in ops {
-            map.insert(s, e, Some(Temp(t)));
-            reference.insert(s, (e, Some(Temp(t))));
-        }
-        for probe_start in 0..70u32 {
-            let probe_end = probe_start + 4;
-            let want = reference
-                .range(..=probe_end)
-                .next_back()
-                .filter(|(_, (end, _))| *end >= probe_start)
-                .map(|(_, (_, o))| *o);
-            assert_eq!(
-                map.overlapping_owner(probe_start, probe_end),
-                want,
-                "probe [{probe_start}, {probe_end}]"
-            );
-        }
-        map.remove_owner(Temp(1));
-        reference.retain(|_, (_, o)| *o != Some(Temp(1)));
-        let got: Vec<_> = map.overlapping_entries(0, u32::MAX).collect();
-        let want: Vec<_> = reference.iter().map(|(&s, &(e, o))| (s, e, o)).collect();
-        assert_eq!(got, want);
-    }
-
-    /// A random map of disjoint intervals over `0..span` with random owners
-    /// (`None` for a precolored block), inserted in random order.
-    fn random_disjoint_map(rng: &mut lsra_workloads::Lcg, span: u32) -> IntervalMap {
-        let mut cuts: Vec<(u32, u32)> = Vec::new();
-        let mut at = rng.below(4) as u32;
-        while at < span {
-            let end = at + rng.below(6) as u32;
-            cuts.push((at, end));
-            at = end + 1 + rng.below(8) as u32;
-        }
-        for i in (1..cuts.len()).rev() {
-            cuts.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let mut map = IntervalMap::new();
-        for (s, e) in cuts {
-            let owner = rng.below(5).checked_sub(1).map(|t| Temp(t as u32));
-            map.insert(s, e, owner);
-        }
-        map
-    }
-
-    #[test]
-    fn cursor_queries_match_binary_search() {
-        let mut rng = lsra_workloads::Lcg::new(1998);
-        for case in 0..300 {
-            let span = 20 + rng.below(200) as u32;
-            let mut map = random_disjoint_map(&mut rng, span);
-            // End-keyed sweep: point-span style queries with non-decreasing
-            // ends, removing an owner mid-sweep now and then.
-            let mut cur = IntervalCursor::default();
-            let mut end = 0u32;
-            while end < span + 10 {
-                end += rng.below(4) as u32;
-                let start = end.saturating_sub(rng.below(5) as u32);
-                let want = map.overlapping_owner(start, end);
-                assert_eq!(map.overlapping_owner_from(&mut cur, start, end), want, "case {case}");
-                if rng.below(10) == 0 {
-                    map.remove_owner(Temp(rng.below(4) as u32));
-                    map.reset_cursor(&mut cur);
-                }
-            }
-            // Start-keyed sweep: first-fit style queries with non-decreasing
-            // starts and free ends, inserting behind nothing (new intervals
-            // start at or after the query start, as a first fit's do).
-            let mut map = random_disjoint_map(&mut rng, span);
-            let mut cur = IntervalCursor::default();
-            let mut start = 0u32;
-            while start < span + 10 {
-                start += rng.below(4) as u32;
-                let end = start + rng.below(12) as u32;
-                let want = map.overlaps(start, end);
-                assert_eq!(map.overlaps_from(&mut cur, start, end), want, "case {case}");
-                if !want && rng.below(3) == 0 {
-                    map.insert(start, end, Some(Temp(9)));
-                }
-                if rng.below(10) == 0 {
-                    map.remove_owner(Temp(rng.below(4) as u32));
-                    map.reset_cursor(&mut cur);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "overlaps a neighbour")]
-    fn interval_map_insert_rejects_overlap() {
-        let mut map = IntervalMap::new();
-        map.insert(10, 20, None);
-        map.insert(15, 30, Some(Temp(1)));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   postorder, built once and shared by every consumer below;
 //! * [`BitSet`] — dense bit vectors for the iterative dataflow problems;
 //! * [`collections`] — flat hot-path containers (CSR rows, inline small
-//!   vectors, sorted-vec interval maps, epoch-stamped sets);
+//!   vectors, epoch-stamped sets);
 //! * [`Liveness`] — live-in/live-out per block, excluding block-local
 //!   temporaries from the bit vectors as the paper does;
 //! * [`Dominators`], [`LoopInfo`] — loop nesting for spill-cost weighting;
@@ -58,7 +58,7 @@ mod peephole;
 
 pub use bitset::BitSet;
 pub use cfg::{Cfg, Order};
-pub use collections::{Csr, EpochSet, IntervalCursor, IntervalMap, SmallVec};
+pub use collections::{Csr, EpochSet, SmallVec};
 pub use dataflow::{
     solve_backward, solve_forward_must, solve_must, BackwardSolution, ForwardMustSolution,
     MustSolution, MustState,

@@ -35,13 +35,7 @@ fn pack(
     order.sort_unstable();
     for (_, t) in order {
         let segs = lt.segments(t);
-        // The first segment settles most registers through the start-order
-        // cursor; only a register free there checks the remaining segments.
-        let (first, rest) = (segs[0], &segs[1..]);
-        let choice = occ.first_fit(f.temp_class(t), first.start.0, first.end.0, |map| {
-            rest.iter().all(|s| !map.overlaps(s.start.0, s.end.0))
-        });
-        match choice {
+        match occ.first_fit(f.temp_class(t), segs) {
             Some(d) => {
                 if sink.enabled() {
                     sink.event(&TraceEvent::PackAssign { temp: t, reg: spec.reg_at(d) });
@@ -77,7 +71,7 @@ pub(crate) fn allocate(
     timer.mark_traced(stats, Phase::Lifetimes, sink);
     stats.candidates = f.num_temps();
 
-    let mut occ = Occupancy::new(f, &lt, spec, &mut scratch.point);
+    let mut occ = Occupancy::new(f, &lt, spec);
     pack(&mut occ, f, spec, &lt, sink);
     // Pass 1.5: free enough registers at every instruction for the point
     // lifetimes of its spilled references.
@@ -87,7 +81,6 @@ pub(crate) fn allocate(
     // Pass 2: rewrite. Spilled references go through scratch registers free
     // at the instruction's span.
     point::rewrite(&mut occ, f, &lt, spec, stats, &mut scratch.point, sink);
-    occ.recycle(&mut scratch.point);
     lt.recycle(&mut scratch.analysis);
     timer.mark_traced(stats, Phase::Resolve, sink);
 }

@@ -58,19 +58,18 @@
 #![warn(missing_debug_implementations)]
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use lsra_analysis::{
     BitSet, Cfg, Csr, Dominators, Lifetimes, Liveness, LoopInfo, Point, Segment, SmallVec,
 };
-use lsra_core::point::{self, point_span, PointAlloc, PointScratch};
+use lsra_core::point::{self, point_span, PointAlloc, PointScratch, RegFile};
 use lsra_core::{
     ensure_slot, sequentialize_into, AllocStats, EdgeOp, EdgeRepair, RegisterAllocator,
 };
 use lsra_ir::{
-    BlockId, FnvBuildHasher, Function, Ins, Inst, MachineSpec, Module, PhysReg, Reg, RegClass,
-    SpillTag, Temp,
+    BlockId, Function, Ins, Inst, MachineSpec, Module, PhysReg, Reg, RegClass, SpillTag, Temp,
 };
 use lsra_trace::{NoopSink, ResolveOp, SplitKind, TraceEvent, TraceSink};
 
@@ -134,268 +133,6 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
         x = up;
     }
     x
-}
-
-/// Register occupancy, built for the two questions placement asks.
-///
-/// "Is register `d` free over `[s, e]`?" is answered by one row of point
-/// bits per dense register, covering blocked segments and placed ranges
-/// alike: a probe masks the first and last words of the span and tests
-/// the words between, and landing or lifting a range sets or clears the
-/// same words. "Who is there?" is asked only by the eviction search and
-/// the feasibility victim pick. A blocked (precolored / call-clobber)
-/// segment is found by binary search in the register's blocked list from
-/// `Lifetimes`, which never changes. A placed range is found from a second
-/// row per register holding one bit at each placed range's first point:
-/// ranges in a register are disjoint, so the last start bit at or before
-/// an occupied, unblocked point is its range's, and one hash lookup by
-/// `(register, start)` names the end and the bundle. A summary row, one
-/// bit per nonzero word of the start row, takes that backward search over
-/// a long range in a step or two. Set-up inserts nothing but the blocked
-/// bits; placed ranges enter and leave through [`RegFile::occupy`] and
-/// [`RegFile::vacate`] only, each range as bit work plus one map update.
-#[derive(Debug)]
-struct RegFile<'a> {
-    /// Words per register row.
-    words: usize,
-    /// Bit `p % 64` of `busy[d * words + p / 64]` is set while point `p` of
-    /// register `d` is occupied.
-    busy: Vec<u64>,
-    /// Laid out like `busy`: the bit of point `p` is set while a placed
-    /// range of register `d` starts at `p`.
-    starts: Vec<u64>,
-    /// Words per register row of `start_words`.
-    sum_words: usize,
-    /// Bit `w % 64` of `start_words[d * sum_words + w / 64]` is set while
-    /// word `w` of register `d`'s `starts` row is nonzero.
-    start_words: Vec<u64>,
-    /// Placed range `(register, start)` (see [`owner_key`]) → `(end,
-    /// bundle)`.
-    owners: HashMap<u64, (u32, u32), FnvBuildHasher>,
-    /// Per register: the blocked segments, ascending and disjoint.
-    blocked: Vec<&'a [Segment]>,
-}
-
-/// The [`RegFile::owners`] key of a range of register `d` starting at
-/// `start`.
-#[inline]
-fn owner_key(d: usize, start: u32) -> u64 {
-    (d as u64) << 32 | u64::from(start)
-}
-
-/// The word indices of `[start, end]` and the masks of its first and last
-/// word (one word: `lo & hi`).
-#[inline]
-fn word_span(start: u32, end: u32) -> (usize, usize, u64, u64) {
-    debug_assert!(start <= end);
-    ((start / 64) as usize, (end / 64) as usize, !0u64 << (start % 64), !0u64 >> (63 - end % 64))
-}
-
-impl<'a> RegFile<'a> {
-    /// A file for a function of `insts` instructions (every point is below
-    /// `4 * insts + 4`) whose register `d` is blocked over `blocked[d]`.
-    fn new(blocked: Vec<&'a [Segment]>, insts: u32) -> Self {
-        let words = (4 * insts as usize + 4).div_ceil(64);
-        let sum_words = words.div_ceil(64);
-        let nregs = blocked.len();
-        let mut regs = RegFile {
-            words,
-            busy: vec![0; nregs * words],
-            starts: vec![0; nregs * words],
-            sum_words,
-            start_words: vec![0; nregs * sum_words],
-            owners: HashMap::default(),
-            blocked,
-        };
-        for d in 0..nregs {
-            let segs: &'a [Segment] = regs.blocked[d];
-            for &s in segs {
-                regs.claim(d, s);
-            }
-        }
-        regs
-    }
-
-    /// The first occupied point of `[start, end]` in register `d`.
-    #[inline]
-    fn first_busy(&self, d: usize, start: u32, end: u32) -> Option<u32> {
-        let row = &self.busy[d * self.words..(d + 1) * self.words];
-        let (ws, we, lo, hi) = word_span(start, end);
-        (ws..=we).find_map(|w| {
-            let mut m = row[w];
-            if w == ws {
-                m &= lo;
-            }
-            if w == we {
-                m &= hi;
-            }
-            (m != 0).then(|| w as u32 * 64 + m.trailing_zeros())
-        })
-    }
-
-    /// The start of the placed range of register `d` holding point `p`: the
-    /// last start bit at or before `p`, in `p`'s word or else in the last
-    /// nonzero start word before it, which the summary row names.
-    #[inline]
-    fn range_start(&self, d: usize, p: u32) -> u32 {
-        let row = &self.starts[d * self.words..(d + 1) * self.words];
-        let mut w = (p / 64) as usize;
-        let mut bits = row[w] & !0u64 >> (63 - p % 64);
-        if bits == 0 {
-            let sum = &self.start_words[d * self.sum_words..(d + 1) * self.sum_words];
-            let (mut i, mut m) = (w / 64, sum[w / 64] & !(!0u64 << (w % 64)));
-            while m == 0 {
-                i = i.checked_sub(1).expect("an occupied, unblocked point lies in a placed range");
-                m = sum[i];
-            }
-            w = i * 64 + 63 - m.leading_zeros() as usize;
-            bits = row[w];
-        }
-        w as u32 * 64 + 63 - bits.leading_zeros()
-    }
-
-    /// True if any point of `[start, end]` is occupied in register `d`.
-    #[inline]
-    fn is_busy(&self, d: usize, start: u32, end: u32) -> bool {
-        self.first_busy(d, start, end).is_some()
-    }
-
-    /// True if every segment avoids everything in register `d`.
-    #[inline]
-    fn fits(&self, d: usize, segs: impl IntoIterator<Item = Segment>) -> bool {
-        segs.into_iter().all(|s| !self.is_busy(d, s.start.0, s.end.0))
-    }
-
-    /// Sets (`on`) or clears the bits of `[start, end]` in register `d`.
-    fn mark(&mut self, d: usize, start: u32, end: u32, on: bool) {
-        let row = &mut self.busy[d * self.words..(d + 1) * self.words];
-        let (ws, we, lo, hi) = word_span(start, end);
-        for (w, word) in (ws..).zip(&mut row[ws..=we]) {
-            let mut m = !0u64;
-            if w == ws {
-                m &= lo;
-            }
-            if w == we {
-                m &= hi;
-            }
-            if on {
-                *word |= m;
-            } else {
-                *word &= !m;
-            }
-        }
-    }
-
-    /// Sets the bits of `s` in register `d`. The segment must be free
-    /// (debug-asserted): every query relies on disjoint intervals.
-    fn claim(&mut self, d: usize, s: Segment) {
-        let (start, end) = (s.start.0, s.end.0);
-        debug_assert!(
-            !self.is_busy(d, start, end),
-            "interval [{start}, {end}] overlaps an occupant of register {d}"
-        );
-        self.mark(d, start, end, true);
-    }
-
-    /// Flips the start bit of point `p` in register `d`, and its word's
-    /// summary bit to match.
-    #[inline]
-    fn toggle_start(&mut self, d: usize, p: u32) {
-        let w = (p / 64) as usize;
-        let word = &mut self.starts[d * self.words + w];
-        *word ^= 1 << (p % 64);
-        let (sum, bit) = (&mut self.start_words[d * self.sum_words + w / 64], 1u64 << (w % 64));
-        if *word != 0 {
-            *sum |= bit;
-        } else {
-            *sum &= !bit;
-        }
-    }
-
-    /// Parks bundle `bid` in register `d` over every segment.
-    fn occupy(&mut self, d: usize, segs: impl IntoIterator<Item = Segment>, bid: u32) {
-        for s in segs {
-            self.claim(d, s);
-            self.toggle_start(d, s.start.0);
-            self.owners.insert(owner_key(d, s.start.0), (s.end.0, bid));
-        }
-    }
-
-    /// Lifts every segment, each exactly as [`RegFile::occupy`] parked it,
-    /// out of register `d`.
-    fn vacate(&mut self, d: usize, segs: impl IntoIterator<Item = Segment>) {
-        for s in segs {
-            let (start, end) = (s.start.0, s.end.0);
-            let gone = self.owners.remove(&owner_key(d, start));
-            debug_assert_eq!(gone.map(|(e, _)| e), Some(end), "vacating an interval never parked");
-            self.toggle_start(d, start);
-            self.mark(d, start, end, false);
-        }
-    }
-
-    /// Every interval of register `d` overlapping `[start, end]`, ascending
-    /// by start, with its bundle (`None` for a blocked segment). The bits
-    /// find each next occupied point; the interval holding it is the last
-    /// blocked segment starting at or before it, if that reaches it, and
-    /// otherwise the placed range of the last start bit at or before it. A
-    /// span with no occupant touches neither.
-    fn occupants(
-        &self,
-        d: usize,
-        start: u32,
-        end: u32,
-    ) -> impl Iterator<Item = (u32, u32, Option<u32>)> + '_ {
-        let mut from = start;
-        std::iter::from_fn(move || {
-            if from > end {
-                return None;
-            }
-            let p = self.first_busy(d, from, end)?;
-            let blocked = self.blocked[d];
-            let (s, e, owner) = match blocked.partition_point(|b| b.start.0 <= p).checked_sub(1) {
-                Some(i) if blocked[i].end.0 >= p => (blocked[i].start.0, blocked[i].end.0, None),
-                _ => {
-                    let s = self.range_start(d, p);
-                    let (e, bid) = self.owners[&owner_key(d, s)];
-                    (s, e, Some(bid))
-                }
-            };
-            debug_assert!(e >= p, "occupied point {p} of register {d} has no interval");
-            from = e.max(p) + 1;
-            Some((s, e, owner))
-        })
-    }
-
-    /// The distinct bundles parked in register `d` that overlap any of
-    /// `segs`, and the greatest of their weights (0 for none). `None` when a
-    /// blocked segment overlaps (the register cannot be evicted free), or
-    /// as soon as a conflicting bundle weighs `bound` or more (the register
-    /// cannot win the caller's search, so the rest of its scan would be
-    /// thrown away).
-    fn conflicts(
-        &self,
-        d: usize,
-        segs: impl IntoIterator<Item = Segment>,
-        weight: impl Fn(u32) -> f64,
-        bound: f64,
-    ) -> Option<(f64, SmallVec<u32, 8>)> {
-        let mut out: SmallVec<u32, 8> = SmallVec::new();
-        let mut maxw = 0.0f64;
-        for s in segs {
-            for (_, _, owner) in self.occupants(d, s.start.0, s.end.0) {
-                let c = owner?;
-                if !out.contains(&c) {
-                    let w = weight(c);
-                    if w >= bound {
-                        return None;
-                    }
-                    maxw = maxw.max(w);
-                    out.push(c);
-                }
-            }
-        }
-        Some((maxw, out))
-    }
 }
 
 /// A queue key: queue priority first, lowest bundle id on ties. Bundle ids
@@ -620,7 +357,7 @@ impl PointAlloc for Points<'_, '_> {
         loc_at(self.temp_pieces, &self.st.bundles, t, p)
     }
 
-    fn is_free(&mut self, d: usize, gi: u32) -> bool {
+    fn is_free(&self, d: usize, gi: u32) -> bool {
         let span = point_span(gi);
         !self.st.regs.is_busy(d, span.start.0, span.end.0)
     }
@@ -1389,245 +1126,6 @@ mod tests {
         Segment::new(Point(start), Point(end))
     }
 
-    /// Every interval overlapping `[start, end]`, ascending by start, by a
-    /// walk over a model of one register in full: its blocked segments and
-    /// its placed `(segment, bundle)` pairs.
-    fn brute_occupants(
-        blocked: &[Segment],
-        placed: &[(Segment, u32)],
-        start: u32,
-        end: u32,
-    ) -> Vec<(u32, u32, Option<u32>)> {
-        let placed = placed.iter().map(|&(s, bid)| (s.start.0, s.end.0, Some(bid)));
-        let blocked = blocked.iter().map(|b| (b.start.0, b.end.0, None));
-        let mut all: Vec<_> =
-            placed.chain(blocked).filter(|&(s, e, _)| s <= end && e >= start).collect();
-        all.sort_unstable_by_key(|&(s, _, _)| s);
-        all
-    }
-
-    /// A random span of `0..npoints` that often starts or ends on a word
-    /// edge (`% 64` of 0 or 63), or covers 1, 63, 64, 65 or 128 points.
-    fn edgy_span(rng: &mut lsra_workloads::Lcg, npoints: u32) -> (u32, u32) {
-        let words = u64::from(npoints / 64);
-        let start = match rng.below(4) {
-            0 => 64 * rng.below(words) as u32,
-            1 => 64 * rng.below(words) as u32 + 63,
-            _ => rng.below(u64::from(npoints)) as u32,
-        };
-        let len = match rng.below(9) {
-            0 => 1,
-            1 => 63,
-            2 => 64,
-            3 => 65,
-            4 => 128,
-            5 => 64 - start % 64,
-            6 => 65 - start % 64,
-            7 => 128 - start % 64,
-            _ => 1 + rng.below(40) as u32,
-        };
-        (start, (start + len - 1).min(npoints - 1))
-    }
-
-    /// Up to `n` random edgy spans as ascending disjoint segments.
-    fn edgy_segments(rng: &mut lsra_workloads::Lcg, npoints: u32, n: u64) -> Vec<Segment> {
-        let mut spans: Vec<(u32, u32)> = (0..n).map(|_| edgy_span(rng, npoints)).collect();
-        spans.sort_unstable();
-        let mut segs: Vec<Segment> = Vec::new();
-        for (s, e) in spans {
-            if segs.last().is_none_or(|l| l.end.0 < s) {
-                segs.push(seg(s, e));
-            }
-        }
-        segs
-    }
-
-    /// `s` cut to a random nonempty prefix: the same start, any end in it.
-    fn shortened(rng: &mut lsra_workloads::Lcg, s: Segment) -> Segment {
-        seg(s.start.0, s.start.0 + rng.below(u64::from(s.end.0 - s.start.0) + 1) as u32)
-    }
-
-    /// Random `occupy`/`vacate` sequences over three partly blocked
-    /// registers, against a model of every parked bundle walked in full:
-    /// `is_busy`, `fits` and `occupants` (the owner lookups through the
-    /// start bits) agree with it, and every register's set bits are exactly
-    /// its intervals' points and starts. Steps deliberately land ranges
-    /// abutting a placed range or a blocked segment on either side, and
-    /// lift a bundle to re-place it, shortened and renamed, at the same
-    /// starts.
-    #[test]
-    fn reg_file_matches_brute_force() {
-        let mut rng = lsra_workloads::Lcg::new(1998);
-        let (nregs, insts) = (3usize, 100u32);
-        let npoints = 4 * insts + 4;
-        for case in 0..200 {
-            let blocked: Vec<Vec<Segment>> = (0..nregs)
-                .map(|_| {
-                    let n = rng.below(4);
-                    edgy_segments(&mut rng, npoints, n)
-                })
-                .collect();
-            let mut regs = RegFile::new(blocked.iter().map(Vec::as_slice).collect(), insts);
-            // The model: (register, segments, bundle) of every parked bundle.
-            let mut parked: Vec<(usize, Vec<Segment>, u32)> = Vec::new();
-            let placed_in = |parked: &[(usize, Vec<Segment>, u32)], d: usize| {
-                let mine = parked.iter().filter(|p| p.0 == d);
-                mine.flat_map(|(_, segs, bid)| segs.iter().map(|&s| (s, *bid))).collect::<Vec<_>>()
-            };
-            for step in 0..80 {
-                let op = if parked.is_empty() { 2 } else { rng.below(6) };
-                if op == 0 {
-                    let (d, segs, _) = parked.swap_remove(rng.below(parked.len() as u64) as usize);
-                    regs.vacate(d, segs.iter().copied());
-                } else if op == 1 {
-                    let i = rng.below(parked.len() as u64) as usize;
-                    let (d, segs, _) = parked.swap_remove(i);
-                    regs.vacate(d, segs.iter().copied());
-                    let segs: Vec<Segment> = segs.iter().map(|&s| shortened(&mut rng, s)).collect();
-                    assert!(regs.fits(d, segs.iter().copied()), "case {case} step {step}");
-                    regs.occupy(d, segs.iter().copied(), step);
-                    parked.push((d, segs, step));
-                } else {
-                    let d = rng.below(nregs as u64) as usize;
-                    let n = 1 + rng.below(3);
-                    let mut segs = edgy_segments(&mut rng, npoints, n);
-                    // Abut a neighbour: start right after one, or end right
-                    // before one.
-                    let mut near: Vec<Segment> = blocked[d].clone();
-                    near.extend(placed_in(&parked, d).into_iter().map(|(s, _)| s));
-                    if !near.is_empty() && rng.below(2) == 0 {
-                        let nb = near[rng.below(near.len() as u64) as usize];
-                        let len = 1 + rng.below(70) as u32;
-                        // No neighbour spans every point, so one side is open.
-                        let after =
-                            nb.start.0 == 0 || (nb.end.0 + 1 < npoints && rng.below(2) == 0);
-                        segs = vec![if after {
-                            seg(nb.end.0 + 1, (nb.end.0 + len).min(npoints - 1))
-                        } else {
-                            seg(nb.start.0.saturating_sub(len), nb.start.0 - 1)
-                        }];
-                    }
-                    let placed = placed_in(&parked, d);
-                    let free = segs.iter().all(|s| {
-                        brute_occupants(&blocked[d], &placed, s.start.0, s.end.0).is_empty()
-                    });
-                    assert_eq!(regs.fits(d, segs.iter().copied()), free, "case {case} step {step}");
-                    if free {
-                        regs.occupy(d, segs.iter().copied(), step);
-                        parked.push((d, segs, step));
-                    }
-                }
-                for d in 0..nregs {
-                    let placed = placed_in(&parked, d);
-                    let all = brute_occupants(&blocked[d], &placed, 0, npoints - 1);
-                    let points: u32 = all.iter().map(|&(s, e, _)| e - s + 1).sum();
-                    let row = |bits: &[u64]| -> u32 {
-                        bits[d * regs.words..(d + 1) * regs.words]
-                            .iter()
-                            .map(|w| w.count_ones())
-                            .sum()
-                    };
-                    let why = format!("case {case} step {step}: register {d}");
-                    assert_eq!(row(&regs.busy), points, "{why}: stale busy bits");
-                    assert_eq!(row(&regs.starts), placed.len() as u32, "{why}: stale start bits");
-                    for _ in 0..8 {
-                        let (s, e) = edgy_span(&mut rng, npoints);
-                        let want = brute_occupants(&blocked[d], &placed, s, e);
-                        assert_eq!(regs.is_busy(d, s, e), !want.is_empty(), "{why} [{s}, {e}]");
-                        let got: Vec<_> = regs.occupants(d, s, e).collect();
-                        assert_eq!(got, want, "{why} occupants [{s}, {e}]");
-                    }
-                    // Every point of every interval names its owner.
-                    for &(s, e, owner) in &all {
-                        let p = s + rng.below(u64::from(e - s) + 1) as u32;
-                        let got: Vec<_> = regs.occupants(d, p, p).collect();
-                        assert_eq!(got, [(s, e, owner)], "{why} point {p}");
-                    }
-                }
-            }
-            assert_eq!(regs.owners.len(), parked.iter().map(|p| p.1.len()).sum::<usize>());
-        }
-    }
-
-    /// The bounded conflict scan against a brute-force walk over a model of
-    /// every interval: random disjoint occupancy (owners bundles 0..6, or
-    /// blocked) where neighbours often abut, half the time with one placed
-    /// range lifted and re-placed, shortened and under another bundle, at
-    /// the same start; random bundle weights with ties, random query
-    /// segments.
-    #[test]
-    fn bounded_conflict_scan_matches_brute_force() {
-        let mut rng = lsra_workloads::Lcg::new(1998);
-        for case in 0..2000 {
-            let span = 10 + rng.below(120) as u32;
-            let blocked_odds = 1 + rng.below(12);
-            let (mut blocked, mut placed) = (Vec::new(), Vec::new());
-            let mut at = rng.below(4) as u32;
-            while at < span {
-                let end = at + rng.below(6) as u32;
-                match (rng.below(blocked_odds) != 0).then(|| rng.below(6) as u32) {
-                    Some(bid) => placed.push((seg(at, end), bid)),
-                    None => blocked.push(seg(at, end)),
-                }
-                at = end + 1 + rng.below(5) as u32;
-            }
-            let mut regs = RegFile::new(vec![&blocked], 64);
-            for &(s, bid) in &placed {
-                regs.occupy(0, [s], bid);
-            }
-            if !placed.is_empty() && rng.below(2) == 0 {
-                let i = rng.below(placed.len() as u64) as usize;
-                let (s, _) = placed[i];
-                regs.vacate(0, [s]);
-                let s = shortened(&mut rng, s);
-                let bid = rng.below(6) as u32;
-                regs.occupy(0, [s], bid);
-                placed[i] = (s, bid);
-            }
-            let weights: Vec<f64> = (0..6).map(|_| rng.below(8) as f64 * 0.5).collect();
-            let weight = |c: u32| weights[c as usize];
-            let mut segs: Vec<Segment> = Vec::new();
-            let mut at = rng.below(8) as u32;
-            for _ in 0..1 + rng.below(4) {
-                let end = at + rng.below(12) as u32;
-                segs.push(seg(at, end));
-                at = end + 1 + rng.below(10) as u32;
-            }
-
-            // Brute force: every parked interval, in start order, per segment.
-            let (mut want, mut hit_blocked) = (Vec::new(), false);
-            for s in &segs {
-                assert_eq!(
-                    regs.occupants(0, s.start.0, s.end.0).collect::<Vec<_>>(),
-                    brute_occupants(&blocked, &placed, s.start.0, s.end.0),
-                    "case {case}: occupants of {s:?}"
-                );
-                for (_, _, owner) in brute_occupants(&blocked, &placed, s.start.0, s.end.0) {
-                    match owner {
-                        None => hit_blocked = true,
-                        Some(c) if !want.contains(&c) => want.push(c),
-                        Some(_) => {}
-                    }
-                }
-            }
-            let maxw = want.iter().map(|&c| weight(c)).fold(0.0f64, f64::max);
-
-            let bounds = [f64::INFINITY, maxw, maxw + 0.25, rng.below(9) as f64 * 0.5];
-            for bound in bounds {
-                let got = regs.conflicts(0, segs.iter().copied(), weight, bound);
-                if hit_blocked {
-                    assert!(got.is_none(), "case {case}: blocked segment missed");
-                } else if !want.is_empty() && maxw >= bound {
-                    assert!(got.is_none(), "case {case}: max {maxw} reaches bound {bound}");
-                } else {
-                    let (w, cs) = got.unwrap_or_else(|| panic!("case {case}: bound {bound}"));
-                    assert_eq!(w, maxw, "case {case}: bound {bound}");
-                    assert_eq!(cs.as_slice(), &want[..], "case {case}: bound {bound}");
-                }
-            }
-        }
-    }
-
     /// The two-stream queue pops exactly what one heap of every entry pops,
     /// under random interleaved pushes and pops: initial keys with tied
     /// priorities, re-pushes of popped bundles (evictions) and fresh ids
@@ -1917,15 +1415,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 20), "split shapes seen: {seen:?}");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "overlaps an occupant")]
-    fn reg_file_occupy_rejects_overlap() {
-        let blocked = [seg(10, 20)];
-        let mut regs = RegFile::new(vec![&blocked], 16);
-        regs.occupy(0, [seg(15, 30)], 1);
     }
 
     #[test]

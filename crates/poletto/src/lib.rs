@@ -65,26 +65,22 @@ fn scan(occ: &mut Occupancy, f: &Function, spec: &MachineSpec, lt: &Lifetimes) {
         let class = f.temp_class(t);
         // First fit among registers with no conflicting occupancy over the
         // whole interval.
-        if let Some(d) = occ.first_fit(class, iv.start.0, iv.end.0, |_| true) {
+        if let Some(d) = occ.first_fit(class, &[iv]) {
             occ.assign(t, d, &[iv]);
             continue;
         }
-        // Spill the active interval with the furthest end whose register
-        // would become usable for the current interval; if none ends later
-        // than the current interval, spill the current one.
+        // Spill the active interval with the furthest end; if none ends
+        // later than the current interval, spill the current one. A victim
+        // `a` that ends later holds its register over its whole interval,
+        // which then contains `iv` (it holds the register at `iv.start`), and
+        // a register's occupants are disjoint: with `a` gone, the register
+        // is free over `iv`, so no register needs a further check.
         let mut victim: Option<(Point, Temp, usize)> = None;
         for d in spec.reg_indices(class) {
             let Some(Some(a)) = occ.owner_at(d, iv.start) else {
                 continue;
             };
             let a_iv = lt.lifetime(a).expect("active interval exists");
-            // After removing `a`, the register must be free over `iv`
-            // (precolored blocks may still conflict).
-            let conflicts =
-                occ.reg(d).overlapping_entries(iv.start.0, iv.end.0).any(|(_, _, o)| o != Some(a));
-            if conflicts {
-                continue;
-            }
             if victim.is_none_or(|(end, _, _)| a_iv.end > end) {
                 victim = Some((a_iv.end, a, d));
             }
@@ -108,12 +104,12 @@ impl RegisterAllocator for PolettoAllocator {
         let start = Instant::now();
         let mut stats = AllocStats { candidates: f.num_temps(), ..Default::default() };
         let lt = Lifetimes::of(f, spec);
-        let mut scratch = PointScratch::default();
-        let mut occ = Occupancy::new(f, &lt, spec, &mut scratch);
+        let mut occ = Occupancy::new(f, &lt, spec);
         scan(&mut occ, f, spec, &lt);
         // Spilled references must always find scratch registers; the shared
         // fixpoint spills further victims if not.
         point::ensure_point_feasibility(&mut occ, f, &lt, spec, &mut NoopSink);
+        let mut scratch = PointScratch::default();
         point::rewrite(&mut occ, f, &lt, spec, &mut stats, &mut scratch, &mut NoopSink);
         f.allocated = true;
         stats.alloc_seconds = start.elapsed().as_secs_f64();

@@ -134,6 +134,31 @@ use second_chance_regalloc::server::protocol::{
     allocator_by_name, unknown_allocator, untraced_allocator, ALLOCATOR_NAMES,
 };
 
+/// `print!` for the command output: a reader that has gone away (a closed
+/// pipe, as in `lsra alloc ... | head -1`) ends the process quietly with
+/// success instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with [`out!`]'s handling of a closed pipe.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  lsra print <file.lsra>\n  lsra run <file.lsra> [--input FILE] [--machine SPEC]\n  \
@@ -491,7 +516,7 @@ fn load_module_with_lines(path: &str) -> Result<(Module, Option<lsra_ir::ModuleL
 
 fn cmd_print(o: &Opts) -> Result<(), String> {
     let m = load_module(o.positional.first().ok_or("missing file")?)?;
-    print!("{m}");
+    out!("{m}");
     Ok(())
 }
 
@@ -500,13 +525,13 @@ fn cmd_run(o: &Opts) -> Result<(), String> {
     let r = run_module(&m, &o.machine(), &o.input).map_err(|e| e.to_string())?;
     for ev in &r.output {
         match ev {
-            lsra_vm::OutputEvent::Int(v) => println!("out: {v}"),
-            lsra_vm::OutputEvent::Char(c) => println!("out: {:?}", *c as char),
-            lsra_vm::OutputEvent::Float(bits) => println!("out: {}", f64::from_bits(*bits)),
+            lsra_vm::OutputEvent::Int(v) => outln!("out: {v}"),
+            lsra_vm::OutputEvent::Char(c) => outln!("out: {:?}", *c as char),
+            lsra_vm::OutputEvent::Float(bits) => outln!("out: {}", f64::from_bits(*bits)),
         }
     }
-    println!("return: {:?}", r.ret);
-    println!("dynamic instructions: {}", r.counts.total);
+    outln!("return: {:?}", r.ret);
+    outln!("dynamic instructions: {}", r.counts.total);
     Ok(())
 }
 
@@ -601,7 +626,7 @@ fn cmd_alloc(o: &Opts) -> Result<(), String> {
         use second_chance_regalloc::{jit, verify};
         let code = jit::compile_module(&m, &spec).map_err(|e| format!("jit: {e}"))?;
         if o.emit_asm {
-            print!("{}", verify::disasm_module(&m, &spec, &code));
+            out!("{}", verify::disasm_module(&m, &spec, &code));
         }
         if o.verify_native || o.corrupt_byte.is_some() {
             let report = match o.corrupt_byte {
@@ -645,7 +670,7 @@ fn cmd_alloc(o: &Opts) -> Result<(), String> {
         }
     }
     if !o.emit_asm {
-        print!("{m}");
+        out!("{m}");
     }
     eprintln!(
         "; {}: candidates={} spilled={} inserted={} coalesced={} ({:.2} ms)",
@@ -733,7 +758,7 @@ fn cmd_report(o: &Opts) -> Result<(), String> {
             diagnostics: report.diags.len() as u64,
         });
     }
-    print!("{}", metrics.report());
+    out!("{}", metrics.report());
     eprintln!(
         "; {}: candidates={} spilled={} inserted={} ({:.2} ms)",
         alloc.name(),
@@ -770,8 +795,8 @@ fn cmd_lint(o: &Opts) -> Result<(), String> {
         eprintln!("; skipping quality lints: {input_errors} input error(s)");
     }
     match o.format.as_str() {
-        "json" => print!("{}", report.render_jsonl()),
-        _ => print!("{}", report.render_human()),
+        "json" => out!("{}", report.render_jsonl()),
+        _ => out!("{}", report.render_human()),
     }
     let denied = report.denied(&o.deny);
     if denied > 0 {
@@ -842,13 +867,13 @@ fn cmd_fuzz(o: &Opts) -> Result<(), String> {
         match &f.shrunk_text {
             Some(text) => {
                 eprintln!("; minimized repro:");
-                print!("{text}");
+                out!("{text}");
             }
-            None => print!("{}", f.module_text),
+            None => out!("{}", f.module_text),
         }
         if let Some(trace) = &f.trace_text {
             eprintln!("; decision trace of the repro:");
-            print!("{trace}");
+            out!("{trace}");
         }
     }
     if report.ok() {
@@ -909,17 +934,17 @@ fn cmd_loadgen(o: &Opts) -> Result<(), String> {
         out_path: Some("BENCH_serve.json".to_string()),
     };
     let r = run_loadgen(&cfg)?;
-    println!(
-        "requests:    {} ({} clients, {}% dups)",
-        r.requests, cfg.concurrency, cfg.dup_percent
-    );
-    println!("responses:   ok={} error={} rejected={}", r.ok, r.errors, r.rejected);
-    println!("throughput:  {:.0} req/s over {:.3} s", r.throughput_rps, r.elapsed_seconds);
-    println!(
+    outln!("requests:    {} ({} clients, {}% dups)", r.requests, cfg.concurrency, cfg.dup_percent);
+    outln!("responses:   ok={} error={} rejected={}", r.ok, r.errors, r.rejected);
+    outln!("throughput:  {:.0} req/s over {:.3} s", r.throughput_rps, r.elapsed_seconds);
+    outln!(
         "latency:     p50={:.3} ms  p95={:.3} ms  p99={:.3} ms  max={:.3} ms",
-        r.latency_ms.p50, r.latency_ms.p95, r.latency_ms.p99, r.latency_ms.max
+        r.latency_ms.p50,
+        r.latency_ms.p95,
+        r.latency_ms.p99,
+        r.latency_ms.max
     );
-    println!(
+    outln!(
         "server side: p50={:.3} ms  p95={:.3} ms  p99={:.3} ms  ({} samples, {})",
         r.server.latency_ms.p50,
         r.server.latency_ms.p95,
@@ -927,16 +952,19 @@ fn cmd_loadgen(o: &Opts) -> Result<(), String> {
         r.server.samples,
         if r.server.agreement_ok { "agrees with client" } else { "DISAGREES with client" },
     );
-    println!(
+    outln!(
         "conserved:   {} requests == {} accounted at quiescence",
-        r.server.requests, r.server.accounted
+        r.server.requests,
+        r.server.accounted
     );
-    println!(
+    outln!(
         "cache:       {} hits / {} misses (hit rate {:.2})",
-        r.cache_hits, r.cache_misses, r.hit_rate
+        r.cache_hits,
+        r.cache_misses,
+        r.hit_rate
     );
-    println!("mismatches:  {}", r.mismatches);
-    println!("report:      BENCH_serve.json");
+    outln!("mismatches:  {}", r.mismatches);
+    outln!("report:      BENCH_serve.json");
     if r.mismatches > 0 {
         if let Some(m) = &r.first_mismatch {
             eprintln!("first mismatch: {m}");
@@ -1020,18 +1048,18 @@ fn cmd_top(o: &Opts) -> Result<(), String> {
         };
         let ms = |ns: u64| ns as f64 / 1e6;
         if o.frames != 1 {
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
-        println!("lsra serve @ {addr} — frame {frame}, every {} ms", o.interval_ms);
-        println!("requests:  {requests} total, {rps:.1} req/s");
-        println!(
+        outln!("lsra serve @ {addr} — frame {frame}, every {} ms", o.interval_ms);
+        outln!("requests:  {requests} total, {rps:.1} req/s");
+        outln!(
             "alloc:     p50={:.3} ms  p95={:.3} ms  p99={:.3} ms  ({} samples, {label})",
             ms(window.quantile(0.50)),
             ms(window.quantile(0.95)),
             ms(window.quantile(0.99)),
             window.count,
         );
-        println!(
+        outln!(
             "queue:     depth={}  in_flight={}",
             gauge(&v, "lsra_queue_depth"),
             gauge(&v, "lsra_in_flight")
@@ -1039,13 +1067,13 @@ fn cmd_top(o: &Opts) -> Result<(), String> {
         let (hits, misses) =
             (counter(&v, "lsra_cache_hits_total"), counter(&v, "lsra_cache_misses_total"));
         let lookups = hits + misses;
-        println!(
+        outln!(
             "cache:     {hits} hits / {misses} misses (hit rate {:.2}), {} entries, {:.1} MiB",
             if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
             gauge(&v, "lsra_cache_entries"),
             gauge(&v, "lsra_cache_bytes") as f64 / (1 << 20) as f64,
         );
-        println!(
+        outln!(
             "responses: ok={} error={} timeout={} overloaded={} too_large={} inline={}",
             counter(&v, "lsra_responses_ok_total"),
             counter(&v, "lsra_responses_error_total"),
@@ -1054,7 +1082,7 @@ fn cmd_top(o: &Opts) -> Result<(), String> {
             counter(&v, "lsra_responses_too_large_total"),
             counter(&v, "lsra_responses_inline_total"),
         );
-        println!("panics:    {}", counter(&v, "lsra_worker_panics_total"));
+        outln!("panics:    {}", counter(&v, "lsra_worker_panics_total"));
         frame += 1;
         if o.frames != 0 && frame >= o.frames {
             return Ok(());
@@ -1066,7 +1094,7 @@ fn cmd_top(o: &Opts) -> Result<(), String> {
 
 fn cmd_workloads() -> Result<(), String> {
     for w in lsra_workloads::all() {
-        println!("{:<10} {}", w.name, w.description);
+        outln!("{:<10} {}", w.name, w.description);
     }
     Ok(())
 }
@@ -1085,13 +1113,13 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
     let stats = allocate_and_cleanup(&mut m, alloc.as_ref(), &spec);
     let r = verify_allocation(&original, &m, &spec, &input, VmOptions::default())
         .map_err(|e| e.to_string())?;
-    println!("workload:   {name}");
-    println!("allocator:  {}", alloc.name());
-    println!("candidates: {}", stats.candidates);
-    println!("alloc time: {:.3} ms", stats.alloc_seconds * 1e3);
+    outln!("workload:   {name}");
+    outln!("allocator:  {}", alloc.name());
+    outln!("candidates: {}", stats.candidates);
+    outln!("alloc time: {:.3} ms", stats.alloc_seconds * 1e3);
     report_timings(&stats);
-    println!("dyn insts:  {}", r.counts.total);
-    println!(
+    outln!("dyn insts:  {}", r.counts.total);
+    outln!(
         "spill:      {} ({:.3}%), evict(l/s/m)={:?}, resolve(l/s/m)={:?}",
         r.counts.spill_total(),
         100.0 * r.counts.spill_fraction(),
@@ -1105,7 +1133,7 @@ fn cmd_bench(o: &Opts) -> Result<(), String> {
         let path = "BENCH_alloc_metrics.json";
         std::fs::write(path, sink.finish().to_json())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("metrics:    {path}");
+        outln!("metrics:    {path}");
     }
     Ok(())
 }
@@ -1180,10 +1208,15 @@ fn cmd_bench_native(o: &Opts) -> Result<(), String> {
     }
 
     let ms = |ns: u64| ns as f64 / 1e6;
-    println!("workload:   {name} (machine {}, {} native runs)", spec.name(), o.exec_runs);
-    println!(
+    outln!("workload:   {name} (machine {}, {} native runs)", spec.name(), o.exec_runs);
+    outln!(
         "{:<10} {:>12} {:>10} {:>12} {:>12} {:>12}  vs vm",
-        "allocator", "dyn insts", "code B", "native p50", "native p95", "vm once"
+        "allocator",
+        "dyn insts",
+        "code B",
+        "native p50",
+        "native p95",
+        "vm once"
     );
     for r in &rows {
         let (p50, p95) = r
@@ -1193,7 +1226,7 @@ fn cmd_bench_native(o: &Opts) -> Result<(), String> {
                 (format!("{:.3}", ms(h.quantile(0.5))), format!("{:.3}", ms(h.quantile(0.95))))
             })
             .unwrap_or_else(|| ("-".to_string(), "-".to_string()));
-        println!(
+        outln!(
             "{:<10} {:>12} {:>10} {:>12} {:>12} {:>12.3}  {}",
             r.allocator,
             r.dyn_insts,
@@ -1248,7 +1281,7 @@ fn cmd_bench_native(o: &Opts) -> Result<(), String> {
     j.end_object();
     let path = "BENCH_exec_time.json";
     std::fs::write(path, j.finish()).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("report:     {path}");
+    outln!("report:     {path}");
     for r in &rows {
         if r.native.is_some() && !r.checked_vs_vm {
             return Err(format!("{}: native run differed from the VM", r.allocator));

@@ -243,3 +243,25 @@ fn recursion_to_depth_limit_is_caught() {
     check(&m, &spec, &[]);
     assert_eq!(run_module(&m, &spec, &[]).unwrap().ret, Some(0));
 }
+
+/// A reader that stops early (`lsra alloc ... | head -1`) closes the pipe
+/// under the CLI's output: the CLI ends quietly instead of panicking.
+#[test]
+fn cli_ends_quietly_on_a_closed_pipe() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lsra"))
+        .args(["alloc", "scale:medium:20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(!first.is_empty(), "no output before the pipe closed");
+    // The reader is dropped: the rest of the output meets a closed pipe.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
