@@ -4,10 +4,11 @@
 //! Alpha hardware; this crate closes the same loop for the reproduction. It
 //! lowers an *allocated* [`lsra_ir::Module`] (every operand a physical
 //! register or spill slot) to x86-64 machine code, maps it W^X-safely, and
-//! executes it on the host — with instruction-category counters incremented
-//! inline so the resulting [`lsra_vm::RunResult`] is field-for-field
-//! comparable with [`lsra_vm::run_module`]: same output events, same return
-//! value, same memory checksum, same [`lsra_vm::DynCounts`].
+//! executes it on the host — with the fuel counted down in a register and
+//! the spill, call, memory and move counters incremented inline, so the
+//! resulting [`lsra_vm::RunResult`] is field-for-field comparable with
+//! [`lsra_vm::run_module`]: same output events, same return value, same
+//! memory checksum, same [`lsra_vm::DynCounts`].
 //!
 //! The crate is dependency-free (only `lsra-ir` and `lsra-vm` from the
 //! workspace; syscalls go through self-declared bindings) and degrades
@@ -55,7 +56,7 @@ use runtime::{err, ExecMem, IoState};
 pub mod abi {
     pub use crate::lower::{tag_index, xfer_off, FrameLayout};
     pub use crate::runtime::{err, ftoi_address, helper_address, MAX_REGS};
-    pub use crate::runtime::{OFF_BY_TAG, OFF_CALLS, OFF_MEMORY_OPS, OFF_MOVES, OFF_TOTAL};
+    pub use crate::runtime::{OFF_BY_TAG, OFF_CALLS, OFF_MEMORY_OPS, OFF_MOVES};
     pub use crate::runtime::{OFF_DEPTH, OFF_FUEL, OFF_MAX_DEPTH};
     pub use crate::runtime::{OFF_ERR_ADDR, OFF_ERR_CODE, OFF_ERR_FUNC};
     pub use crate::runtime::{OFF_LAST_RET, OFF_MEM_BASE, OFF_MEM_WORDS};
@@ -261,13 +262,6 @@ impl MappedModule<'_> {
             let f: unsafe extern "C" fn(*mut Env) = std::mem::transmute(entry);
             f(&mut *env);
         }
-        let counts = DynCounts {
-            total: env.total,
-            by_tag: env.by_tag,
-            calls: env.calls,
-            memory_ops: env.memory_ops,
-            moves: env.moves,
-        };
         match env.err_code {
             0 => Ok(RunResult {
                 ret: if env.last_ret_reg >= 0 {
@@ -276,7 +270,7 @@ impl MappedModule<'_> {
                     None
                 },
                 output: io.output,
-                counts,
+                counts: counts(&env, options.fuel),
                 memory_checksum: lsra_vm::memory_checksum(&memory),
             }),
             err::DIV_BY_ZERO => {
@@ -290,6 +284,16 @@ impl MappedModule<'_> {
             _ => Err(JitRunError::Vm(VmError::StackOverflow)),
         }
     }
+}
+
+/// The dynamic counts of a completed run. Generated code counts executed
+/// instructions only as fuel spent and bumps only the spill tags, so
+/// `total` is the fuel spent and `by_tag[0]` is what the tags do not cover.
+fn counts(env: &Env, fuel_in: u64) -> DynCounts {
+    let total = fuel_in - env.fuel;
+    let mut by_tag = env.by_tag;
+    by_tag[0] = total - by_tag[1..].iter().sum::<u64>();
+    DynCounts { total, by_tag, calls: env.calls, memory_ops: env.memory_ops, moves: env.moves }
 }
 
 /// Compiles every function of an allocated `module` into one relocated

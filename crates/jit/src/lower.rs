@@ -13,6 +13,7 @@
 //! |------|------|
 //! | `rbx`         | [`crate::runtime::Env`] pointer (counters, limits, transfer file) |
 //! | `r12`         | data-memory base |
+//! | `r13`         | remaining fuel, for the whole run |
 //! | `r14`         | data-memory size in words |
 //! | `rbp`         | frame base (virtual registers + spill slots below) |
 //! | `rax rcx rdx` | integer scratch lanes (div/shift-constrained) |
@@ -40,15 +41,21 @@
 //!
 //! # Counter and error ABI
 //!
-//! Every IR instruction compiles to a counter prelude — fuel check
-//! (bailing with `FuelExhausted` *before* counting, like the interpreter),
-//! fuel decrement, `total` and `by_tag[tag]` increments — followed by its
-//! body; `Mov`, memory operations and calls additionally bump their
-//! dedicated counters, so a native [`lsra_vm::DynCounts`] is
-//! field-for-field comparable with an interpreted one. Faults (division by
-//! zero, out-of-bounds memory, fuel, depth) write an error code into `Env`
-//! and unwind through each frame's exit stub; callers test the error cell
-//! after every intra-module call.
+//! The remaining fuel lives in `r13` while native code runs: the entry
+//! trampoline loads it from `Env::fuel` before the entry call and stores it
+//! back after. Every IR instruction compiles to a counter prelude,
+//! `sub r13, 1; jb fuel_stub`, which bails with `FuelExhausted` when the
+//! budget was already 0, before the instruction counts, like the
+//! interpreter. A spill-tagged instruction's prelude then bumps
+//! `by_tag[tag]`; untagged ones touch no memory. The body follows; `Mov`,
+//! memory operations and calls additionally bump their dedicated counters.
+//! The runtime derives `total` as the fuel spent and `by_tag[0]` as the
+//! rest, so a native [`lsra_vm::DynCounts`] is field-for-field comparable
+//! with an interpreted one. `r13` is callee-saved in the SysV ABI, so the
+//! runtime helpers keep it. Faults (division by zero, out-of-bounds memory,
+//! fuel, depth) write an error code into `Env` and unwind through each
+//! frame's exit stub; callers test the error cell after every intra-module
+//! call.
 
 use lsra_ir::{Callee, Cond, ExtFn, FuncId, Function, Inst, MachineSpec, OpCode};
 use lsra_ir::{Ins, Module, PhysReg, Reg, RegClass, SpillTag};
@@ -140,7 +147,8 @@ pub fn tag_index(tag: SpillTag) -> i32 {
 fn emit_trampoline(asm: &mut Asm) -> usize {
     asm.push_r(RBP);
     asm.mov_rr(RBP, RSP);
-    // Four pushes keep rsp 16-byte aligned at the call below.
+    // Save the callee-saved registers the generated code pins (r13 holds
+    // the fuel); four pushes also keep rsp 16-byte aligned at the call.
     asm.push_r(RBX);
     asm.push_r(R12);
     asm.push_r(R13);
@@ -148,7 +156,9 @@ fn emit_trampoline(asm: &mut Asm) -> usize {
     asm.mov_rr(RBX, RDI);
     asm.mov_rm(R12, RBX, rt::OFF_MEM_BASE);
     asm.mov_rm(R14, RBX, rt::OFF_MEM_WORDS);
+    asm.mov_rm(R13, RBX, rt::OFF_FUEL);
     let entry_call = asm.call_rel32_placeholder();
+    asm.mov_mr(RBX, rt::OFF_FUEL, R13);
     asm.pop_r(R14);
     asm.pop_r(R13);
     asm.pop_r(R12);
@@ -258,14 +268,15 @@ impl<'a> FuncLowering<'a> {
         asm.ret();
     }
 
-    /// Fuel check and counter increments shared by every instruction.
+    /// Fuel check shared by every instruction, plus the spill-tag counter
+    /// of a tagged one. `sub` borrows (CF=1) exactly when the fuel was 0.
     fn counter_prelude(&mut self, tag: SpillTag) {
         let asm = &mut *self.asm;
-        asm.cmp_mi8(RBX, rt::OFF_FUEL, 0);
-        asm.jcc(Cc::E, self.l_fuel);
-        asm.dec_m(RBX, rt::OFF_FUEL);
-        asm.inc_m(RBX, rt::OFF_TOTAL);
-        asm.inc_m(RBX, rt::OFF_BY_TAG + 8 * tag_index(tag));
+        asm.sub_ri(R13, 1);
+        asm.jcc(Cc::B, self.l_fuel);
+        if tag != SpillTag::None {
+            asm.inc_m(RBX, rt::OFF_BY_TAG + 8 * tag_index(tag));
+        }
     }
 
     /// Computes the effective word address of `base + offset` into rax and

@@ -4,12 +4,18 @@
 //! # The `Env` ABI
 //!
 //! Generated code keeps a single pointer (in `rbx`) to one [`Env`] block for
-//! the whole run. Every dynamic counter, the fuel/depth limits, the error
-//! cell, the data-memory descriptor, and the call transfer register file
-//! live at fixed offsets in it; the lowering bakes those offsets (taken via
-//! `offset_of!`, so Rust's own layout is the single source of truth) into
-//! `inc`/`cmp`/`mov` instructions. Fields are all 8 bytes wide so `repr(C)`
-//! gives a flat, padding-free prefix.
+//! the whole run. The per-tag spill counters, the call/memory/move counters,
+//! the fuel/depth limits, the error cell, the data-memory descriptor, and the
+//! call transfer register file live at fixed offsets in it; the lowering
+//! bakes those offsets (taken via `offset_of!`, so Rust's own layout is the
+//! single source of truth) into `inc`/`cmp`/`mov` instructions. Fields are
+//! all 8 bytes wide so `repr(C)` gives a flat, padding-free prefix.
+//!
+//! The remaining fuel is the one counter that does not live in `Env` while
+//! code runs: the trampoline loads [`Env::fuel`] into `r13`, every
+//! instruction decrements the register, and the trampoline stores it back.
+//! The total and the untagged count follow from it afterwards (see
+//! [`crate::MappedModule::run`]).
 //!
 //! # W^X protocol
 //!
@@ -53,14 +59,14 @@ pub(crate) struct IoState {
 
 /// The runtime block generated code addresses through `rbx`.
 ///
-/// Counter fields mirror [`lsra_vm::DynCounts`] one-for-one; `by_tag` uses
+/// Counter fields mirror [`lsra_vm::DynCounts`] except for `total` and
+/// `by_tag[0]`, which the runtime derives from the fuel spent; `by_tag` uses
 /// the VM's `tag_index` order (index 0 = untagged program instructions).
 #[repr(C)]
 #[derive(Debug)]
 pub struct Env {
-    /// Total executed instructions (`DynCounts::total`).
-    pub total: u64,
     /// Executed instructions per spill category (`DynCounts::by_tag`).
+    /// Generated code bumps only the spill tags `1..`; index 0 stays 0.
     pub by_tag: [u64; 7],
     /// Executed calls (`DynCounts::calls`).
     pub calls: u64,
@@ -68,7 +74,9 @@ pub struct Env {
     pub memory_ops: u64,
     /// Executed register moves (`DynCounts::moves`).
     pub moves: u64,
-    /// Remaining instruction budget; checked before each instruction.
+    /// Remaining instruction budget. The trampoline loads it into `r13`
+    /// before the entry call and stores `r13` back after it; wrapped past
+    /// zero when the run ends in a fuel fault.
     pub fuel: u64,
     /// Current call depth (incremented in every function prologue).
     pub depth: u64,
@@ -101,7 +109,6 @@ impl Env {
     /// A zeroed `Env` on the heap (the transfer files make it ~4 KiB).
     pub(crate) fn boxed() -> Box<Env> {
         Box::new(Env {
-            total: 0,
             by_tag: [0; 7],
             calls: 0,
             memory_ops: 0,
@@ -125,8 +132,6 @@ impl Env {
 // Env field offsets baked into generated code (and checked by the static
 // verifier in `lsra-verify`, which re-exports them through `crate::abi`).
 
-/// Offset of [`Env::total`].
-pub const OFF_TOTAL: i32 = std::mem::offset_of!(Env, total) as i32;
 /// Offset of [`Env::by_tag`] (7 contiguous 8-byte counters).
 pub const OFF_BY_TAG: i32 = std::mem::offset_of!(Env, by_tag) as i32;
 /// Offset of [`Env::calls`].
@@ -373,11 +378,11 @@ mod tests {
     fn env_counter_prefix_is_flat() {
         // The lowering indexes by_tag as OFF_BY_TAG + 8*i and relies on the
         // DynCounts-mirroring fields being contiguous 8-byte cells.
-        assert_eq!(OFF_TOTAL, 0);
-        assert_eq!(OFF_BY_TAG, 8);
-        assert_eq!(OFF_CALLS, 64);
-        assert_eq!(OFF_MEMORY_OPS, 72);
-        assert_eq!(OFF_MOVES, 80);
+        assert_eq!(OFF_BY_TAG, 0);
+        assert_eq!(OFF_CALLS, 56);
+        assert_eq!(OFF_MEMORY_OPS, 64);
+        assert_eq!(OFF_MOVES, 72);
+        assert_eq!(OFF_FUEL, 80);
         assert_eq!(OFF_XFER_FLOAT - OFF_XFER_INT, (MAX_REGS * 8) as i32);
     }
 

@@ -904,18 +904,25 @@ impl<'a> FnWalker<'a> {
         // as an explicit phase marker for readers of `walk`.
     }
 
+    /// `sub r13, 1; jb fuel_stub`, then the spill-tag bump of a tagged
+    /// instruction. The borrow of the `sub` is what signals empty fuel.
     fn counter_prelude(&mut self, tag: SpillTag) -> Result<(), ()> {
         use LintCode::NativeCounter as NC;
-        self.expect(MInst::CmpMI8 { base: RBX, disp: abi::OFF_FUEL, imm: 0 }, NC, "fuel check")?;
-        let (at, t) = self.expect_jcc(Cc::E, "fuel-exhausted branch")?;
+        self.expect(MInst::SubRI { reg: R13, imm: 1 }, NC, "fuel decrement")?;
+        let (cc, at, t) = self.expect_jcc_any("fuel-exhausted branch")?;
+        if cc != Cc::B {
+            let msg = format!("fuel-exhausted branch: expected jb, found j{}", cc.mnemonic());
+            self.emit_at(NC, at, msg);
+            return Err(());
+        }
         self.pending.push((at, t, TKind::Fuel));
-        self.expect(MInst::DecM { base: RBX, disp: abi::OFF_FUEL }, NC, "fuel decrement")?;
-        self.expect(MInst::IncM { base: RBX, disp: abi::OFF_TOTAL }, NC, "total counter")?;
-        self.expect(
-            MInst::IncM { base: RBX, disp: abi::OFF_BY_TAG + 8 * abi::tag_index(tag) },
-            NC,
-            "by-tag counter",
-        )?;
+        if tag != SpillTag::None {
+            self.expect(
+                MInst::IncM { base: RBX, disp: abi::OFF_BY_TAG + 8 * abi::tag_index(tag) },
+                NC,
+                "by-tag counter",
+            )?;
+        }
         Ok(())
     }
 
@@ -1482,8 +1489,10 @@ pub(crate) fn walk_trampoline(
         MInst::MovRR { dst: RBX, src: RDI },
         MInst::MovRM { dst: R12, base: RBX, disp: abi::OFF_MEM_BASE },
         MInst::MovRM { dst: R14, base: RBX, disp: abi::OFF_MEM_WORDS },
+        MInst::MovRM { dst: R13, base: RBX, disp: abi::OFF_FUEL },
     ];
     let tail = [
+        MInst::MovMR { base: RBX, disp: abi::OFF_FUEL, src: R13 },
         MInst::PopR { reg: R14 },
         MInst::PopR { reg: R13 },
         MInst::PopR { reg: R12 },

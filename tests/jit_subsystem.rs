@@ -25,6 +25,7 @@ use second_chance_regalloc::jit;
 use second_chance_regalloc::prelude::*;
 use second_chance_regalloc::server::protocol::{allocator_by_name, ALLOCATOR_NAMES};
 use second_chance_regalloc::verify;
+use second_chance_regalloc::vm::VmError;
 
 /// The same two machines the golden-digest pins cover.
 fn machines() -> [(&'static str, MachineSpec); 2] {
@@ -127,6 +128,64 @@ b0:
         Err(jit::JitRunError::Vm(native_err)) => assert_eq!(native_err, vm_err),
         other => panic!("expected a Vm fault, got {other:?}"),
     }
+}
+
+/// Native code runs out of fuel exactly where the VM does. Native code
+/// keeps the fuel in a host register across calls and helper calls, and
+/// the runtime derives `total` and the untagged count from the fuel spent,
+/// so every budget must either exhaust both or give equal results, counts
+/// included: at the edges (0, 1, 2, total−1, total, total+1) and at seeded
+/// points inside the run. `li` recurses and calls the I/O helpers; `wc`
+/// runs spill code on `alpha`.
+#[test]
+fn native_runs_out_of_fuel_where_the_vm_does() {
+    let execute = !skip_execution("fuel exhaustion");
+    let spec = MachineSpec::alpha_like();
+    let mut rng = lsra_workloads::Lcg::new(29);
+    let mut spilled = 0;
+    for name in ["sort", "li", "wc"] {
+        let w = lsra_workloads::by_name(name).expect("built-in workload");
+        let input = (w.input)();
+        for aname in ["binpack", "ion"] {
+            let case = format!("{name} / {aname} / alpha");
+            let alloc = allocator_by_name(aname, 1, false).unwrap();
+            let mut m = (w.build)();
+            allocate_and_cleanup(&mut m, alloc.as_ref(), &spec);
+            if !execute {
+                verify_statically(&case, &m, &spec);
+                continue;
+            }
+            let run_vm =
+                |fuel| Vm::new(&m, &spec, &input, VmOptions { fuel, ..VmOptions::default() }).run();
+            let total = run_vm(VmOptions::default().fuel)
+                .unwrap_or_else(|e| panic!("{case}: vm run faulted: {e}"))
+                .counts
+                .total;
+            let code = jit::compile_module(&m, &spec).expect("compile");
+            let mapped = code.map().expect("map");
+            let mut fuels = vec![0, 1, 2, total - 1, total, total + 1];
+            fuels.extend((0..20).map(|_| rng.below(total)));
+            for fuel in fuels {
+                let native = mapped.run(&input, &VmOptions { fuel, ..VmOptions::default() });
+                match (run_vm(fuel), native) {
+                    (
+                        Err(VmError::FuelExhausted),
+                        Err(jit::JitRunError::Vm(VmError::FuelExhausted)),
+                    ) => {}
+                    (Ok(vm), Ok(native)) => {
+                        assert_eq!(native, vm, "{case}: fuel {fuel} of {total}");
+                        spilled += vm.counts.by_tag[1..].iter().sum::<u64>();
+                    }
+                    (vm, native) => {
+                        panic!("{case}: fuel {fuel} of {total}: vm {vm:?}, native {native:?}")
+                    }
+                }
+            }
+        }
+    }
+    // The runtime derives `by_tag[0]` as the rest of the total, so the
+    // sweep must include runs whose spill tags are counted natively.
+    assert!(!execute || spilled > 0, "no run executed spill code");
 }
 
 #[test]

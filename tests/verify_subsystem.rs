@@ -313,6 +313,118 @@ fn verifier_assigns_meaningful_codes_to_corruptions() {
     assert!(report.count(LintCode::NativeDecode) > 0, "trampoline:\n{}", report.render_human());
 }
 
+/// The fuel contract: the trampoline loads the fuel into `r13` and stores
+/// it back, each prelude is `sub r13, 1; jb fuel_stub`, and a spill-tagged
+/// instruction's prelude bumps its own `by_tag` cell. Breaking any part of
+/// it must be reported as a counter or frame fault, and nothing else.
+#[test]
+fn verifier_flags_corrupted_fuel_and_counter_shapes() {
+    use second_chance_regalloc::jit::abi::OFF_FUEL;
+    use second_chance_regalloc::jit::encoder::{R12, R13, RBX};
+    use second_chance_regalloc::lint::{LintCode, LintReport};
+    let (m, spec) = mutation_module();
+    // `r1 = 7` (b0 inst 1) stands in for spill code, so its prelude carries
+    // a `by_tag` bump.
+    let tagged = |tag: SpillTag| {
+        let mut t = m.clone();
+        t.funcs[0].blocks[0].insts[1].tag = tag;
+        t
+    };
+    let ir = tagged(SpillTag::EvictMove);
+    let compile = |m: &lsra_ir::Module| {
+        let code = second_chance_regalloc::jit::compile_module(m, &spec).expect("compile");
+        (code.encoding().to_vec(), code.entry_offset(), code.func_ranges().to_vec())
+    };
+    let verify = |bytes: &[u8], entry: usize, ranges: &[(usize, usize)]| {
+        verify::verify_image(&ir.funcs, ir.entry, &spec, bytes, entry, ranges)
+    };
+    let assert_flagged = |what: &str, report: &LintReport| {
+        let ok = |c| c == LintCode::NativeCounter || c == LintCode::NativeFrame;
+        assert!(
+            !report.diags.is_empty() && report.diags.iter().all(|d| ok(d.code)),
+            "{what}: expected only counter or frame faults:\n{}",
+            report.render_human()
+        );
+    };
+    let (bytes, entry, ranges) = compile(&ir);
+    assert!(verify(&bytes, entry, &ranges).diags.is_empty(), "the tagged image must verify");
+    // First instruction at or after `from` equal to `want`: `(offset, length)`.
+    let find = |bytes: &[u8], from: usize, want: MInst| {
+        let mut pos = from;
+        loop {
+            let (mi, len) = decode_one(bytes, pos).expect("clean image decodes");
+            if mi == want {
+                return (pos, len);
+            }
+            pos += len;
+        }
+    };
+    let reencode = |at: usize, len: usize, with: MInst| {
+        let mut enc = Vec::new();
+        with.encode(&mut enc);
+        assert_eq!(enc.len(), len, "`{with}` must keep the instruction length");
+        let mut out = bytes.clone();
+        out[at..at + len].copy_from_slice(&enc);
+        out
+    };
+
+    // The first prelude, and the `jb` right after it.
+    let fuel_dec = MInst::SubRI { reg: R13, imm: 1 };
+    let (at, len) = find(&bytes, ranges[0].0, fuel_dec);
+    for (what, with) in [
+        ("sub r13, 2", MInst::SubRI { reg: R13, imm: 2 }),
+        ("sub r12, 1", MInst::SubRI { reg: R12, imm: 1 }),
+    ] {
+        assert_flagged(what, &verify(&reencode(at, len, with), entry, &ranges));
+    }
+    let mut jae = bytes.clone();
+    assert_eq!(jae[at + len..at + len + 2], [0x0F, 0x82], "jb follows the decrement");
+    jae[at + len + 1] = 0x83;
+    assert_flagged("jae for jb", &verify(&jae, entry, &ranges));
+
+    // The tagged instruction's bump dropped, or aimed at another tag: the
+    // same IR compiled untagged, or with a different tag, verified against
+    // the `EvictMove` IR.
+    for (what, tag) in [("dropped bump", SpillTag::None), ("other tag", SpillTag::EvictLoad)] {
+        let (other, e, r) = compile(&tagged(tag));
+        assert_eq!((e, r.len()), (entry, ranges.len()));
+        assert_flagged(what, &verify(&other, e, &r));
+    }
+
+    // The trampoline's fuel load or store cut out. Every function moves
+    // down by the cut, so the ranges shift with it, and cutting after the
+    // entry call shortens its rel32 too; only the missing move is wrong.
+    let (call, rel) = find_call(&bytes, entry);
+    for (what, want) in [
+        ("fuel load removed", MInst::MovRM { dst: R13, base: RBX, disp: OFF_FUEL }),
+        ("fuel store removed", MInst::MovMR { base: RBX, disp: OFF_FUEL, src: R13 }),
+    ] {
+        let (cut, len) = find(&bytes, entry, want);
+        let mut out = bytes.clone();
+        out.drain(cut..cut + len);
+        if cut > call {
+            let rel = (rel - len as i32).to_le_bytes();
+            out[call + 1..call + 5].copy_from_slice(&rel);
+        }
+        let shifted: Vec<_> = ranges.iter().map(|&(s, e)| (s - len, e - len)).collect();
+        let report = verify(&out, entry, &shifted);
+        assert_flagged(what, &report);
+        assert_eq!(report.diags.len(), 1, "{what}: only the trampoline is wrong");
+    }
+}
+
+/// The entry trampoline's `call rel32`: `(offset, rel32)`.
+fn find_call(bytes: &[u8], entry: usize) -> (usize, i32) {
+    let mut pos = entry;
+    loop {
+        let (mi, len) = decode_one(bytes, pos).expect("clean trampoline decodes");
+        if let MInst::CallRel { rel } = mi {
+            return (pos, rel);
+        }
+        pos += len;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Disassembly
 // ---------------------------------------------------------------------------
